@@ -12,9 +12,6 @@ from .dynamics import (
     SdeStepConfig,
     TrajectoryRecord,
     em_step,
-    ensemble_rhs,
-    general_diffusion,
-    general_drift,
     integrate_ensemble,
     simulate_batch,
     simulate_trajectory,
@@ -29,18 +26,14 @@ from .montecarlo import (
     run_ensemble,
 )
 from .quantum import (
-    DEFAULT_TOL,
-    GeneralModel,
     NumericalFailureError,
     QuantumState,
     SpinOperators,
-    ToleranceConfig,
     distance_V,
     eigenstate,
     lyapunov_Q,
     make_spin_operators,
     maximally_mixed,
-    measurement_probabilities,
     project_to_state_space,
     random_density,
 )
@@ -49,33 +42,26 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ControllerState",
-    "DEFAULT_TOL",
     "EPS_CONV",
     "EnsembleStats",
     "ExitTimeReport",
-    "GeneralModel",
     "Mode",
     "NumericalFailureError",
     "OdeTrajectory",
     "QuantumState",
     "SdeStepConfig",
     "SpinOperators",
-    "ToleranceConfig",
     "TrajectoryRecord",
     "compare_mean_vs_ode",
     "distance_V",
     "eigenstate",
     "em_step",
-    "ensemble_rhs",
     "estimate_exit_time",
     "feedback_gain",
-    "general_diffusion",
-    "general_drift",
     "integrate_ensemble",
     "lyapunov_Q",
     "make_spin_operators",
     "maximally_mixed",
-    "measurement_probabilities",
     "mh_control",
     "new_controller",
     "project_to_state_space",

@@ -7,7 +7,8 @@ JSON file plus flag overrides; the resolved configuration is written next
 to the outputs in canonical form so every artifact is reproducible from
 its own directory. CSV numeric fields carry 17 significant digits.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure (a state
+became non-finite).
 """
 
 import csv
@@ -172,6 +173,14 @@ def _resolve(cfg: SimConfig):
     return ops, rho0, step
 
 
+def _workers() -> int:
+    """Worker count from the environment, as a configuration error if malformed."""
+    try:
+        return default_workers()
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+
+
 def _parse_control(cfg: SimConfig, ops, rho0):
     """Turn the control spec into a ControllerState or a fixed input."""
     if cfg.control == "mh":
@@ -275,12 +284,12 @@ def ensemble(preset, config_path, **overrides):
     cfg = load_config(preset, config_path, overrides)
     ops, rho0, step = _resolve(cfg)
     control = _parse_control(cfg, ops, rho0)
+    workers = _workers()
     out = _prepare_output(cfg)
     try:
         stats = run_ensemble(
             rho0, control, cfg.T, step, cfg.M, cfg.base_seed, f=cfg.f,
-            ops=ops, record_stride=cfg.record_stride,
-            workers=default_workers())
+            ops=ops, record_stride=cfg.record_stride, workers=workers)
     except NumericalFailureError as e:
         raise NumericalError(str(e)) from e
     rows = ([_fmt(t), _fmt(v), _fmt(c)]
@@ -315,11 +324,12 @@ def exit_time(preset, config_path, **overrides):
     if not 0.0 < cfg.gamma_a < 1.0:
         raise ConfigError(f"gamma_a: must be in (0, 1), got {cfg.gamma_a}")
     t_cap = cfg.T_cap if cfg.T_cap is not None else cfg.T
+    workers = _workers()
     out = _prepare_output(cfg)
     try:
         report = estimate_exit_time(
             cfg.gamma_a, rho0, cfg.f, ops, t_cap, step, cfg.M, cfg.base_seed,
-            workers=default_workers())
+            workers=workers)
     except ValueError as e:
         raise ConfigError(str(e)) from e
     except NumericalFailureError as e:

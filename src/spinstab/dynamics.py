@@ -8,7 +8,7 @@ Two integrators live here:
       d rho = -i u [F_y, rho] dt - 1/2 [F_z, [F_z, rho]] dt
               + sqrt(eta) (F_z rho + rho F_z - 2 Tr(F_z rho) rho) dW,
 
-  with a state-space projection after every step (configurable stride);
+  with a projection back onto the state space after every step;
 
 * a classical fixed-step RK4 integrator for the averaged (ensemble)
   dynamics, which is the same drift with the noise term dropped.
@@ -28,13 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controller import ControllerState, Mode, feedback_gain, switch_modes
-from .quantum import (
-    GeneralModel,
-    NumericalFailureError,
-    QuantumState,
-    SpinOperators,
-    _clip_psd,
-)
+from .quantum import NumericalFailureError, QuantumState, SpinOperators, _clip_psd
 
 __all__ = [
     "SdeStepConfig",
@@ -43,12 +37,9 @@ __all__ = [
     "EPS_CONV",
     "sme_drift",
     "sme_diffusion",
-    "general_drift",
-    "general_diffusion",
     "em_step",
     "simulate_trajectory",
     "simulate_batch",
-    "ensemble_rhs",
     "integrate_ensemble",
 ]
 
@@ -61,23 +52,16 @@ _NOISE_CHUNK_ELEMS = 4_000_000
 
 @dataclass(frozen=True)
 class SdeStepConfig:
-    """Step configuration for the stochastic integrator.
-
-    ``projection_every`` is the number of Euler-Maruyama steps between
-    state-space projections (1 = project after every step, the default).
-    """
+    """Step configuration for the stochastic integrator."""
 
     dt: float = 1e-3
     eta: float = 1.0
-    projection_every: int = 1
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError(f"eta must be in (0, 1], got {self.eta}")
-        if self.projection_every < 1:
-            raise ValueError("projection_every must be >= 1")
 
 
 @dataclass
@@ -142,22 +126,15 @@ def sme_diffusion(rho, ops: SpinOperators, eta: float) -> np.ndarray:
     return np.sqrt(eta) * out
 
 
-def general_drift(rho, u, model: GeneralModel) -> np.ndarray:
-    """Drift of the generic model: Hamiltonian, control and decoherence terms."""
-    m = np.asarray(rho)
-    c, cd = model.c, model.c.conj().T
-    comm_h = model.H @ m - m @ model.H
-    comm_g = model.G @ m - m @ model.G
-    lind = c @ m @ cd - 0.5 * (cd @ c @ m + m @ (cd @ c))
-    return -1j * comm_h - 1j * _as_u(u) * comm_g + lind
+def _euler_step(rho, u, dw, cfg: SdeStepConfig, ops: SpinOperators) -> np.ndarray:
+    """One Euler-Maruyama step, projected back onto the state space.
 
-
-def general_diffusion(rho, model: GeneralModel) -> np.ndarray:
-    """Back-action of the generic model: sqrt(eta)(c rho + rho c* - Tr[(c+c*) rho] rho)."""
-    m = np.asarray(rho)
-    c, cd = model.c, model.c.conj().T
-    tr = np.einsum("...ii->...", (c + cd) @ m).real
-    return np.sqrt(model.eta) * (c @ m + m @ cd - tr[..., None, None] * m)
+    The stepping kernel of every stochastic integration. ``rho`` is a single
+    matrix or a stacked (M, N, N) array; ``u`` and ``dw`` broadcast against
+    it. Raises NumericalFailureError if the step leaves the finite numbers.
+    """
+    incr = sme_drift(rho, u, ops) * cfg.dt + sme_diffusion(rho, ops, cfg.eta) * dw
+    return _clip_psd(rho + incr)
 
 
 def em_step(rho, u: float, cfg: SdeStepConfig, dw: float,
@@ -166,15 +143,16 @@ def em_step(rho, u: float, cfg: SdeStepConfig, dw: float,
 
     ``dw`` is a caller-supplied Gaussian increment with variance dt, so a
     step is a deterministic function of its arguments. The result is
-    projected back onto the state space unconditionally.
+    projected back onto the state space unconditionally; a non-finite
+    result raises NumericalFailureError.
     """
-    m = np.asarray(rho, dtype=complex)
-    incr = sme_drift(m, u, ops) * cfg.dt + sme_diffusion(m, ops, cfg.eta) * dw
-    out, tr = _clip_psd(m + incr)
-    if np.any(tr <= 0.0):
-        raise NumericalFailureError(
-            f"projection failed after step: trace {np.min(tr):.3e}")
-    return QuantumState(out, validate=False)
+    return QuantumState(_euler_step(np.asarray(rho, dtype=complex), u, dw,
+                                    cfg, ops), validate=False)
+
+
+def _failed_at(err: NumericalFailureError, t: float) -> NumericalFailureError:
+    """The same failure, stamped with the time of the step that caused it."""
+    return NumericalFailureError(f"{err} at t = {t:g}", time=t)
 
 
 def _philox_rng(base_seed: int, stream: int) -> np.random.Generator:
@@ -192,13 +170,10 @@ class _BatchResult:
     u: np.ndarray                # (R, M)
     purity: np.ndarray           # (R, M)
     modes: np.ndarray            # (R, M) uint8, 1 = feedback branch
-    active: np.ndarray           # (R, M) False from the failure step on
     states: np.ndarray | None    # (R, M, N, N) raw snapshots
-    state_sum: np.ndarray | None  # (R, N, N) sum over members active at t
-    active_count: np.ndarray     # (R,)
+    state_sum: np.ndarray | None  # (R, N, N) sum over members
     first_below: np.ndarray      # (M,) first time V < eps_conv, NaN if never
     exit_times: np.ndarray       # (M,) first time V <= exit_threshold
-    failures: list               # [(member_index, time), ...]
 
 
 def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
@@ -213,9 +188,8 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
     ``control`` is either a ControllerState template (each member gets an
     independent copy of its mode) or a real number used as a fixed input.
     ``f`` names the target index used for the V summaries; it is taken from
-    the controller when one is given. Failed members (projection losing the
-    whole trace) are frozen at their last valid state, excluded from the
-    active mask from that step on, and reported in ``failures``.
+    the controller when one is given. Raises NumericalFailureError, with
+    the time of the failed step, if a member's state becomes non-finite.
     """
     if isinstance(control, ControllerState):
         mh = True
@@ -249,16 +223,13 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
 
     state = np.tile(rho0, (m_count, 1, 1))
     modes = np.full(m_count, mh and control.mode is Mode.FEEDBACK, dtype=bool)
-    active = np.ones(m_count, dtype=bool)
     first_below = np.full(m_count, np.nan)
     exit_times = np.full(m_count, np.nan)
-    failures: list[tuple[int, float]] = []
 
     rec_V = np.zeros((n_rec, m_count))
     rec_u = np.zeros((n_rec, m_count))
     rec_purity = np.zeros((n_rec, m_count))
     rec_modes = np.zeros((n_rec, m_count), dtype=np.uint8)
-    rec_active = np.zeros((n_rec, m_count), dtype=bool)
     rec_states = (np.zeros((n_rec, m_count, n, n), dtype=complex)
                   if record_states else None)
     rec_sum = np.zeros((n_rec, n, n), dtype=complex) if accumulate_sum else None
@@ -275,11 +246,11 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
         t = k * cfg.dt
         v = np.clip(1.0 - state[:, fi, fi].real, 0.0, 1.0)
 
-        newly_below = active & np.isnan(first_below) & (v < eps_conv)
+        newly_below = np.isnan(first_below) & (v < eps_conv)
         if newly_below.any():
             first_below[newly_below] = t
         if exit_threshold is not None:
-            newly_out = active & np.isnan(exit_times) & (v <= exit_threshold)
+            newly_out = np.isnan(exit_times) & (v <= exit_threshold)
             if newly_out.any():
                 exit_times[newly_out] = t
 
@@ -294,16 +265,15 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
             rec_u[rec_i] = u_vec
             rec_purity[rec_i] = np.sum(np.abs(state) ** 2, axis=(-2, -1))
             rec_modes[rec_i] = modes
-            rec_active[rec_i] = active
             if record_states:
                 rec_states[rec_i] = state
             if accumulate_sum:
-                rec_sum[rec_i] = state[active].sum(axis=0)
+                rec_sum[rec_i] = state.sum(axis=0)
             rec_i += 1
 
         if k == n_steps:
             break
-        if stop_on_exit and not (active & np.isnan(exit_times)).any():
+        if stop_on_exit and not np.isnan(exit_times).any():
             break
 
         if k - chunk_start >= chunk_fill:
@@ -313,29 +283,19 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
                 noise[j, :chunk_fill] = g.normal(0.0, sqrt_dt, chunk_fill)
         dw = noise[:, k - chunk_start]
 
-        incr = (sme_drift(state, u_vec, ops) * cfg.dt
-                + sme_diffusion(state, ops, cfg.eta) * dw[:, None, None])
-        new_state = state + incr
-        if (k + 1) % cfg.projection_every == 0:
-            new_state, tr = _clip_psd(new_state)
-            bad = active & (tr <= 0.0)
-            if bad.any():
-                t_fail = (k + 1) * cfg.dt
-                failures.extend((int(i), t_fail) for i in np.flatnonzero(bad))
-                active = active & ~bad
-        if not active.all():
-            new_state[~active] = state[~active]
-        state = new_state
+        try:
+            state = _euler_step(state, u_vec, dw[:, None, None], cfg, ops)
+        except NumericalFailureError as e:
+            raise _failed_at(e, t + cfg.dt) from e
         k += 1
 
     return _BatchResult(
         times=np.asarray(rec_ks[:rec_i], dtype=float) * cfg.dt,
         V=rec_V[:rec_i], u=rec_u[:rec_i], purity=rec_purity[:rec_i],
-        modes=rec_modes[:rec_i], active=rec_active[:rec_i],
+        modes=rec_modes[:rec_i],
         states=rec_states[:rec_i] if record_states else None,
         state_sum=rec_sum[:rec_i] if accumulate_sum else None,
-        active_count=rec_active[:rec_i].sum(axis=1),
-        first_below=first_below, exit_times=exit_times, failures=failures)
+        first_below=first_below, exit_times=exit_times)
 
 
 def simulate_batch(rho0, control, T: float, cfg: SdeStepConfig,
@@ -348,7 +308,7 @@ def simulate_batch(rho0, control, T: float, cfg: SdeStepConfig,
     All trajectories start from ``rho0`` and share the control law;
     stream k draws its noise from the generator keyed (base_seed, k).
     Raises NumericalFailureError (with the failure time attached) if any
-    member loses the state space.
+    member's state becomes non-finite.
     """
     if isinstance(control, ControllerState):
         ops = control.ops
@@ -363,11 +323,6 @@ def simulate_batch(rho0, control, T: float, cfg: SdeStepConfig,
 def _records_from_batch(res: _BatchResult, base_seed: int, streams,
                         record_states: bool,
                         eps_conv: float) -> list[TrajectoryRecord]:
-    if res.failures:
-        idx, t_fail = res.failures[0]
-        raise NumericalFailureError(
-            f"trajectory stream {streams[idx]} lost the state space at "
-            f"t = {t_fail:g}", time=t_fail)
     records = []
     for j, stream in enumerate(streams):
         states = None
@@ -406,16 +361,6 @@ def simulate_trajectory(rho0, controller, T: float, cfg: SdeStepConfig,
                           record_states=record_states, eps_conv=eps_conv)[0]
 
 
-def ensemble_rhs(rho_bar, u, ops: SpinOperators) -> np.ndarray:
-    """Right-hand side of the averaged dynamics (the drift alone).
-
-    Identical to the trajectory drift; kept as its own entry point because
-    it plays a different role: it propagates the ensemble average, whose
-    unique equilibrium is the maximally mixed state.
-    """
-    return sme_drift(rho_bar, u, ops)
-
-
 def integrate_ensemble(rho0, u_of_t, T: float, dt_ode: float,
                        ops: SpinOperators) -> OdeTrajectory:
     """Integrate the averaged dynamics with classical fixed-step RK4.
@@ -445,15 +390,14 @@ def integrate_ensemble(rho0, u_of_t, T: float, dt_ode: float,
     half = 0.5 * dt_ode
     for k in range(n_steps):
         t = k * dt_ode
-        k1 = ensemble_rhs(state, u_fun(t), ops)
-        k2 = ensemble_rhs(state + half * k1, u_fun(t + half), ops)
-        k3 = ensemble_rhs(state + half * k2, u_fun(t + half), ops)
-        k4 = ensemble_rhs(state + dt_ode * k3, u_fun(t + dt_ode), ops)
+        k1 = sme_drift(state, u_fun(t), ops)
+        k2 = sme_drift(state + half * k1, u_fun(t + half), ops)
+        k3 = sme_drift(state + half * k2, u_fun(t + half), ops)
+        k4 = sme_drift(state + dt_ode * k3, u_fun(t + dt_ode), ops)
         state = state + (dt_ode / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        state, tr = _clip_psd(state)
-        if tr <= 0.0:
-            raise NumericalFailureError(
-                f"averaged dynamics lost the state space at t = {t + dt_ode:g}",
-                time=t + dt_ode)
+        try:
+            state = _clip_psd(state)
+        except NumericalFailureError as e:
+            raise _failed_at(e, t + dt_ode) from e
         states.append(QuantumState(state, validate=False))
     return OdeTrajectory(times=times, states=states)

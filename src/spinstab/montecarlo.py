@@ -15,7 +15,7 @@ import numpy as np
 
 from .controller import ControllerState
 from .dynamics import EPS_CONV, SdeStepConfig, _integrate_batch, integrate_ensemble
-from .quantum import QuantumState, SpinOperators, _clip_psd, distance_V
+from .quantum import SpinOperators, _clip_psd, distance_V
 
 __all__ = [
     "EnsembleStats",
@@ -32,23 +32,31 @@ _CHUNK = 64
 
 
 def default_workers() -> int:
-    """Worker-process count from SPINSTAB_WORKERS (default 1 = in-process)."""
+    """Worker-process count from SPINSTAB_WORKERS (default 1 = in-process).
+
+    Raises ValueError when the variable is not an integer >= 1.
+    """
+    raw = os.environ.get("SPINSTAB_WORKERS", "1")
     try:
-        return max(1, int(os.environ.get("SPINSTAB_WORKERS", "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"SPINSTAB_WORKERS must be an integer >= 1, got {raw!r}")
+    return workers
 
 
 @dataclass
 class EnsembleStats:
     """Aggregated trajectory statistics on the output grid.
 
-    ``mean_state`` is the per-time average over the members active at that
-    time, projected back to the state space. ``conv_frac`` tracks the
-    fraction of active members with V below ``eps_conv`` at each time;
-    ``convergence_fraction`` is its value at the horizon. ``failures``
-    lists (stream, time) for members that lost the state space; their
-    contributions are dropped from the failure step on.
+    ``mean_state`` is the per-time average over all members, projected
+    back to the state space. ``conv_frac`` tracks the fraction of members
+    with V below ``eps_conv`` at each time; ``convergence_fraction`` is its
+    value at the horizon. ``failures`` is always empty: a member whose state
+    becomes non-finite stops the whole run with NumericalFailureError. The
+    field is kept so that existing readers and the ``summary.json`` schema
+    stay unchanged.
     """
 
     times: np.ndarray
@@ -123,9 +131,8 @@ def run_ensemble(rho0, control, T: float, cfg: SdeStepConfig, M: int = 100,
     """Run M trajectories and reduce them into ensemble statistics.
 
     ``control`` is a ControllerState or a fixed real input (then ``f`` and
-    ``ops`` are required). Per-trajectory failures are kept as partial
-    results: the member is excluded from the aggregates from its failure
-    time on and reported in ``failures``.
+    ``ops`` are required). Raises NumericalFailureError if any member's
+    state becomes non-finite.
     """
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
@@ -146,31 +153,22 @@ def run_ensemble(rho0, control, T: float, cfg: SdeStepConfig, M: int = 100,
     state_sum = np.zeros((n_rec, ops.dim, ops.dim), dtype=complex)
     v_sum = np.zeros(n_rec)
     below_count = np.zeros(n_rec)
-    active_count = np.zeros(n_rec)
-    final_V = []
-    first_below = []
-    failures = []
-    for streams, res in zip(chunks, results):
+    for res in results:
         state_sum += res.state_sum
-        v_sum += np.sum(res.V * res.active, axis=1)
-        below_count += np.sum((res.V < eps_conv) & res.active, axis=1)
-        active_count += res.active_count
-        final_V.append(res.V[-1])
-        first_below.append(res.first_below)
-        failures.extend((streams[i], t) for i, t in res.failures)
+        v_sum += np.sum(res.V, axis=1)
+        below_count += np.sum(res.V < eps_conv, axis=1)
 
-    if np.any(active_count == 0):
-        raise RuntimeError("all trajectories failed; no statistics available")
-    mean_V = v_sum / active_count
-    conv_frac = below_count / active_count
-    mean_state, _ = _clip_psd(state_sum / active_count[:, None, None])
+    mean_V = v_sum / M
+    conv_frac = below_count / M
+    mean_state = _clip_psd(state_sum / M)
 
     return EnsembleStats(
         times=times, mean_V=mean_V, conv_frac=conv_frac,
-        mean_state=mean_state, final_V=np.concatenate(final_V),
-        first_below=np.concatenate(first_below),
+        mean_state=mean_state,
+        final_V=np.concatenate([res.V[-1] for res in results]),
+        first_below=np.concatenate([res.first_below for res in results]),
         convergence_fraction=float(conv_frac[-1]), M=M, base_seed=base_seed,
-        streams=list(range(M)), eps_conv=eps_conv, failures=failures)
+        streams=list(range(M)), eps_conv=eps_conv, failures=[])
 
 
 def estimate_exit_time(gamma_a: float, rho0, f: int, ops: SpinOperators,
@@ -185,6 +183,7 @@ def estimate_exit_time(gamma_a: float, rho0, f: int, ops: SpinOperators,
     inside" by the stopping-time diagnostic. ``t0`` picks the diagnostic
     horizon (the median observed exit time by default). Estimates describe
     the given initial state only, not the worst case over the region.
+    Raises NumericalFailureError if any member's state becomes non-finite.
     """
     if not 0.0 < gamma_a < 1.0:
         raise ValueError(f"gamma_a must be in (0, 1), got {gamma_a}")
@@ -205,10 +204,6 @@ def estimate_exit_time(gamma_a: float, rho0, f: int, ops: SpinOperators,
     results = _map_chunks(tasks, workers)
 
     exit_times = np.concatenate([res.exit_times for res in results])
-    failures = []
-    for streams, res in zip(chunks, results):
-        failures.extend((streams[i], t) for i, t in res.failures)
-    # A member that failed before exiting counts as censored.
     tau = np.sort(exit_times[~np.isnan(exit_times)])
     censored = int(np.isnan(exit_times).sum())
 
@@ -253,7 +248,3 @@ def compare_mean_vs_ode(rho0, u: float, T: float, cfg: SdeStepConfig,
     ode_states = np.stack([np.asarray(ode.states[i]) for i in idx])
     return float(np.max(np.abs(stats.mean_state - ode_states)))
 
-
-def mean_state_at(stats: EnsembleStats, index: int) -> QuantumState:
-    """The (projected) ensemble mean at a record index, as a validated state."""
-    return QuantumState(stats.mean_state[index])

@@ -14,24 +14,26 @@ import numpy as np
 
 __all__ = [
     "NumericalFailureError",
-    "ToleranceConfig",
-    "DEFAULT_TOL",
     "QuantumState",
     "SpinOperators",
-    "GeneralModel",
     "make_spin_operators",
     "eigenstate",
     "maximally_mixed",
     "distance_V",
     "lyapunov_Q",
     "project_to_state_space",
-    "measurement_probabilities",
     "random_density",
 ]
 
+# Tolerance on each density-matrix invariant (Hermiticity, trace, PSD).
+_TOL = 1e-9
+
 
 class NumericalFailureError(RuntimeError):
-    """Integration drove the state beyond repair (trace lost after clipping)."""
+    """A state left the finite numbers, or its projection lost the whole trace.
+
+    ``time`` is the integration time of the failed step, when known.
+    """
 
     def __init__(self, message: str, time: float | None = None):
         super().__init__(message)
@@ -44,22 +46,6 @@ def _dag(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ToleranceConfig:
-    """Acceptance tolerances for the density-matrix invariants."""
-
-    tol_herm: float = 1e-9
-    tol_tr: float = 1e-9
-    tol_psd: float = 1e-9
-
-    def __post_init__(self):
-        if min(self.tol_herm, self.tol_tr, self.tol_psd) < 0:
-            raise ValueError("tolerances must be nonnegative")
-
-
-DEFAULT_TOL = ToleranceConfig()
-
-
-@dataclass(frozen=True)
 class QuantumState:
     """A validated density matrix.
 
@@ -69,10 +55,9 @@ class QuantumState:
 
     data: np.ndarray
     dim: int = field(init=False)
-    tol: InitVar[ToleranceConfig | None] = None
     validate: InitVar[bool] = True
 
-    def __post_init__(self, tol, validate):
+    def __post_init__(self, validate):
         mat = np.array(self.data, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"state must be a square matrix, got shape {mat.shape}")
@@ -82,15 +67,16 @@ class QuantumState:
         object.__setattr__(self, "data", mat)
         object.__setattr__(self, "dim", mat.shape[0])
         if validate:
-            t = tol if tol is not None else DEFAULT_TOL
+            if not np.isfinite(mat).all():
+                raise ValueError("state has non-finite entries")
             herm_defect = np.linalg.norm(mat - _dag(mat))
-            if herm_defect > t.tol_herm:
+            if herm_defect > _TOL:
                 raise ValueError(f"state is not Hermitian: defect {herm_defect:.3e}")
             tr_defect = abs(np.trace(mat) - 1.0)
-            if tr_defect > t.tol_tr:
+            if tr_defect > _TOL:
                 raise ValueError(f"state trace differs from 1 by {tr_defect:.3e}")
             w_min = np.linalg.eigvalsh(0.5 * (mat + _dag(mat))).min()
-            if w_min < -t.tol_psd:
+            if w_min < -_TOL:
                 raise ValueError(f"state is not PSD: min eigenvalue {w_min:.3e}")
 
     def __array__(self, dtype=None, copy=None):
@@ -123,33 +109,6 @@ class SpinOperators:
     def __post_init__(self):
         for name in ("f_y", "f_z", "lambdas", "projectors"):
             getattr(self, name).setflags(write=False)
-
-
-@dataclass(frozen=True)
-class GeneralModel:
-    """Operators of the generic controlled measurement model.
-
-    ``H`` is the intrinsic Hamiltonian, ``G`` the control Hamiltonian, ``c``
-    the measurement coupling operator and ``eta`` the detector efficiency.
-    """
-
-    H: np.ndarray
-    G: np.ndarray
-    c: np.ndarray
-    eta: float = 1.0
-
-    def __post_init__(self):
-        H = np.array(self.H, dtype=complex)
-        G = np.array(self.G, dtype=complex)
-        c = np.array(self.c, dtype=complex)
-        for name, m in (("H", H), ("G", G)):
-            if np.linalg.norm(m - _dag(m)) > 1e-9 * max(1.0, np.linalg.norm(m)):
-                raise ValueError(f"{name} must be Hermitian")
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"eta must be in (0, 1], got {self.eta}")
-        for name, m in (("H", H), ("G", G), ("c", c)):
-            m.setflags(write=False)
-            object.__setattr__(self, name, m)
 
 
 def make_spin_operators(J) -> SpinOperators:
@@ -218,60 +177,35 @@ def lyapunov_Q(rho):
     return float(q) if np.ndim(q) == 0 else q
 
 
-def _clip_psd(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _clip_psd(mat: np.ndarray) -> np.ndarray:
     """Hermitize, clip negative eigenvalues, renormalize the trace.
 
-    Batch-safe core of the state-space projection. Returns the projected
-    array and the trace after clipping (the caller decides whether a
-    nonpositive trace is an error). Entries of members with nonpositive
-    trace are not meaningful.
+    Batch-safe core of the state-space projection, and the one place where
+    a failed state is detected: raises NumericalFailureError when the input
+    has a non-finite entry or when clipping leaves a nonpositive trace.
     """
+    if not np.isfinite(mat).all():
+        raise NumericalFailureError("state has non-finite entries")
     herm = 0.5 * (mat + _dag(mat))
     w, v = np.linalg.eigh(herm)
     w = np.clip(w, 0.0, None)
     tr = np.sum(w, axis=-1)
-    denom = np.where(tr > 0.0, tr, 1.0)
-    out = (v * (w / denom[..., None])[..., None, :]) @ _dag(v)
-    out = 0.5 * (out + _dag(out))
-    return out, tr
+    if not np.all(tr > 0.0):
+        raise NumericalFailureError(
+            f"projection failed: trace after clipping is {np.min(tr):.3e}")
+    out = (v * (w / tr[..., None])[..., None, :]) @ _dag(v)
+    return 0.5 * (out + _dag(out))
 
 
-def project_to_state_space(rho, tol: ToleranceConfig | None = None) -> QuantumState:
+def project_to_state_space(rho) -> QuantumState:
     """Project a near-valid matrix back onto the state space.
 
     Hermitizes via (rho + rho*)/2, clips negative eigenvalues to zero and
     renormalizes the trace to one. Valid states are fixed points up to
-    round-off. Raises NumericalFailureError if the trace after clipping is
-    nonpositive, which signals a blown-up integration rather than ordinary
-    drift.
+    round-off. Raises NumericalFailureError for a non-finite matrix or one
+    whose trace after clipping is nonpositive.
     """
-    mat = np.asarray(rho, dtype=complex)
-    out, tr = _clip_psd(mat)
-    if tr <= 0.0:
-        raise NumericalFailureError(
-            f"projection failed: trace after clipping is {tr:.3e}")
-    return QuantumState(out, tol=tol)
-
-
-def measurement_probabilities(rho, observable, gap_tol: float = 1e-8) -> np.ndarray:
-    """Outcome probabilities of a projective measurement of ``observable``.
-
-    The observable must be Hermitian with a non-degenerate spectrum
-    (validated numerically: smallest eigenvalue gap > ``gap_tol``).
-    Probabilities are returned in ascending order of the eigenvalues;
-    negative round-off is clipped to zero.
-    """
-    m = np.asarray(rho)
-    obs = np.asarray(observable, dtype=complex)
-    if np.linalg.norm(obs - _dag(obs)) > 1e-9 * max(1.0, np.linalg.norm(obs)):
-        raise ValueError("observable must be Hermitian")
-    w, v = np.linalg.eigh(obs)
-    if np.min(np.diff(w)) <= gap_tol:
-        raise ValueError(
-            "degenerate observable: eigenvalue gaps below "
-            f"{gap_tol:g} are not supported")
-    p = np.real(np.einsum("ik,ij,jk->k", v.conj(), m, v))
-    return np.clip(p, 0.0, None)
+    return QuantumState(_clip_psd(np.asarray(rho, dtype=complex)))
 
 
 def random_density(dim: int, rng: np.random.Generator) -> QuantumState:

@@ -129,6 +129,15 @@ class TestSimulateCommand:
                                    "--T", "0.05", "-o", str(tmp_path / "o")])
         assert res.exit_code == 0, res.output
 
+    def test_non_finite_matrix_file_exits_2(self, tmp_path):
+        npy = tmp_path / "nan.npy"
+        np.save(npy, np.full((3, 3), np.nan, dtype=complex))
+        res = RUNNER.invoke(main, ["simulate", "--J", "1", "--gamma", "0.1",
+                                   "--f", "3", "--initial", str(npy),
+                                   "--T", "0.05", "-o", str(tmp_path / "o")])
+        assert res.exit_code == 2, res.output
+        assert "non-finite" in res.output
+
     def test_missing_matrix_file_exits_2(self, tmp_path):
         res = RUNNER.invoke(main, ["simulate", "--J", "1", "--gamma", "0.1",
                                    "--f", "3", "--initial", "nope.npy",
@@ -173,6 +182,14 @@ class TestEnsembleCommand:
         ode = integrate_ensemble(eigenstate(ops, 1), 1.0, 6.0, 1e-2, ops)
         want = distance_V(ode.states[-1], 3)
         assert float(rows[-1][1]) == pytest.approx(want, abs=0.08)
+
+    def test_malformed_worker_count_exits_2(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SPINSTAB_WORKERS", "two")
+        for argv in (["ensemble"], ["exit-time", "--gamma-a", "0.1"]):
+            res = RUNNER.invoke(main, [*argv, "--J", "1", "--f", "3",
+                                       "--T", "0.1", "-o", str(tmp_path)])
+            assert res.exit_code == 2, res.output
+            assert "SPINSTAB_WORKERS" in res.output
 
     def test_bad_control_spec_exits_2(self, tmp_path):
         res = RUNNER.invoke(main, ["ensemble", "--J", "1", "--control",
@@ -220,6 +237,16 @@ class TestOdeCommand:
         assert header == ["t", "V", "Q", "mm_dist"]
         q = np.array([float(r[2]) for r in rows])
         assert np.all(np.diff(q) <= 1e-12)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_overflowing_step_exits_3(self, tmp_path):
+        # RK4 with dt_ode = 1e200 overflows to a non-finite state
+        res = RUNNER.invoke(main, ["ode", "--J", "1", "--f", "3",
+                                   "--dt-ode", "1e200", "--T", "1e201",
+                                   "-o", str(tmp_path)])
+        assert res.exit_code == 3, res.output
+        assert "non-finite" in res.output
 
     def test_mixed_start_gives_flat_zero_q(self, tmp_path):
         mat = np.eye(3, dtype=complex) / 3

@@ -7,9 +7,6 @@ from spinstab.controller import new_controller
 from spinstab.dynamics import (
     SdeStepConfig,
     em_step,
-    ensemble_rhs,
-    general_diffusion,
-    general_drift,
     integrate_ensemble,
     simulate_batch,
     simulate_trajectory,
@@ -17,7 +14,7 @@ from spinstab.dynamics import (
     sme_drift,
 )
 from spinstab.quantum import (
-    GeneralModel,
+    NumericalFailureError,
     QuantumState,
     eigenstate,
     lyapunov_Q,
@@ -110,37 +107,6 @@ class TestDriftDiffusionTerms:
                                        atol=1e-15)
 
 
-class TestGeneralModel:
-    def test_specialized_model_is_a_general_instance(self):
-        # H = 0, G = F_y, c = F_z reproduces the spin drift and diffusion.
-        rng = np.random.default_rng(7)
-        ops = make_spin_operators(1)
-        model = GeneralModel(H=np.zeros((3, 3)), G=ops.f_y, c=ops.f_z, eta=0.8)
-        for _ in range(25):
-            m = np.asarray(random_density(3, rng))
-            u = rng.uniform(-2, 2)
-            np.testing.assert_allclose(general_drift(m, u, model),
-                                       sme_drift(m, u, ops), atol=1e-13)
-            np.testing.assert_allclose(general_diffusion(m, model),
-                                       sme_diffusion(m, ops, 0.8), atol=1e-13)
-
-    def test_nonhermitian_hamiltonian_rejected(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            GeneralModel(H=np.array([[0, 1], [0, 0]]), G=np.eye(2), c=np.eye(2))
-
-    def test_bad_efficiency_rejected(self):
-        for eta in (0.0, -0.2, 1.5):
-            with pytest.raises(ValueError, match="eta"):
-                GeneralModel(H=np.eye(2), G=np.eye(2), c=np.eye(2), eta=eta)
-
-    def test_nonhermitian_coupling_allowed(self):
-        lowering = np.array([[0, 1], [0, 0]], dtype=complex)
-        model = GeneralModel(H=np.zeros((2, 2)), G=np.eye(2), c=lowering)
-        m = np.asarray(maximally_mixed(2))
-        out = general_drift(m, 0.0, model)
-        assert abs(np.trace(out)) < 1e-14
-
-
 class TestEmStep:
     def setup_method(self):
         self.ops = make_spin_operators(1)
@@ -150,6 +116,18 @@ class TestEmStep:
         rho = eigenstate(self.ops, 3)
         out = em_step(rho, 0.0, self.cfg, dw=0.03, ops=self.ops)
         np.testing.assert_array_equal(np.asarray(out), np.asarray(rho))
+
+    def test_non_finite_increment_raises(self):
+        with pytest.raises(NumericalFailureError):
+            em_step(eigenstate(self.ops, 1), 1.0, self.cfg, dw=np.nan,
+                    ops=self.ops)
+
+    def test_batched_loop_raises_with_failure_time(self):
+        rho0 = np.full((3, 3), np.nan, dtype=complex)
+        with pytest.raises(NumericalFailureError) as exc:
+            simulate_trajectory(rho0, 1.0, 0.01, self.cfg, seed=0, f=3,
+                                ops=self.ops)
+        assert exc.value.time == pytest.approx(self.cfg.dt)
 
     def test_invariants_after_random_steps(self):
         rng = np.random.default_rng(17)
@@ -294,19 +272,13 @@ class TestEnsembleOde:
     def setup_method(self):
         self.ops = make_spin_operators(1)
 
-    def test_rhs_is_the_drift(self):
-        rng = np.random.default_rng(2)
-        m = np.asarray(random_density(3, rng))
-        np.testing.assert_array_equal(ensemble_rhs(m, 0.7, self.ops),
-                                      sme_drift(m, 0.7, self.ops))
-
     def test_mixed_state_is_equilibrium(self):
-        assert np.abs(ensemble_rhs(maximally_mixed(3), 1.0, self.ops)).max() \
+        assert np.abs(sme_drift(maximally_mixed(3), 1.0, self.ops)).max() \
             < 1e-14
 
     def test_diagonal_nonequilibrium_grows_offdiagonals(self):
         rho = np.diag([0.6, 0.3, 0.1]).astype(complex)
-        out = ensemble_rhs(rho, 1.0, self.ops)
+        out = sme_drift(rho, 1.0, self.ops)
         off = out - np.diag(np.diag(out))
         assert np.abs(off).max() > 1e-3
 
@@ -366,15 +338,3 @@ class TestStepConfig:
             SdeStepConfig(eta=0.0)
         with pytest.raises(ValueError):
             SdeStepConfig(eta=1.1)
-        with pytest.raises(ValueError):
-            SdeStepConfig(projection_every=0)
-
-    def test_projection_stride_preserves_contract_at_checkpoints(self):
-        ops = make_spin_operators(1)
-        cfg = SdeStepConfig(dt=1e-4, eta=1.0, projection_every=5)
-        ctrl = new_controller(0.1, 3, ops, eigenstate(ops, 1))
-        rec = simulate_trajectory(eigenstate(ops, 1), ctrl, 0.05, cfg, seed=9,
-                                  record_stride=5, record_states=True)
-        for st in rec.states:
-            mat = np.asarray(st)
-            assert np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)).min() >= -1e-9

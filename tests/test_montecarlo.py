@@ -7,8 +7,8 @@ from spinstab.controller import new_controller
 from spinstab.dynamics import SdeStepConfig, integrate_ensemble, simulate_trajectory
 from spinstab.montecarlo import (
     compare_mean_vs_ode,
+    default_workers,
     estimate_exit_time,
-    mean_state_at,
     run_ensemble,
 )
 from spinstab.quantum import (
@@ -56,7 +56,7 @@ class TestRunEnsemble:
         stats = run_ensemble(RHO1, 1.0, 1.0, CFG, M=64, base_seed=2,
                              f=3, ops=OPS3, record_stride=100)
         for i in range(len(stats.times)):
-            st = mean_state_at(stats, i)
+            st = QuantumState(stats.mean_state[i])
             assert isinstance(st, QuantumState)
         assert np.all(stats.mean_V >= 0) and np.all(stats.mean_V <= 1)
         assert np.all((stats.conv_frac >= 0) & (stats.conv_frac <= 1))
@@ -163,3 +163,17 @@ class TestMeanVsOde:
         with pytest.raises(ValueError, match="grid"):
             compare_mean_vs_ode(RHO1, 1.0, 1.0, CFG, M=4, dt_ode=0.4,
                                 base_seed=0, f=3, ops=OPS3, record_stride=100)
+
+
+class TestDefaultWorkers:
+    def test_reads_environment(self, monkeypatch):
+        monkeypatch.delenv("SPINSTAB_WORKERS", raising=False)
+        assert default_workers() == 1
+        monkeypatch.setenv("SPINSTAB_WORKERS", "2")
+        assert default_workers() == 2
+
+    def test_malformed_value_rejected(self, monkeypatch):
+        for bad in ("two", "", "1.5", "0", "-3"):
+            monkeypatch.setenv("SPINSTAB_WORKERS", bad)
+            with pytest.raises(ValueError, match="SPINSTAB_WORKERS"):
+                default_workers()

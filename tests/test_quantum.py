@@ -6,13 +6,11 @@ import pytest
 from spinstab.quantum import (
     NumericalFailureError,
     QuantumState,
-    ToleranceConfig,
     distance_V,
     eigenstate,
     lyapunov_Q,
     make_spin_operators,
     maximally_mixed,
-    measurement_probabilities,
     project_to_state_space,
     random_density,
 )
@@ -187,52 +185,22 @@ class TestProjection:
 
     def test_all_invariants_after_projection(self):
         rng = np.random.default_rng(13)
-        tol = ToleranceConfig()
+        tol = 1e-9
         for _ in range(100):
             raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             out = np.asarray(project_to_state_space(raw + raw.conj().T))
-            assert np.linalg.norm(out - out.conj().T) <= tol.tol_herm
-            assert abs(np.trace(out) - 1) <= tol.tol_tr
-            assert np.linalg.eigvalsh(out).min() >= -tol.tol_psd
+            assert np.linalg.norm(out - out.conj().T) <= tol
+            assert abs(np.trace(out) - 1) <= tol
+            assert np.linalg.eigvalsh(out).min() >= -tol
 
     def test_total_loss_raises(self):
         with pytest.raises(NumericalFailureError):
             project_to_state_space(np.diag([-1.0, -2.0]))
 
-
-class TestMeasurementProbabilities:
-    def test_eigenstate_is_certain(self):
-        ops = make_spin_operators(1)
-        p = measurement_probabilities(eigenstate(ops, 2), ops.f_z)
-        np.testing.assert_allclose(p, [0.0, 1.0, 0.0], atol=1e-14)
-
-    def test_mixed_state_is_uniform(self):
-        ops = make_spin_operators(1)
-        p = measurement_probabilities(maximally_mixed(3), ops.f_z)
-        np.testing.assert_allclose(p, np.full(3, 1 / 3), atol=1e-14)
-
-    def test_diagonal_readoff(self):
-        ops = make_spin_operators(0.5)
-        rho = QuantumState(np.diag([0.3, 0.7]).astype(complex))
-        np.testing.assert_allclose(measurement_probabilities(rho, ops.f_z),
-                                   [0.3, 0.7], atol=1e-14)
-
-    def test_degenerate_observable_rejected(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            measurement_probabilities(maximally_mixed(2), np.eye(2))
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            measurement_probabilities(maximally_mixed(2),
-                                      np.array([[0, 1], [0, 0]]))
-
-    def test_sum_to_one_over_random_states(self):
-        rng = np.random.default_rng(21)
-        obs = np.diag(np.arange(4.0)) + 0j
-        for _ in range(200):
-            p = measurement_probabilities(random_density(4, rng), obs)
-            assert abs(p.sum() - 1.0) < 1e-12
-            assert np.all(p >= 0.0) and np.all(p <= 1.0 + 1e-12)
+    def test_non_finite_raises(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NumericalFailureError, match="non-finite"):
+                project_to_state_space(np.diag([bad, 0.5]))
 
 
 class TestQuantumStateValidation:
@@ -253,6 +221,11 @@ class TestQuantumStateValidation:
         with pytest.raises(ValueError, match="PSD"):
             QuantumState(np.diag([1.5, -0.5]).astype(complex))
 
+    def test_rejects_non_finite(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                QuantumState(np.array([[bad, 0.0], [0.0, 0.5]]))
+
     def test_immutability(self):
         st = maximally_mixed(2)
         with pytest.raises(ValueError):
@@ -260,7 +233,3 @@ class TestQuantumStateValidation:
 
     def test_purity(self):
         assert maximally_mixed(4).purity() == pytest.approx(0.25)
-
-    def test_tolerance_config_rejects_negative(self):
-        with pytest.raises(ValueError):
-            ToleranceConfig(tol_herm=-1e-9)
