@@ -7,12 +7,17 @@ JSON file plus flag overrides; the resolved configuration is written next
 to the outputs in canonical form so every artifact is reproducible from
 its own directory. CSV numeric fields carry 17 significant digits.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure (a state
-became non-finite).
+The library checks every value it is given; the commands map its errors
+to exit codes in one place. Exit codes: 0 success; 2 configuration error,
+which is any ValueError the library raises on the resolved configuration
+or a preset, config file, ``--initial`` file or control spec that cannot be
+read; 3 numerical failure (a state became non-finite). A run that exits 2
+or 3 writes no files.
 """
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -21,7 +26,7 @@ import numpy as np
 
 from .controller import new_controller
 from .dynamics import SdeStepConfig, integrate_ensemble, simulate_batch
-from .montecarlo import default_workers, estimate_exit_time, run_ensemble
+from .montecarlo import estimate_exit_time, run_ensemble
 from .quantum import (
     NumericalFailureError,
     QuantumState,
@@ -134,51 +139,28 @@ def load_config(preset: str | None = None, config_path: str | None = None,
         raise ConfigError(str(e)) from e
 
 
-def _resolve(cfg: SimConfig):
-    """Validate the configuration and build (ops, rho0, step config)."""
+@contextmanager
+def _library_errors():
+    """Map a library ValueError to exit 2 and a NumericalFailureError to exit 3."""
     try:
-        ops = make_spin_operators(cfg.J)
-    except ValueError as e:
-        raise ConfigError(f"J: {e}") from e
-    if not 1 <= cfg.f <= ops.dim:
-        raise ConfigError(f"f: target index must be in 1..{ops.dim}, got {cfg.f}")
-    if cfg.gamma <= 0:
-        raise ConfigError(f"gamma: must be > 0, got {cfg.gamma}")
-    if cfg.M < 1:
-        raise ConfigError(f"M: must be >= 1, got {cfg.M}")
-    if cfg.T <= 0:
-        raise ConfigError(f"T: must be > 0, got {cfg.T}")
-    if cfg.record_stride < 1:
-        raise ConfigError(f"record_stride: must be >= 1, got {cfg.record_stride}")
-    try:
-        step = SdeStepConfig(dt=cfg.dt, eta=cfg.eta)
+        yield
     except ValueError as e:
         raise ConfigError(str(e)) from e
+    except NumericalFailureError as e:
+        raise NumericalError(str(e)) from e
 
+
+def _resolve(cfg: SimConfig):
+    """Build (ops, rho0, step config); the constructors check the values."""
+    ops = make_spin_operators(cfg.J)
+    step = SdeStepConfig(dt=cfg.dt, eta=cfg.eta)
     if isinstance(cfg.initial, int) or (isinstance(cfg.initial, str)
                                         and cfg.initial.lstrip("-").isdigit()):
-        k = int(cfg.initial)
-        if not 1 <= k <= ops.dim:
-            raise ConfigError(
-                f"initial: eigenstate index must be in 1..{ops.dim}, got {k}")
-        rho0 = eigenstate(ops, k)
-    else:
-        path = Path(str(cfg.initial))
-        if not path.exists():
-            raise ConfigError(f"initial: no such matrix file '{path}'")
-        try:
-            rho0 = QuantumState(np.load(path))
-        except ValueError as e:
-            raise ConfigError(f"initial: {path}: {e}") from e
-    return ops, rho0, step
-
-
-def _workers() -> int:
-    """Worker count from the environment, as a configuration error if malformed."""
-    try:
-        return default_workers()
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+        return ops, eigenstate(ops, int(cfg.initial)), step
+    path = Path(str(cfg.initial))
+    if not path.exists():
+        raise ConfigError(f"initial: no such matrix file '{path}'")
+    return ops, QuantumState(np.load(path)), step
 
 
 def _parse_control(cfg: SimConfig, ops, rho0):
@@ -186,10 +168,7 @@ def _parse_control(cfg: SimConfig, ops, rho0):
     if cfg.control == "mh":
         return new_controller(cfg.gamma, cfg.f, ops, rho0)
     if cfg.control.startswith("constant:"):
-        try:
-            return float(cfg.control.split(":", 1)[1])
-        except ValueError as e:
-            raise ConfigError(f"control: bad constant value in '{cfg.control}'") from e
+        return float(cfg.control.split(":", 1)[1])
     raise ConfigError(
         f"control: expected 'mh' or 'constant:<value>', got '{cfg.control}'")
 
@@ -258,15 +237,13 @@ def main():
 def simulate(preset, config_path, **overrides):
     """Simulate closed-loop sample paths; one CSV per trajectory."""
     cfg = load_config(preset, config_path, overrides)
-    ops, rho0, step = _resolve(cfg)
-    control = _parse_control(cfg, ops, rho0)
-    out = _prepare_output(cfg)
-    try:
+    with _library_errors():
+        ops, rho0, step = _resolve(cfg)
         records = simulate_batch(
-            rho0, control, cfg.T, step, cfg.base_seed, list(range(cfg.M)),
-            f=cfg.f, ops=ops, record_stride=cfg.record_stride)
-    except NumericalFailureError as e:
-        raise NumericalError(str(e)) from e
+            rho0, _parse_control(cfg, ops, rho0), cfg.T, step, cfg.base_seed,
+            list(range(cfg.M)), f=cfg.f, ops=ops,
+            record_stride=cfg.record_stride)
+    out = _prepare_output(cfg)
     for rec in records:
         path = out / f"trajectory_seed{cfg.base_seed}_stream{rec.stream}.csv"
         rows = ([_fmt(t), _fmt(v), _fmt(u), _fmt(p), m]
@@ -282,16 +259,12 @@ def simulate(preset, config_path, **overrides):
 def ensemble(preset, config_path, **overrides):
     """Monte Carlo ensemble statistics (CSV series + JSON summary)."""
     cfg = load_config(preset, config_path, overrides)
-    ops, rho0, step = _resolve(cfg)
-    control = _parse_control(cfg, ops, rho0)
-    workers = _workers()
-    out = _prepare_output(cfg)
-    try:
+    with _library_errors():
+        ops, rho0, step = _resolve(cfg)
         stats = run_ensemble(
-            rho0, control, cfg.T, step, cfg.M, cfg.base_seed, f=cfg.f,
-            ops=ops, record_stride=cfg.record_stride, workers=workers)
-    except NumericalFailureError as e:
-        raise NumericalError(str(e)) from e
+            rho0, _parse_control(cfg, ops, rho0), cfg.T, step, cfg.M,
+            cfg.base_seed, f=cfg.f, ops=ops, record_stride=cfg.record_stride)
+    out = _prepare_output(cfg)
     rows = ([_fmt(t), _fmt(v), _fmt(c)]
             for t, v, c in zip(stats.times, stats.mean_V, stats.conv_frac))
     _write_csv(out / "ensemble.csv", ["t", "mean_V", "conv_frac"], rows)
@@ -318,22 +291,14 @@ def ensemble(preset, config_path, **overrides):
 def exit_time(preset, config_path, **overrides):
     """Estimate first-exit times of the far region under the fixed input."""
     cfg = load_config(preset, config_path, overrides)
-    ops, rho0, step = _resolve(cfg)
     if cfg.gamma_a is None:
         raise ConfigError("gamma_a: required for exit-time runs")
-    if not 0.0 < cfg.gamma_a < 1.0:
-        raise ConfigError(f"gamma_a: must be in (0, 1), got {cfg.gamma_a}")
     t_cap = cfg.T_cap if cfg.T_cap is not None else cfg.T
-    workers = _workers()
+    with _library_errors():
+        ops, rho0, step = _resolve(cfg)
+        report = estimate_exit_time(cfg.gamma_a, rho0, cfg.f, ops, t_cap,
+                                    step, cfg.M, cfg.base_seed)
     out = _prepare_output(cfg)
-    try:
-        report = estimate_exit_time(
-            cfg.gamma_a, rho0, cfg.f, ops, t_cap, step, cfg.M, cfg.base_seed,
-            workers=workers)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-    except NumericalFailureError as e:
-        raise NumericalError(str(e)) from e
     payload = asdict(report)
     payload["tau"] = [float(t) for t in report.tau]
     (out / "exit_time.json").write_text(
@@ -356,22 +321,18 @@ def exit_time(preset, config_path, **overrides):
 def ode(preset, config_path, **overrides):
     """Integrate the averaged dynamics and export its distance diagnostics."""
     cfg = load_config(preset, config_path, overrides)
-    ops, rho0, _ = _resolve(cfg)
-    if cfg.dt_ode <= 0:
-        raise ConfigError(f"dt_ode: must be > 0, got {cfg.dt_ode}")
-    out = _prepare_output(cfg)
-    try:
+    with _library_errors():
+        ops, rho0, _ = _resolve(cfg)
         traj = integrate_ensemble(rho0, cfg.u_ode, cfg.T, cfg.dt_ode, ops)
-    except NumericalFailureError as e:
-        raise NumericalError(str(e)) from e
-    mixed = np.asarray(maximally_mixed(ops.dim))
-    rows = []
-    for t, st in zip(traj.times, traj.states):
-        mat = np.asarray(st)
-        rows.append([_fmt(t), _fmt(distance_V(mat, cfg.f)),
-                     _fmt(lyapunov_Q(mat)),
-                     _fmt(np.linalg.norm(mat - mixed))])
-    _write_csv(out / "ode.csv", ["t", "V", "Q", "mm_dist"], rows)
+        mixed = np.asarray(maximally_mixed(ops.dim))
+        rows = []
+        for t, st in zip(traj.times, traj.states):
+            mat = np.asarray(st)
+            rows.append([_fmt(t), _fmt(distance_V(mat, cfg.f)),
+                         _fmt(lyapunov_Q(mat)),
+                         _fmt(np.linalg.norm(mat - mixed))])
+    _write_csv(_prepare_output(cfg) / "ode.csv", ["t", "V", "Q", "mm_dist"],
+               rows)
     final = np.linalg.norm(np.asarray(traj.states[-1]) - mixed)
     click.echo(f"final |rho_bar - I/{ops.dim}|_F = {final:.6e}")
 

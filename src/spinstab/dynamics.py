@@ -70,10 +70,9 @@ class TrajectoryRecord:
 
     ``modes`` holds the controller branch applied at each recorded time
     ('feedback' or 'constant'); for a fixed-input run it is 'constant'
-    throughout. ``states`` carries full snapshots only when requested.
-    ``converged`` means V at the final recorded time is below the
-    convergence threshold; ``first_time_below`` is the first step time at
-    which V dropped below it (None if it never did).
+    throughout. ``converged`` means V at the final recorded time is below
+    the convergence threshold; ``first_time_below`` is the first step time
+    at which V dropped below it (None if it never did).
     """
 
     times: np.ndarray
@@ -81,7 +80,6 @@ class TrajectoryRecord:
     u: np.ndarray
     purity: np.ndarray
     modes: np.ndarray
-    states: list[QuantumState] | None
     seed: int
     stream: int
     converged: bool
@@ -170,38 +168,37 @@ class _BatchResult:
     u: np.ndarray                # (R, M)
     purity: np.ndarray           # (R, M)
     modes: np.ndarray            # (R, M) uint8, 1 = feedback branch
-    states: np.ndarray | None    # (R, M, N, N) raw snapshots
     state_sum: np.ndarray | None  # (R, N, N) sum over members
-    first_below: np.ndarray      # (M,) first time V < eps_conv, NaN if never
+    first_below: np.ndarray      # (M,) first time V < EPS_CONV, NaN if never
     exit_times: np.ndarray       # (M,) first time V <= exit_threshold
 
 
+# A step that overflows is caught by _clip_psd, so numpy need not warn first.
+@np.errstate(over="ignore", invalid="ignore")
 def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
-                     ops: SpinOperators, base_seed: int, streams,
-                     *, f: int | None = None, record_stride: int = 1,
-                     record_states: bool = False, accumulate_sum: bool = False,
-                     exit_threshold: float | None = None,
-                     stop_on_exit: bool = False,
-                     eps_conv: float = EPS_CONV) -> _BatchResult:
+                     base_seed: int, streams, *, f: int | None = None,
+                     ops: SpinOperators | None = None, record_stride: int = 1,
+                     accumulate_sum: bool = False,
+                     exit_threshold: float | None = None) -> _BatchResult:
     """Step a batch of trajectories that share rho0 and the control law.
 
     ``control`` is either a ControllerState template (each member gets an
-    independent copy of its mode) or a real number used as a fixed input.
-    ``f`` names the target index used for the V summaries; it is taken from
-    the controller when one is given. Raises NumericalFailureError, with
-    the time of the failed step, if a member's state becomes non-finite.
+    independent copy of its mode, and ``f`` and ``ops`` are taken from it)
+    or a real number used as a fixed input, which needs both ``f`` and
+    ``ops``. With an ``exit_threshold`` the loop stops once every member has
+    reached V <= exit_threshold. Raises ValueError for an input outside its
+    range and NumericalFailureError, with the time of the failed step, if a
+    member's state becomes non-finite.
     """
-    if isinstance(control, ControllerState):
-        mh = True
-        f = control.f
-        gamma = control.gamma
+    mh = isinstance(control, ControllerState)
+    if mh:
+        f, ops = control.f, control.ops
     else:
-        mh = False
+        if f is None or ops is None:
+            raise ValueError("a fixed-input run requires both f and ops")
         u_const = float(control)
-        if f is None:
-            raise ValueError("a target index f is required with a fixed input")
     if record_stride < 1:
-        raise ValueError("record_stride must be >= 1")
+        raise ValueError(f"record_stride must be >= 1, got {record_stride}")
     if T <= 0:
         raise ValueError(f"horizon T must be > 0, got {T}")
     n_steps = int(round(T / cfg.dt))
@@ -210,6 +207,8 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
 
     streams = list(streams)
     m_count = len(streams)
+    if m_count < 1:
+        raise ValueError("M must be >= 1: no trajectory streams given")
     rho0 = np.asarray(rho0, dtype=complex)
     n = rho0.shape[-1]
     fi = f - 1
@@ -230,13 +229,11 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
     rec_u = np.zeros((n_rec, m_count))
     rec_purity = np.zeros((n_rec, m_count))
     rec_modes = np.zeros((n_rec, m_count), dtype=np.uint8)
-    rec_states = (np.zeros((n_rec, m_count, n, n), dtype=complex)
-                  if record_states else None)
     rec_sum = np.zeros((n_rec, n, n), dtype=complex) if accumulate_sum else None
 
     gens = [_philox_rng(base_seed, s) for s in streams]
     sqrt_dt = np.sqrt(cfg.dt)
-    chunk_len = max(1, min(n_steps, _NOISE_CHUNK_ELEMS // max(m_count, 1)))
+    chunk_len = max(1, min(n_steps, _NOISE_CHUNK_ELEMS // m_count))
     noise = np.empty((m_count, chunk_len))
     chunk_start = chunk_fill = 0
 
@@ -246,7 +243,7 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
         t = k * cfg.dt
         v = np.clip(1.0 - state[:, fi, fi].real, 0.0, 1.0)
 
-        newly_below = np.isnan(first_below) & (v < eps_conv)
+        newly_below = np.isnan(first_below) & (v < EPS_CONV)
         if newly_below.any():
             first_below[newly_below] = t
         if exit_threshold is not None:
@@ -255,7 +252,7 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
                 exit_times[newly_out] = t
 
         if mh:
-            modes = switch_modes(modes, v, gamma)
+            modes = switch_modes(modes, v, control.gamma)
             u_vec = np.where(modes, feedback_gain(state, f, ops), 1.0)
         else:
             u_vec = np.full(m_count, u_const)
@@ -265,15 +262,13 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
             rec_u[rec_i] = u_vec
             rec_purity[rec_i] = np.sum(np.abs(state) ** 2, axis=(-2, -1))
             rec_modes[rec_i] = modes
-            if record_states:
-                rec_states[rec_i] = state
             if accumulate_sum:
                 rec_sum[rec_i] = state.sum(axis=0)
             rec_i += 1
 
         if k == n_steps:
             break
-        if stop_on_exit and not np.isnan(exit_times).any():
+        if exit_threshold is not None and not np.isnan(exit_times).any():
             break
 
         if k - chunk_start >= chunk_fill:
@@ -293,42 +288,31 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
         times=np.asarray(rec_ks[:rec_i], dtype=float) * cfg.dt,
         V=rec_V[:rec_i], u=rec_u[:rec_i], purity=rec_purity[:rec_i],
         modes=rec_modes[:rec_i],
-        states=rec_states[:rec_i] if record_states else None,
         state_sum=rec_sum[:rec_i] if accumulate_sum else None,
         first_below=first_below, exit_times=exit_times)
 
 
 def simulate_batch(rho0, control, T: float, cfg: SdeStepConfig,
                    base_seed: int, streams, *, f: int | None = None,
-                   ops: SpinOperators | None = None, record_stride: int = 1,
-                   record_states: bool = False,
-                   eps_conv: float = EPS_CONV) -> list[TrajectoryRecord]:
+                   ops: SpinOperators | None = None,
+                   record_stride: int = 1) -> list[TrajectoryRecord]:
     """Simulate one trajectory per stream index and return their records.
 
     All trajectories start from ``rho0`` and share the control law;
     stream k draws its noise from the generator keyed (base_seed, k).
-    Raises NumericalFailureError (with the failure time attached) if any
-    member's state becomes non-finite.
+    Raises ValueError for an input outside its range, including an empty
+    ``streams``, and NumericalFailureError (with the failure time attached)
+    if any member's state becomes non-finite.
     """
-    if isinstance(control, ControllerState):
-        ops = control.ops
-    elif ops is None or f is None:
-        raise ValueError("a fixed-input run requires both f and ops")
-    res = _integrate_batch(rho0, control, T, cfg, ops, base_seed, streams,
-                           f=f, record_stride=record_stride,
-                           record_states=record_states, eps_conv=eps_conv)
-    return _records_from_batch(res, base_seed, streams, record_states, eps_conv)
+    res = _integrate_batch(rho0, control, T, cfg, base_seed, streams, f=f,
+                           ops=ops, record_stride=record_stride)
+    return _records_from_batch(res, base_seed, streams)
 
 
-def _records_from_batch(res: _BatchResult, base_seed: int, streams,
-                        record_states: bool,
-                        eps_conv: float) -> list[TrajectoryRecord]:
+def _records_from_batch(res: _BatchResult, base_seed: int,
+                        streams) -> list[TrajectoryRecord]:
     records = []
     for j, stream in enumerate(streams):
-        states = None
-        if record_states:
-            states = [QuantumState(res.states[i, j], validate=False)
-                      for i in range(len(res.times))]
         fb = res.first_below[j]
         records.append(TrajectoryRecord(
             times=res.times.copy(),
@@ -336,10 +320,9 @@ def _records_from_batch(res: _BatchResult, base_seed: int, streams,
             u=res.u[:, j].copy(),
             purity=res.purity[:, j].copy(),
             modes=np.where(res.modes[:, j] == 1, "feedback", "constant"),
-            states=states,
             seed=base_seed,
             stream=stream,
-            converged=bool(res.V[-1, j] < eps_conv),
+            converged=bool(res.V[-1, j] < EPS_CONV),
             first_time_below=None if np.isnan(fb) else float(fb)))
     return records
 
@@ -347,8 +330,7 @@ def _records_from_batch(res: _BatchResult, base_seed: int, streams,
 def simulate_trajectory(rho0, controller, T: float, cfg: SdeStepConfig,
                         seed: int, *, stream: int = 0, f: int | None = None,
                         ops: SpinOperators | None = None,
-                        record_stride: int = 1, record_states: bool = False,
-                        eps_conv: float = EPS_CONV) -> TrajectoryRecord:
+                        record_stride: int = 1) -> TrajectoryRecord:
     """Simulate a single closed-loop (or fixed-input) trajectory.
 
     ``controller`` is a ControllerState for the switching law, or a real
@@ -357,10 +339,11 @@ def simulate_trajectory(rho0, controller, T: float, cfg: SdeStepConfig,
     same (seed, stream) yields a bit-identical record.
     """
     return simulate_batch(rho0, controller, T, cfg, seed, [stream], f=f,
-                          ops=ops, record_stride=record_stride,
-                          record_states=record_states, eps_conv=eps_conv)[0]
+                          ops=ops, record_stride=record_stride)[0]
 
 
+# A step that overflows is caught by _clip_psd, so numpy need not warn first.
+@np.errstate(over="ignore", invalid="ignore")
 def integrate_ensemble(rho0, u_of_t, T: float, dt_ode: float,
                        ops: SpinOperators) -> OdeTrajectory:
     """Integrate the averaged dynamics with classical fixed-step RK4.

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controller import ControllerState
 from .dynamics import EPS_CONV, SdeStepConfig, _integrate_batch, integrate_ensemble
 from .quantum import SpinOperators, _clip_psd, distance_V
 
@@ -52,11 +51,11 @@ class EnsembleStats:
 
     ``mean_state`` is the per-time average over all members, projected
     back to the state space. ``conv_frac`` tracks the fraction of members
-    with V below ``eps_conv`` at each time; ``convergence_fraction`` is its
-    value at the horizon. ``failures`` is always empty: a member whose state
-    becomes non-finite stops the whole run with NumericalFailureError. The
-    field is kept so that existing readers and the ``summary.json`` schema
-    stay unchanged.
+    with V below ``eps_conv`` (always EPS_CONV) at each time;
+    ``convergence_fraction`` is its value at the horizon. ``failures`` is
+    always empty: a member whose state becomes non-finite stops the whole
+    run with NumericalFailureError. Both fields are kept so that existing
+    readers and the ``summary.json`` schema stay unchanged.
     """
 
     times: np.ndarray
@@ -100,23 +99,21 @@ class ExitTimeReport:
     T_cap: float
 
 
-def _chunk_streams(m_count: int) -> list[list[int]]:
-    return [list(range(lo, min(lo + _CHUNK, m_count)))
-            for lo in range(0, m_count, _CHUNK)]
+def _run_chunk(batch_kwargs: dict):
+    return _integrate_batch(**batch_kwargs)
 
 
-def _run_chunk(args):
-    (rho0, control, T, cfg, ops, base_seed, streams, f, record_stride,
-     accumulate_sum, exit_threshold, stop_on_exit, eps_conv) = args
-    return _integrate_batch(
-        rho0, control, T, cfg, ops, base_seed, streams, f=f,
-        record_stride=record_stride, accumulate_sum=accumulate_sum,
-        exit_threshold=exit_threshold, stop_on_exit=stop_on_exit,
-        eps_conv=eps_conv)
+def _map_chunks(M: int, workers: int | None, **batch_kwargs) -> list:
+    """Integrate members 0..M-1 in fixed chunks; the results come in chunk order.
 
-
-def _map_chunks(tasks, workers: int | None):
+    ``batch_kwargs`` are the arguments of ``_integrate_batch`` except
+    ``streams``, which each chunk gets as its slice of 0..M-1.
+    """
+    if M < 1:
+        raise ValueError(f"M must be >= 1, got {M}")
     workers = default_workers() if workers is None else workers
+    tasks = [dict(batch_kwargs, streams=range(lo, min(lo + _CHUNK, M)))
+             for lo in range(0, M, _CHUNK)]
     if workers <= 1 or len(tasks) <= 1:
         return [_run_chunk(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -126,37 +123,27 @@ def _map_chunks(tasks, workers: int | None):
 def run_ensemble(rho0, control, T: float, cfg: SdeStepConfig, M: int = 100,
                  base_seed: int = 0, *, f: int | None = None,
                  ops: SpinOperators | None = None, record_stride: int = 1,
-                 eps_conv: float = EPS_CONV,
                  workers: int | None = None) -> EnsembleStats:
     """Run M trajectories and reduce them into ensemble statistics.
 
     ``control`` is a ControllerState or a fixed real input (then ``f`` and
-    ``ops`` are required). Raises NumericalFailureError if any member's
-    state becomes non-finite.
+    ``ops`` are required). Raises ValueError for an input outside its range
+    and NumericalFailureError if any member's state becomes non-finite.
     """
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
-    if isinstance(control, ControllerState):
-        f, ops = control.f, control.ops
-    elif f is None or ops is None:
-        raise ValueError("a fixed-input ensemble requires both f and ops")
-
-    rho0 = np.asarray(rho0, dtype=complex)
-    chunks = _chunk_streams(M)
-    tasks = [(rho0, control, T, cfg, ops, base_seed, streams, f,
-              record_stride, True, None, False, eps_conv)
-             for streams in chunks]
-    results = _map_chunks(tasks, workers)
+    results = _map_chunks(
+        M, workers, rho0=np.asarray(rho0, dtype=complex), control=control,
+        T=T, cfg=cfg, base_seed=base_seed, f=f, ops=ops,
+        record_stride=record_stride, accumulate_sum=True)
 
     times = results[0].times
     n_rec = len(times)
-    state_sum = np.zeros((n_rec, ops.dim, ops.dim), dtype=complex)
+    state_sum = np.zeros_like(results[0].state_sum)
     v_sum = np.zeros(n_rec)
     below_count = np.zeros(n_rec)
     for res in results:
         state_sum += res.state_sum
         v_sum += np.sum(res.V, axis=1)
-        below_count += np.sum(res.V < eps_conv, axis=1)
+        below_count += np.sum(res.V < EPS_CONV, axis=1)
 
     mean_V = v_sum / M
     conv_frac = below_count / M
@@ -168,7 +155,7 @@ def run_ensemble(rho0, control, T: float, cfg: SdeStepConfig, M: int = 100,
         final_V=np.concatenate([res.V[-1] for res in results]),
         first_below=np.concatenate([res.first_below for res in results]),
         convergence_fraction=float(conv_frac[-1]), M=M, base_seed=base_seed,
-        streams=list(range(M)), eps_conv=eps_conv, failures=[])
+        streams=list(range(M)), eps_conv=EPS_CONV, failures=[])
 
 
 def estimate_exit_time(gamma_a: float, rho0, f: int, ops: SpinOperators,
@@ -183,7 +170,8 @@ def estimate_exit_time(gamma_a: float, rho0, f: int, ops: SpinOperators,
     inside" by the stopping-time diagnostic. ``t0`` picks the diagnostic
     horizon (the median observed exit time by default). Estimates describe
     the given initial state only, not the worst case over the region.
-    Raises NumericalFailureError if any member's state becomes non-finite.
+    Raises ValueError for an input outside its range and
+    NumericalFailureError if any member's state becomes non-finite.
     """
     if not 0.0 < gamma_a < 1.0:
         raise ValueError(f"gamma_a must be in (0, 1), got {gamma_a}")
@@ -192,16 +180,13 @@ def estimate_exit_time(gamma_a: float, rho0, f: int, ops: SpinOperators,
     if v0 <= threshold:
         raise ValueError(
             f"initial state must satisfy V > {threshold:g}, got V = {v0:g}")
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
 
-    rho0 = np.asarray(rho0, dtype=complex)
-    chunks = _chunk_streams(M)
     # Records are incidental here; keep them minimal via a huge stride.
     stride = max(1, int(round(T_cap / cfg.dt)))
-    tasks = [(rho0, 1.0, T_cap, cfg, ops, base_seed, streams, f, stride,
-              False, threshold, True, EPS_CONV) for streams in chunks]
-    results = _map_chunks(tasks, workers)
+    results = _map_chunks(
+        M, workers, rho0=np.asarray(rho0, dtype=complex), control=1.0,
+        T=T_cap, cfg=cfg, base_seed=base_seed, f=f, ops=ops,
+        record_stride=stride, exit_threshold=threshold)
 
     exit_times = np.concatenate([res.exit_times for res in results])
     tau = np.sort(exit_times[~np.isnan(exit_times)])

@@ -238,8 +238,6 @@ class TestOdeCommand:
         q = np.array([float(r[2]) for r in rows])
         assert np.all(np.diff(q) <= 1e-12)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     def test_overflowing_step_exits_3(self, tmp_path):
         # RK4 with dt_ode = 1e200 overflows to a non-finite state
         res = RUNNER.invoke(main, ["ode", "--J", "1", "--f", "3",
@@ -258,6 +256,39 @@ class TestOdeCommand:
         assert res.exit_code == 0, res.output
         _, rows = read_csv(tmp_path / "o" / "ode.csv")
         assert all(float(r[2]) < 1e-12 for r in rows)
+
+
+class TestRejectedRuns:
+    """A run the library rejects exits 2 (bad input) or 3 (numerical failure)
+    and leaves no output directory behind."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--T", "0"],
+        ["simulate", "--M", "0"],
+        ["simulate", "--stride", "0"],
+        ["simulate", "--initial", "9"],
+        ["simulate", "--J", "0.3"],
+        ["simulate", "--eta", "2"],
+        ["simulate", "--control", "constant:abc"],
+        ["simulate", "--control", "constant:1", "--f", "9"],
+        ["ensemble", "--M", "0"],
+        ["exit-time", "--gamma-a", "0.1", "--M", "0"],
+        ["ode", "--dt-ode", "0"],
+        ["ode", "--f", "9"],
+    ], ids=" ".join)
+    def test_bad_input_exits_2_and_writes_nothing(self, tmp_path, argv):
+        out = tmp_path / "o"
+        res = RUNNER.invoke(main, [*argv, "-o", str(out)])
+        assert res.exit_code == 2, res.output
+        assert not out.exists()
+
+    def test_overflow_exits_3_and_writes_nothing(self, tmp_path):
+        out = tmp_path / "o"
+        res = RUNNER.invoke(main, ["ode", "--J", "1", "--f", "3",
+                                   "--dt-ode", "1e200", "--T", "1e201",
+                                   "-o", str(out)])
+        assert res.exit_code == 3, res.output
+        assert not out.exists()
 
 
 class TestPresets:

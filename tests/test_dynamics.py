@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spinstab.controller import new_controller
+from spinstab.controller import feedback_gain, new_controller
 from spinstab.dynamics import (
     SdeStepConfig,
     em_step,
@@ -15,7 +15,6 @@ from spinstab.dynamics import (
 )
 from spinstab.quantum import (
     NumericalFailureError,
-    QuantumState,
     eigenstate,
     lyapunov_Q,
     make_spin_operators,
@@ -105,6 +104,19 @@ class TestDriftDiffusionTerms:
                                        atol=1e-15)
             np.testing.assert_allclose(diffs[j], sme_diffusion(batch[j], ops, 0.7),
                                        atol=1e-15)
+
+    @pytest.mark.parametrize("J", [0.5, 1, 2.5, 10])
+    def test_lyapunov_drift_is_minus_u_squared_in_feedback(self, J):
+        """The paper's Lyapunov identity: with the feedback input
+        u = -(i [F_y, rho])_ff, the drift of V = 1 - rho_ff is exactly -u^2,
+        because the double commutator has a zero diagonal."""
+        ops = make_spin_operators(J)
+        for f in range(1, ops.dim + 1):
+            for _ in range(5):
+                m = np.asarray(random_density(ops.dim, self.rng))
+                u = feedback_gain(m, f, ops)
+                dv = -sme_drift(m, u, ops)[f - 1, f - 1].real
+                assert abs(dv - (-u**2)) <= 1e-14
 
 
 class TestEmStep:
@@ -241,13 +253,11 @@ class TestSimulateTrajectory:
             simulate_trajectory(eigenstate(self.ops, 1), 1.0, 0.5, self.cfg,
                                 seed=1)
 
-    def test_state_snapshots_on_request(self):
+    def test_empty_stream_list_rejected(self):
         ctrl = new_controller(0.1, 3, self.ops, eigenstate(self.ops, 1))
-        rec = simulate_trajectory(eigenstate(self.ops, 1), ctrl, 0.05, self.cfg,
-                                  seed=2, record_stride=10, record_states=True)
-        assert len(rec.states) == len(rec.times)
-        for st in rec.states:
-            assert isinstance(st, QuantumState)
+        with pytest.raises(ValueError, match="M must be >= 1"):
+            simulate_batch(eigenstate(self.ops, 1), ctrl, 0.05, self.cfg,
+                           base_seed=0, streams=[])
 
     def test_purity_stays_near_one_with_full_efficiency(self):
         """Perfect detection keeps pure states pure up to O(dt) defects."""
