@@ -55,12 +55,14 @@ class ControllerState:
 def feedback_gain(rho, f: int, ops: SpinOperators):
     """Feedback input -(i [F_y, rho])_ff; real, and zero at the target.
 
-    i [F_y, rho] is Hermitian, so its diagonal is real up to round-off.
+    Precondition: ``rho`` is Hermitian, as every state is. Then
+    -(i [F_y, rho])_ff = 2 Im(sum_k (F_y)_fk rho_kf) = 2 sum_k B_fk Re(rho_kf)
+    with the real B = -i F_y (``ops.b_y``), so only column f of ``rho`` is
+    read; F_y is tridiagonal, so only k = f-1, f+1 contribute.
     Accepts a single state or a stacked (..., N, N) array.
     """
     m = np.asarray(rho)
-    comm = ops.f_y @ m - m @ ops.f_y
-    g = -np.real(1j * comm[..., f - 1, f - 1])
+    g = 2.0 * (m[..., :, f - 1].real @ ops.b_y[f - 1])
     return float(g) if np.ndim(g) == 0 else g
 
 

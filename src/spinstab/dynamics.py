@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controller import ControllerState, Mode, feedback_gain, switch_modes
-from .quantum import NumericalFailureError, QuantumState, SpinOperators, _clip_psd
+from .quantum import (NumericalFailureError, QuantumState, SpinOperators,
+                      _clip_psd, _dag)
 
 __all__ = [
     "SdeStepConfig",
@@ -102,25 +103,32 @@ def _as_u(u) -> np.ndarray:
 def sme_drift(rho, u, ops: SpinOperators) -> np.ndarray:
     """Deterministic increment rate: -i u [F_y, rho] - 1/2 [F_z, [F_z, rho]].
 
-    The double commutator is evaluated entrywise as (lam_i - lam_j)^2 rho_ij,
-    which is exact because F_z is diagonal. Traceless and Hermitian for
-    Hermitian input; vanishes at every measurement eigenstate when u = 0.
+    Precondition: ``rho`` is Hermitian, as every state is. Then, with the
+    real matrix B = -i F_y (``ops.b_y``), the commutator term is
+    -i [F_y, rho] = X + X* for X = B rho, one real matmul on the float view
+    of ``rho``. The double commutator is evaluated entrywise as
+    (lam_i - lam_j)^2 rho_ij (``ops.gaps_sq``), which is exact because F_z
+    is diagonal. For exactly Hermitian input the result is exactly
+    Hermitian; it is traceless, and it vanishes at every measurement
+    eigenstate when u = 0.
     """
-    m = np.asarray(rho)
-    comm_y = ops.f_y @ m - m @ ops.f_y
-    gaps = ops.lambdas[:, None] - ops.lambdas[None, :]
-    return -1j * _as_u(u) * comm_y - 0.5 * gaps**2 * m
+    m = np.ascontiguousarray(rho, dtype=complex)
+    x = (ops.b_y @ m.view(np.float64)).view(complex)
+    x += _dag(x)
+    return _as_u(u) * x - 0.5 * ops.gaps_sq * m
 
 
 def sme_diffusion(rho, ops: SpinOperators, eta: float) -> np.ndarray:
     """Measurement back-action rate sqrt(eta)(F_z rho + rho F_z - 2 Tr(F_z rho) rho).
 
+    F_z is diagonal, so F_z rho + rho F_z is (lam_i + lam_j) rho_ij and
+    Tr(F_z rho) is the diagonal of ``rho`` dotted with the eigenvalues.
     Traceless and Hermitian; zero at every measurement eigenstate.
     """
     m = np.asarray(rho)
     lam = ops.lambdas
-    diag = np.einsum("...ii,i->...", m, lam).real
-    out = lam[:, None] * m + m * lam - 2.0 * diag[..., None, None] * m
+    mean = m.diagonal(0, -2, -1).real @ lam
+    out = lam[:, None] * m + m * lam - 2.0 * mean[..., None, None] * m
     return np.sqrt(eta) * out
 
 
@@ -182,6 +190,7 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
                      exit_threshold: float | None = None) -> _BatchResult:
     """Step a batch of trajectories that share rho0 and the control law.
 
+    ``streams`` is a sequence of noise stream indices, one per member.
     ``control`` is either a ControllerState template (each member gets an
     independent copy of its mode, and ``f`` and ``ops`` are taken from it)
     or a real number used as a fixed input, which needs both ``f`` and
@@ -205,7 +214,6 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
     if n_steps < 1:
         raise ValueError(f"horizon T = {T} is below one step dt = {cfg.dt}")
 
-    streams = list(streams)
     m_count = len(streams)
     if m_count < 1:
         raise ValueError("M must be >= 1: no trajectory streams given")
@@ -304,6 +312,7 @@ def simulate_batch(rho0, control, T: float, cfg: SdeStepConfig,
     ``streams``, and NumericalFailureError (with the failure time attached)
     if any member's state becomes non-finite.
     """
+    streams = list(streams)
     res = _integrate_batch(rho0, control, T, cfg, base_seed, streams, f=f,
                            ops=ops, record_stride=record_stride)
     return _records_from_batch(res, base_seed, streams)

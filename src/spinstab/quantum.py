@@ -97,6 +97,11 @@ class SpinOperators:
     is the Hermitian tridiagonal generator of rotations used as the control
     Hamiltonian. ``projectors[k-1]`` is the rank-1 projector onto the k-th
     eigenvector of ``f_z`` (the standard basis vector, since f_z is diagonal).
+
+    Two read-only fields are derived once from these, for the hot loop:
+    ``b_y = -i f_y``, which is real (antisymmetric, tridiagonal), and
+    ``gaps_sq[i, j] = (lambdas[i] - lambdas[j])**2``, the entrywise factor
+    of the double commutator [F_z, [F_z, rho]].
     """
 
     J: float
@@ -105,9 +110,14 @@ class SpinOperators:
     f_z: np.ndarray
     lambdas: np.ndarray
     projectors: np.ndarray
+    b_y: np.ndarray = field(init=False, repr=False)
+    gaps_sq: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("f_y", "f_z", "lambdas", "projectors"):
+        lam = self.lambdas
+        object.__setattr__(self, "b_y", np.ascontiguousarray((-1j * self.f_y).real))
+        object.__setattr__(self, "gaps_sq", (lam[:, None] - lam[None, :]) ** 2)
+        for name in ("f_y", "f_z", "lambdas", "projectors", "b_y", "gaps_sq"):
             getattr(self, name).setflags(write=False)
 
 

@@ -1,5 +1,7 @@
 """Tests for the state/operator domain types and their operations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,18 @@ class TestSpinOperators:
         k = np.arange(1, n)
         np.testing.assert_allclose(np.diag(2j * ops.f_y, k=-1),
                                    np.sqrt((n - k) * k), atol=1e-13)
+
+    @pytest.mark.parametrize("J", [0.5, 1, 2.5, 10])
+    def test_derived_fields_are_read_only(self, J):
+        ops = make_spin_operators(J)
+        lam = ops.lambdas
+        np.testing.assert_array_equal(-1j * ops.f_y, ops.b_y)
+        np.testing.assert_array_equal(ops.gaps_sq, (lam[:, None] - lam) ** 2)
+        for name in ("b_y", "gaps_sq"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(ops, name)[0, 0] = 1.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(ops, name, np.zeros((ops.dim, ops.dim)))
 
     @pytest.mark.parametrize("bad", [0, -1, 0.3, 1.25, -0.5])
     def test_invalid_momentum_rejected(self, bad):
