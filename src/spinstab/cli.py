@@ -324,16 +324,15 @@ def ode(preset, config_path, **overrides):
     with _library_errors():
         ops, rho0, _ = _resolve(cfg)
         traj = integrate_ensemble(rho0, cfg.u_ode, cfg.T, cfg.dt_ode, ops)
-        mixed = np.asarray(maximally_mixed(ops.dim))
-        rows = []
-        for t, st in zip(traj.times, traj.states):
-            mat = np.asarray(st)
-            rows.append([_fmt(t), _fmt(distance_V(mat, cfg.f)),
-                         _fmt(lyapunov_Q(mat)),
-                         _fmt(np.linalg.norm(mat - mixed))])
+        V = distance_V(traj.states, cfg.f)
+    mixed = np.asarray(maximally_mixed(ops.dim))
+    # Per row: a whole-array Q costs memory, a batched norm the last bits.
+    rows = ([_fmt(t), _fmt(v), _fmt(lyapunov_Q(st)),
+             _fmt(np.linalg.norm(st - mixed))]
+            for t, v, st in zip(traj.times, V, traj.states))
     _write_csv(_prepare_output(cfg) / "ode.csv", ["t", "V", "Q", "mm_dist"],
                rows)
-    final = np.linalg.norm(np.asarray(traj.states[-1]) - mixed)
+    final = np.linalg.norm(traj.states[-1] - mixed)
     click.echo(f"final |rho_bar - I/{ops.dim}|_F = {final:.6e}")
 
 

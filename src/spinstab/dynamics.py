@@ -11,7 +11,8 @@ Two integrators live here:
   with a projection back onto the state space after every step;
 
 * a classical fixed-step RK4 integrator for the averaged (ensemble)
-  dynamics, which is the same drift with the noise term dropped.
+  dynamics under a constant input, which is the same drift with the noise
+  term dropped.
 
 Trajectories are deterministic functions of their inputs: the Wiener
 increments come from a counter-based generator keyed by
@@ -89,10 +90,11 @@ class TrajectoryRecord:
 
 @dataclass
 class OdeTrajectory:
-    """Grid states of the averaged dynamics (one state per RK4 step)."""
+    """Grid states of the averaged dynamics: ``states`` is one read-only
+    (K+1, N, N) array, the initial state and the state after each RK4 step."""
 
     times: np.ndarray
-    states: list[QuantumState]
+    states: np.ndarray
 
 
 def _as_u(u) -> np.ndarray:
@@ -156,6 +158,14 @@ def em_step(rho, u: float, cfg: SdeStepConfig, dw: float,
                                     cfg, ops), validate=False)
 
 
+def _checked_rho0(rho0, ops: SpinOperators) -> np.ndarray:
+    """``rho0`` as an array, or ValueError unless it is an N x N state."""
+    if np.shape(rho0) != (ops.dim, ops.dim):
+        raise ValueError(f"initial state must be N x N with N = {ops.dim}, "
+                         f"got shape {np.shape(rho0)}")
+    return np.asarray(QuantumState(rho0))
+
+
 def _failed_at(err: NumericalFailureError, t: float) -> NumericalFailureError:
     """The same failure, stamped with the time of the step that caused it."""
     return NumericalFailureError(f"{err} at t = {t:g}", time=t)
@@ -196,8 +206,9 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
     or a real number used as a fixed input, which needs both ``f`` and
     ``ops``. With an ``exit_threshold`` the loop stops once every member has
     reached V <= exit_threshold. Raises ValueError for an input outside its
-    range and NumericalFailureError, with the time of the failed step, if a
-    member's state becomes non-finite.
+    range, including a ``rho0`` that is not an N x N density matrix, and
+    NumericalFailureError, with the time of the failed step, if a member's
+    state becomes non-finite.
     """
     mh = isinstance(control, ControllerState)
     if mh:
@@ -217,8 +228,8 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
     m_count = len(streams)
     if m_count < 1:
         raise ValueError("M must be >= 1: no trajectory streams given")
-    rho0 = np.asarray(rho0, dtype=complex)
-    n = rho0.shape[-1]
+    rho0 = _checked_rho0(rho0, ops)
+    n = ops.dim
     fi = f - 1
     if not 0 <= fi < n:
         raise ValueError(f"target index must be in 1..{n}, got {f}")
@@ -353,13 +364,15 @@ def simulate_trajectory(rho0, controller, T: float, cfg: SdeStepConfig,
 
 # A step that overflows is caught by _clip_psd, so numpy need not warn first.
 @np.errstate(over="ignore", invalid="ignore")
-def integrate_ensemble(rho0, u_of_t, T: float, dt_ode: float,
+def integrate_ensemble(rho0, u: float, T: float, dt_ode: float,
                        ops: SpinOperators) -> OdeTrajectory:
-    """Integrate the averaged dynamics with classical fixed-step RK4.
+    """Integrate the averaged dynamics under the constant input ``u`` by RK4.
 
-    ``u_of_t`` is a smooth function of time (or a constant); every grid
-    state is projected back onto the state space. With any nonzero constant
-    input the trajectory approaches I/N as T grows.
+    Every grid state is projected back onto the state space and written
+    into one read-only (K+1, N, N) array. With any nonzero ``u`` the
+    trajectory approaches I/N as T grows. Raises ValueError for an input
+    outside its range, ``rho0`` included, and NumericalFailureError, with
+    the time of the failed step, if the state becomes non-finite.
     """
     if dt_ode <= 0:
         raise ValueError(f"dt_ode must be > 0, got {dt_ode}")
@@ -368,28 +381,20 @@ def integrate_ensemble(rho0, u_of_t, T: float, dt_ode: float,
     n_steps = int(round(T / dt_ode))
     if n_steps < 1:
         raise ValueError(f"horizon T = {T} is below one step dt_ode = {dt_ode}")
-    if callable(u_of_t):
-        u_fun = u_of_t
-    else:
-        u_val = float(u_of_t)
 
-        def u_fun(_t):
-            return u_val
-
-    state = np.asarray(rho0, dtype=complex)
-    times = np.arange(n_steps + 1) * dt_ode
-    states = [QuantumState(state, validate=False)]
+    states = np.empty((n_steps + 1, ops.dim, ops.dim), dtype=complex)
+    states[0] = state = _checked_rho0(rho0, ops)
     half = 0.5 * dt_ode
     for k in range(n_steps):
-        t = k * dt_ode
-        k1 = sme_drift(state, u_fun(t), ops)
-        k2 = sme_drift(state + half * k1, u_fun(t + half), ops)
-        k3 = sme_drift(state + half * k2, u_fun(t + half), ops)
-        k4 = sme_drift(state + dt_ode * k3, u_fun(t + dt_ode), ops)
+        k1 = sme_drift(state, u, ops)
+        k2 = sme_drift(state + half * k1, u, ops)
+        k3 = sme_drift(state + half * k2, u, ops)
+        k4 = sme_drift(state + dt_ode * k3, u, ops)
         state = state + (dt_ode / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         try:
             state = _clip_psd(state)
         except NumericalFailureError as e:
-            raise _failed_at(e, t + dt_ode) from e
-        states.append(QuantumState(state, validate=False))
-    return OdeTrajectory(times=times, states=states)
+            raise _failed_at(e, k * dt_ode + dt_ode) from e
+        states[k + 1] = state
+    states.setflags(write=False)
+    return OdeTrajectory(times=np.arange(n_steps + 1) * dt_ode, states=states)

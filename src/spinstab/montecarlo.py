@@ -52,10 +52,11 @@ class EnsembleStats:
     ``mean_state`` is the per-time average over all members, projected
     back to the state space. ``conv_frac`` tracks the fraction of members
     with V below ``eps_conv`` (always EPS_CONV) at each time;
-    ``convergence_fraction`` is its value at the horizon. ``failures`` is
+    ``convergence_fraction`` is its value at the horizon, and ``final_V``
+    holds each member's V there, members 0..M-1 in order. ``failures`` is
     always empty: a member whose state becomes non-finite stops the whole
-    run with NumericalFailureError. Both fields are kept so that existing
-    readers and the ``summary.json`` schema stay unchanged.
+    run with NumericalFailureError. ``eps_conv`` and ``failures`` are kept
+    because ``summary.json`` writes them.
     """
 
     times: np.ndarray
@@ -63,11 +64,9 @@ class EnsembleStats:
     conv_frac: np.ndarray
     mean_state: np.ndarray
     final_V: np.ndarray
-    first_below: np.ndarray
     convergence_fraction: float
     M: int
     base_seed: int
-    streams: list
     eps_conv: float
     failures: list
 
@@ -78,8 +77,9 @@ class ExitTimeReport:
 
     ``tau`` holds the uncensored first times at which V dropped to
     1 - gamma_a; ``censored`` counts paths that never exited by the horizon.
-    The diagnostic bound is T0 / (1 - p_hat) with p_hat the fraction of all
-    paths still inside after T0 (censored paths count as still inside).
+    The diagnostic bound is T0 / (1 - p_hat) with T0 = ``dynkin_t0`` the
+    median observed exit time and p_hat the fraction of all paths still
+    inside after T0 (censored paths count as still inside).
     ``inconclusive`` is set when no path exited, in which case no mean is
     fabricated.
     """
@@ -153,22 +153,21 @@ def run_ensemble(rho0, control, T: float, cfg: SdeStepConfig, M: int = 100,
         times=times, mean_V=mean_V, conv_frac=conv_frac,
         mean_state=mean_state,
         final_V=np.concatenate([res.V[-1] for res in results]),
-        first_below=np.concatenate([res.first_below for res in results]),
         convergence_fraction=float(conv_frac[-1]), M=M, base_seed=base_seed,
-        streams=list(range(M)), eps_conv=EPS_CONV, failures=[])
+        eps_conv=EPS_CONV, failures=[])
 
 
 def estimate_exit_time(gamma_a: float, rho0, f: int, ops: SpinOperators,
                        T_cap: float, cfg: SdeStepConfig, M: int = 100,
-                       base_seed: int = 0, *, t0: float | str = "median",
+                       base_seed: int = 0, *,
                        workers: int | None = None) -> ExitTimeReport:
     """Estimate the first time V drops to 1 - gamma_a under the fixed input u = 1.
 
     The initial state must start strictly inside the far region
     (V(rho0) > 1 - gamma_a). Paths that have not exited by ``T_cap`` are
     censored: they are excluded from the sample mean but counted as "still
-    inside" by the stopping-time diagnostic. ``t0`` picks the diagnostic
-    horizon (the median observed exit time by default). Estimates describe
+    inside" by the stopping-time diagnostic, whose horizon T0
+    (``dynkin_t0``) is the median observed exit time. Estimates describe
     the given initial state only, not the worst case over the region.
     Raises ValueError for an input outside its range and
     NumericalFailureError if any member's state becomes non-finite.
@@ -201,13 +200,13 @@ def estimate_exit_time(gamma_a: float, rho0, f: int, ops: SpinOperators,
 
     mean = float(tau.mean())
     stderr = float(tau.std(ddof=1) / np.sqrt(tau.size)) if tau.size > 1 else None
-    t0_val = float(np.median(tau)) if t0 == "median" else float(t0)
-    still_inside = int((tau > t0_val).sum()) + censored
+    t0 = float(np.median(tau))
+    still_inside = int((tau > t0).sum()) + censored
     p_hat = still_inside / M
-    bound = float(t0_val / (1.0 - p_hat)) if p_hat < 1.0 else None
+    bound = float(t0 / (1.0 - p_hat)) if p_hat < 1.0 else None
     return ExitTimeReport(
         gamma_a=gamma_a, threshold=threshold, tau=tau, censored=censored,
-        M=M, mean=mean, stderr=stderr, dynkin_t0=t0_val, dynkin_p_hat=p_hat,
+        M=M, mean=mean, stderr=stderr, dynkin_t0=t0, dynkin_p_hat=p_hat,
         dynkin_bound=bound, inconclusive=False, base_seed=base_seed,
         T_cap=T_cap)
 
@@ -230,6 +229,5 @@ def compare_mean_vs_ode(rho0, u: float, T: float, cfg: SdeStepConfig,
     if np.max(np.abs(ode.times[idx] - stats.times)) > 1e-9:
         raise ValueError("ODE grid does not cover the trajectory record grid; "
                          "pick dt_ode dividing the record interval")
-    ode_states = np.stack([np.asarray(ode.states[i]) for i in idx])
-    return float(np.max(np.abs(stats.mean_state - ode_states)))
+    return float(np.max(np.abs(stats.mean_state - ode.states[idx])))
 

@@ -95,8 +95,8 @@ class SpinOperators:
 
     ``f_z`` is diagonal with strictly increasing eigenvalues -J..J; ``f_y``
     is the Hermitian tridiagonal generator of rotations used as the control
-    Hamiltonian. ``projectors[k-1]`` is the rank-1 projector onto the k-th
-    eigenvector of ``f_z`` (the standard basis vector, since f_z is diagonal).
+    Hamiltonian. Its k-th eigenvector is the k-th standard basis vector, so
+    the stabilization targets are the diagonal projectors (``eigenstate``).
 
     Two read-only fields are derived once from these, for the hot loop:
     ``b_y = -i f_y``, which is real (antisymmetric, tridiagonal), and
@@ -109,7 +109,6 @@ class SpinOperators:
     f_y: np.ndarray
     f_z: np.ndarray
     lambdas: np.ndarray
-    projectors: np.ndarray
     b_y: np.ndarray = field(init=False, repr=False)
     gaps_sq: np.ndarray = field(init=False, repr=False)
 
@@ -117,7 +116,7 @@ class SpinOperators:
         lam = self.lambdas
         object.__setattr__(self, "b_y", np.ascontiguousarray((-1j * self.f_y).real))
         object.__setattr__(self, "gaps_sq", (lam[:, None] - lam[None, :]) ** 2)
-        for name in ("f_y", "f_z", "lambdas", "projectors", "b_y", "gaps_sq"):
+        for name in ("f_y", "f_z", "lambdas", "b_y", "gaps_sq"):
             getattr(self, name).setflags(write=False)
 
 
@@ -140,20 +139,17 @@ def make_spin_operators(J) -> SpinOperators:
     f_y[np.arange(n - 1), np.arange(1, n)] = 0.5j * c
     f_y[np.arange(1, n), np.arange(n - 1)] = -0.5j * c
 
-    f_z = np.diag(lambdas)
-
-    projectors = np.zeros((n, n, n), dtype=complex)
-    projectors[np.arange(n), np.arange(n), np.arange(n)] = 1.0
-
-    return SpinOperators(J=J, dim=n, f_y=f_y, f_z=f_z, lambdas=lambdas,
-                         projectors=projectors)
+    return SpinOperators(J=J, dim=n, f_y=f_y, f_z=np.diag(lambdas),
+                         lambdas=lambdas)
 
 
 def eigenstate(ops: SpinOperators, k: int) -> QuantumState:
     """Rank-1 projector onto the k-th measurement eigenvector (k is 1-based)."""
     if not 1 <= k <= ops.dim:
         raise ValueError(f"eigenstate index must be in 1..{ops.dim}, got {k}")
-    return QuantumState(ops.projectors[k - 1], validate=False)
+    mat = np.zeros((ops.dim, ops.dim), dtype=complex)
+    mat[k - 1, k - 1] = 1.0
+    return QuantumState(mat, validate=False)
 
 
 def maximally_mixed(n: int) -> QuantumState:

@@ -7,8 +7,23 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from spinstab.cli import PRESETS, SimConfig, canonical_json, load_config, main
-from spinstab.quantum import NumericalFailureError
+from spinstab.cli import (
+    PRESETS,
+    SimConfig,
+    _fmt,
+    canonical_json,
+    load_config,
+    main,
+)
+from spinstab.dynamics import integrate_ensemble
+from spinstab.quantum import (
+    NumericalFailureError,
+    distance_V,
+    eigenstate,
+    lyapunov_Q,
+    make_spin_operators,
+    maximally_mixed,
+)
 
 RUNNER = CliRunner()
 
@@ -169,9 +184,6 @@ class TestEnsembleCommand:
         assert all(r[2] in ("0", "1") for r in rows)
 
     def test_constant_drive_mean_v_tracks_averaged_flow(self, tmp_path):
-        from spinstab.dynamics import integrate_ensemble
-        from spinstab.quantum import distance_V, eigenstate, make_spin_operators
-
         res = RUNNER.invoke(main, [
             "ensemble", "--J", "1", "--gamma", "0.1", "--f", "3",
             "--control", "constant:1", "--T", "6", "--M", "128",
@@ -238,6 +250,19 @@ class TestOdeCommand:
         q = np.array([float(r[2]) for r in rows])
         assert np.all(np.diff(q) <= 1e-12)
 
+    def test_columns_are_the_library_diagnostics_of_its_states(self, tmp_path):
+        res = RUNNER.invoke(main, ["ode", "--J", "1", "--f", "3", "--T", "2",
+                                   "--dt-ode", "0.01", "-o", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        ops = make_spin_operators(1)
+        traj = integrate_ensemble(eigenstate(ops, 1), 1.0, 2.0, 0.01, ops)
+        mixed = np.asarray(maximally_mixed(3))
+        want = [[_fmt(t), _fmt(distance_V(st, 3)), _fmt(lyapunov_Q(st)),
+                 _fmt(np.linalg.norm(st - mixed))]
+                for t, st in zip(traj.times, traj.states)]
+        _, rows = read_csv(tmp_path / "ode.csv")
+        assert rows == want
+
     def test_overflowing_step_exits_3(self, tmp_path):
         # RK4 with dt_ode = 1e200 overflows to a non-finite state
         res = RUNNER.invoke(main, ["ode", "--J", "1", "--f", "3",
@@ -280,6 +305,21 @@ class TestRejectedRuns:
         out = tmp_path / "o"
         res = RUNNER.invoke(main, [*argv, "-o", str(out)])
         assert res.exit_code == 2, res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate"], ["ensemble"], ["exit-time", "--gamma-a", "0.1"], ["ode"],
+    ], ids=" ".join)
+    def test_wrong_dimension_initial_file_exits_2(self, tmp_path, argv):
+        # a valid 5 x 5 state, with V = 1 for f = 1, for the N = 3 system
+        npy = tmp_path / "rho5.npy"
+        np.save(npy, np.diag([0.0, 0.0, 0.0, 0.0, 1.0]).astype(complex))
+        out = tmp_path / "o"
+        res = RUNNER.invoke(main, [*argv, "--J", "1", "--f", "1",
+                                   "--initial", str(npy), "--T", "0.05",
+                                   "-o", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "N = 3" in res.output
         assert not out.exists()
 
     def test_overflow_exits_3_and_writes_nothing(self, tmp_path):

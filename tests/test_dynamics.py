@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from spinstab import dynamics
 from spinstab.controller import feedback_gain, new_controller
 from spinstab.dynamics import (
     SdeStepConfig,
@@ -14,6 +15,7 @@ from spinstab.dynamics import (
     sme_diffusion,
     sme_drift,
 )
+from spinstab.montecarlo import run_ensemble
 from spinstab.quantum import (
     NumericalFailureError,
     eigenstate,
@@ -136,11 +138,14 @@ class TestEmStep:
                     ops=self.ops)
 
     def test_batched_loop_raises_with_failure_time(self):
-        rho0 = np.full((3, 3), np.nan, dtype=complex)
+        # A valid pure state and a drive so large that the first step
+        # overflows: the loop stops at that step's time.
+        cfg = SdeStepConfig(dt=1e10)
+        rho0 = np.full((3, 3), 1 / 3, dtype=complex)
         with pytest.raises(NumericalFailureError) as exc:
-            simulate_trajectory(rho0, 1.0, 0.01, self.cfg, seed=0, f=3,
+            simulate_trajectory(rho0, 1e300, 2e10, cfg, seed=0, f=3,
                                 ops=self.ops)
-        assert exc.value.time == pytest.approx(self.cfg.dt)
+        assert exc.value.time == pytest.approx(cfg.dt)
 
     def test_invariants_after_random_steps(self):
         rng = np.random.default_rng(17)
@@ -371,17 +376,67 @@ class TestEnsembleOde:
         rel = np.abs(fd[mask] - inner[mask]) / np.abs(inner[mask])
         assert rel.max() < 1e-6
 
-    def test_time_dependent_smooth_input(self):
-        traj = integrate_ensemble(eigenstate(self.ops, 1),
-                                  lambda t: 1.0 + 0.5 * np.sin(t), 5.0, 1e-2,
-                                  self.ops)
-        assert len(traj.states) == len(traj.times) == 501
-
     def test_bad_steps_rejected(self):
         with pytest.raises(ValueError):
             integrate_ensemble(maximally_mixed(3), 1.0, 1.0, -1e-2, self.ops)
         with pytest.raises(ValueError):
             integrate_ensemble(maximally_mixed(3), 1.0, 0.0, 1e-2, self.ops)
+
+    def test_states_are_one_read_only_array(self, monkeypatch):
+        built = []
+        real = dynamics.QuantumState
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "QuantumState", counting)
+        traj = integrate_ensemble(eigenstate(self.ops, 1), 1.0, 1.0, 1e-2,
+                                  self.ops)
+        assert type(traj.states) is np.ndarray
+        assert traj.states.shape == (len(traj.times), 3, 3) == (101, 3, 3)
+        assert not traj.states.flags.writeable
+        with pytest.raises(ValueError):
+            traj.states[-1, 0, 0] = 0.0
+        # one QuantumState for the check of rho0, none per RK4 step
+        assert len(built) == 1
+
+
+_OPS3 = make_spin_operators(1)
+_NOT_HERMITIAN = np.eye(3, dtype=complex) / 3
+_NOT_HERMITIAN[0, 1] = 0.1
+
+# Each initial state that is not a 3 x 3 density matrix, with the text its
+# rejection names.
+BAD_RHO0 = {
+    "trace": (np.eye(3), "trace"),
+    "hermiticity": (_NOT_HERMITIAN, "Hermitian"),
+    "psd": (np.diag([1.2, -0.1, -0.1]), "PSD"),
+    "nan": (np.full((3, 3), np.nan), "non-finite"),
+    "dimension": (np.asarray(eigenstate(make_spin_operators(2), 1)),
+                  "N = 3"),
+}
+
+# Every integrator entry that takes an initial state.
+ENTRIES = {
+    "simulate_trajectory": lambda rho0: simulate_trajectory(
+        rho0, 1.0, 0.01, SdeStepConfig(), seed=0, f=3, ops=_OPS3),
+    "simulate_batch_mh": lambda rho0: simulate_batch(
+        rho0, new_controller(0.1, 1, _OPS3, rho0), 0.01, SdeStepConfig(), 0,
+        [0, 1]),
+    "run_ensemble": lambda rho0: run_ensemble(
+        rho0, 1.0, 0.01, SdeStepConfig(), M=2, f=3, ops=_OPS3),
+    "integrate_ensemble": lambda rho0: integrate_ensemble(
+        rho0, 1.0, 0.1, 1e-2, _OPS3),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+@pytest.mark.parametrize("bad", sorted(BAD_RHO0))
+def test_invalid_initial_state_rejected_at_entry(entry, bad):
+    rho0, text = BAD_RHO0[bad]
+    with pytest.raises(ValueError, match=text):
+        ENTRIES[entry](rho0)
 
 
 class TestStepConfig:

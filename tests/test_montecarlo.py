@@ -127,7 +127,7 @@ class TestExitTime:
 
     def test_censored_paths_counted_in_diagnostic(self):
         rep = estimate_exit_time(0.1, RHO1, 3, OPS3, 1.0, CFG, M=64,
-                                 base_seed=21, t0=0.8)
+                                 base_seed=21)
         if rep.censored:
             assert rep.dynkin_p_hat >= rep.censored / rep.M
 

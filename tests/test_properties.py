@@ -1,10 +1,11 @@
-"""Property tests of the stepping loop's operators against dense oracles.
+"""Property tests of the stepping loop's operators against reference oracles.
 
 ``feedback_gain`` reads one column of the state and ``sme_drift`` applies
 F_y as one real matmul; both rest on the state being Hermitian. These
 properties compare them with the plain commutator formulas on random
 Hermitian states, single and batched, for J in {1/2, 1, 5/2, 10} and
-every target index.
+every target index. ``switch_modes`` is compared with a scalar automaton
+written from the hysteresis law in the ``controller`` module docstring.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from spinstab.controller import feedback_gain
+from spinstab.controller import feedback_gain, switch_modes
 from spinstab.dynamics import sme_drift
 from spinstab.quantum import _dag, make_spin_operators
 
@@ -68,3 +69,45 @@ def test_drift_equals_dense_oracle_and_is_exactly_hermitian(case, data):
     d = sme_drift(m, u, ops)
     np.testing.assert_allclose(d, dense_drift(m, u, ops), rtol=0, atol=1e-13)
     np.testing.assert_array_equal(d, _dag(d))
+
+
+def reference_mode(feedback: bool, v: float, gamma: float) -> bool:
+    """One step of the hysteresis automaton; True means the feedback branch.
+
+    V <= 1 - gamma selects feedback, V >= 1 - gamma/2 the constant drive,
+    and inside the open band between them the mode is kept.
+    """
+    if v <= 1.0 - gamma:
+        return True
+    if v >= 1.0 - gamma / 2:
+        return False
+    return feedback
+
+
+@st.composite
+def hysteresis_runs(draw):
+    """(gamma, V, modes0): a (steps, M) batch of V sequences that contains
+    both band edges exactly, and M random initial modes."""
+    gamma = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    edges = [1.0 - gamma, 1.0 - gamma / 2]
+    steps, m = draw(st.integers(2, 30)), draw(st.integers(1, 8))
+    v = draw(arrays(np.float64, (steps, m),
+                    elements=st.one_of(st.sampled_from(edges),
+                                       st.floats(0.0, 1.0))))
+    cells = draw(st.lists(st.tuples(st.integers(0, steps - 1),
+                                    st.integers(0, m - 1)),
+                          min_size=2, max_size=2, unique=True))
+    for edge, cell in zip(edges, cells):
+        v[cell] = edge
+    return gamma, v, draw(arrays(np.bool_, m))
+
+
+@settings(deadline=None)
+@given(hysteresis_runs())
+def test_switch_modes_steps_like_the_scalar_automaton(run):
+    gamma, v, modes = run
+    want = modes.tolist()
+    for row in v:
+        modes = switch_modes(modes, row, gamma)
+        want = [reference_mode(w, x, gamma) for w, x in zip(want, row.tolist())]
+        assert modes.tolist() == want
