@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .quantum import SpinOperators, distance_V
+from .quantum import SpinOperators, _check_dim, distance_V
 
 __all__ = [
     "Mode",
@@ -103,12 +103,14 @@ def new_controller(gamma: float, f: int, ops: SpinOperators,
     otherwise; in particular a state starting inside the hysteresis band,
     which has no crossing history, gets the constant drive. gamma must be
     positive; gamma >= 1/N is accepted with a warning since it lies outside
-    the guaranteed-convergence range.
+    the guaranteed-convergence range. Raises ValueError for an
+    ``initial_rho`` that is not N x N.
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
     if not 1 <= f <= ops.dim:
         raise ValueError(f"target index must be in 1..{ops.dim}, got {f}")
+    _check_dim(initial_rho, ops.dim)
     stability_warning = gamma >= 1.0 / ops.dim
     if stability_warning:
         warnings.warn(

@@ -22,6 +22,14 @@ how the trajectories are scheduled.
 The stepping core is vectorized over a leading batch axis; all public
 drift/diffusion operations accept either a single (N, N) matrix or a
 stacked (M, N, N) array.
+
+Both integrators step the state in the dtype chosen once, at entry, by
+``_checked_rho0``: float64 when the initial state has a zero imaginary
+part, complex128 otherwise. F_z is diagonal and B = -i F_y is real, so
+drift, back-action, feedback gain and projection all map a real symmetric
+state to a real symmetric state; a real run does the same arithmetic on
+half the data, through the same kernels. A complex initial state runs
+those kernels in complex128.
 """
 
 from dataclasses import dataclass
@@ -30,7 +38,7 @@ import numpy as np
 
 from .controller import ControllerState, Mode, feedback_gain, switch_modes
 from .quantum import (NumericalFailureError, QuantumState, SpinOperators,
-                      _clip_psd, _dag)
+                      _check_dim, _clip_psd, _dag)
 
 __all__ = [
     "SdeStepConfig",
@@ -91,7 +99,9 @@ class TrajectoryRecord:
 @dataclass
 class OdeTrajectory:
     """Grid states of the averaged dynamics: ``states`` is one read-only
-    (K+1, N, N) array, the initial state and the state after each RK4 step."""
+    (K+1, N, N) array, the initial state and the state after each RK4 step.
+    Its dtype is float64 for an initial state with a zero imaginary part and
+    complex128 otherwise (see ``_checked_rho0``)."""
 
     times: np.ndarray
     states: np.ndarray
@@ -112,10 +122,12 @@ def sme_drift(rho, u, ops: SpinOperators) -> np.ndarray:
     (lam_i - lam_j)^2 rho_ij (``ops.gaps_sq``), which is exact because F_z
     is diagonal. For exactly Hermitian input the result is exactly
     Hermitian; it is traceless, and it vanishes at every measurement
-    eigenstate when u = 0.
+    eigenstate when u = 0. A real ``rho`` gives a real (symmetric) result,
+    a complex one a complex result.
     """
-    m = np.ascontiguousarray(rho, dtype=complex)
-    x = (ops.b_y @ m.view(np.float64)).view(complex)
+    m = np.asarray(rho)
+    m = np.ascontiguousarray(m, dtype=complex if np.iscomplexobj(m) else float)
+    x = (ops.b_y @ m.view(np.float64)).view(m.dtype)
     x += _dag(x)
     return _as_u(u) * x - 0.5 * ops.gaps_sq * m
 
@@ -159,11 +171,17 @@ def em_step(rho, u: float, cfg: SdeStepConfig, dw: float,
 
 
 def _checked_rho0(rho0, ops: SpinOperators) -> np.ndarray:
-    """``rho0`` as an array, or ValueError unless it is an N x N state."""
-    if np.shape(rho0) != (ops.dim, ops.dim):
-        raise ValueError(f"initial state must be N x N with N = {ops.dim}, "
-                         f"got shape {np.shape(rho0)}")
-    return np.asarray(QuantumState(rho0))
+    """``rho0`` as an array in the dtype the run steps in, or ValueError
+    unless it is an N x N state.
+
+    The one place the state's dtype is chosen: a contiguous float64 array
+    when the validated state's imaginary part is all zero, complex128
+    otherwise. The dynamics keep a real state real, so the integrators step
+    it in float64 throughout.
+    """
+    _check_dim(rho0, ops.dim)
+    mat = np.asarray(QuantumState(rho0))
+    return mat if mat.imag.any() else np.ascontiguousarray(mat.real)
 
 
 def _failed_at(err: NumericalFailureError, t: float) -> NumericalFailureError:
@@ -205,10 +223,11 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
     independent copy of its mode, and ``f`` and ``ops`` are taken from it)
     or a real number used as a fixed input, which needs both ``f`` and
     ``ops``. With an ``exit_threshold`` the loop stops once every member has
-    reached V <= exit_threshold. Raises ValueError for an input outside its
-    range, including a ``rho0`` that is not an N x N density matrix, and
-    NumericalFailureError, with the time of the failed step, if a member's
-    state becomes non-finite.
+    reached V <= exit_threshold. The batch is stepped in the dtype that
+    ``_checked_rho0`` picks for ``rho0``. Raises ValueError for an input
+    outside its range, including a ``rho0`` that is not an N x N density
+    matrix, and NumericalFailureError, with the time of the failed step, if
+    a member's state becomes non-finite.
     """
     mh = isinstance(control, ControllerState)
     if mh:
@@ -369,7 +388,8 @@ def integrate_ensemble(rho0, u: float, T: float, dt_ode: float,
     """Integrate the averaged dynamics under the constant input ``u`` by RK4.
 
     Every grid state is projected back onto the state space and written
-    into one read-only (K+1, N, N) array. With any nonzero ``u`` the
+    into one read-only (K+1, N, N) array, float64 for a ``rho0`` with a
+    zero imaginary part and complex128 otherwise. With any nonzero ``u`` the
     trajectory approaches I/N as T grows. Raises ValueError for an input
     outside its range, ``rho0`` included, and NumericalFailureError, with
     the time of the failed step, if the state becomes non-finite.
@@ -382,8 +402,9 @@ def integrate_ensemble(rho0, u: float, T: float, dt_ode: float,
     if n_steps < 1:
         raise ValueError(f"horizon T = {T} is below one step dt_ode = {dt_ode}")
 
-    states = np.empty((n_steps + 1, ops.dim, ops.dim), dtype=complex)
-    states[0] = state = _checked_rho0(rho0, ops)
+    state = _checked_rho0(rho0, ops)
+    states = np.empty((n_steps + 1, ops.dim, ops.dim), dtype=state.dtype)
+    states[0] = state
     half = 0.5 * dt_ode
     for k in range(n_steps):
         k1 = sme_drift(state, u, ops)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import EPS_CONV, SdeStepConfig, _integrate_batch, integrate_ensemble
+from .dynamics import (EPS_CONV, SdeStepConfig, _checked_rho0, _integrate_batch,
+                       integrate_ensemble)
 from .quantum import SpinOperators, _clip_psd, distance_V
 
 __all__ = [
@@ -131,7 +132,7 @@ def run_ensemble(rho0, control, T: float, cfg: SdeStepConfig, M: int = 100,
     and NumericalFailureError if any member's state becomes non-finite.
     """
     results = _map_chunks(
-        M, workers, rho0=np.asarray(rho0, dtype=complex), control=control,
+        M, workers, rho0=rho0, control=control,
         T=T, cfg=cfg, base_seed=base_seed, f=f, ops=ops,
         record_stride=record_stride, accumulate_sum=True)
 
@@ -175,7 +176,8 @@ def estimate_exit_time(gamma_a: float, rho0, f: int, ops: SpinOperators,
     if not 0.0 < gamma_a < 1.0:
         raise ValueError(f"gamma_a must be in (0, 1), got {gamma_a}")
     threshold = 1.0 - gamma_a
-    v0 = distance_V(np.asarray(rho0), f)
+    rho0 = _checked_rho0(rho0, ops)
+    v0 = distance_V(rho0, f)
     if v0 <= threshold:
         raise ValueError(
             f"initial state must satisfy V > {threshold:g}, got V = {v0:g}")
@@ -183,7 +185,7 @@ def estimate_exit_time(gamma_a: float, rho0, f: int, ops: SpinOperators,
     # Records are incidental here; keep them minimal via a huge stride.
     stride = max(1, int(round(T_cap / cfg.dt)))
     results = _map_chunks(
-        M, workers, rho0=np.asarray(rho0, dtype=complex), control=1.0,
+        M, workers, rho0=rho0, control=1.0,
         T=T_cap, cfg=cfg, base_seed=base_seed, f=f, ops=ops,
         record_stride=stride, exit_threshold=threshold)
 

@@ -6,6 +6,13 @@ the angular momentum along z; its eigenprojectors are the stabilization
 targets. All matrices are dense, double-precision and small (N <= ~64),
 and every constructed object is an immutable value that can be shared
 freely across trajectory workers.
+
+``QuantumState`` always holds complex128. The model's operators are real
+in the F_z eigenbasis (F_z is diagonal, -i F_y is real), so a state with a
+zero imaginary part stays real under the dynamics; the integrators step
+such a state as a real symmetric float64 array (see ``dynamics``). The
+array helpers here (``_dag``, ``_clip_psd``, ``distance_V``,
+``lyapunov_Q``) take either dtype and keep it.
 """
 
 from dataclasses import InitVar, dataclass, field
@@ -41,7 +48,11 @@ class NumericalFailureError(RuntimeError):
 
 
 def _dag(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose over the last two axes (batch-safe)."""
+    """Conjugate transpose over the last two axes (batch-safe).
+
+    For a real array ``conj()`` returns the array itself, so this is a plain
+    transposed view, with no copy.
+    """
     return a.conj().swapaxes(-1, -2)
 
 
@@ -189,6 +200,9 @@ def _clip_psd(mat: np.ndarray) -> np.ndarray:
     Batch-safe core of the state-space projection, and the one place where
     a failed state is detected: raises NumericalFailureError when the input
     has a non-finite entry or when clipping leaves a nonpositive trace.
+    The result has the input's dtype: a real (symmetric) input goes through
+    the real eigensolver and a real reconstruction, a complex one through
+    the Hermitian eigensolver.
     """
     if not np.isfinite(mat).all():
         raise NumericalFailureError("state has non-finite entries")
@@ -212,6 +226,13 @@ def project_to_state_space(rho) -> QuantumState:
     whose trace after clipping is nonpositive.
     """
     return QuantumState(_clip_psd(np.asarray(rho, dtype=complex)))
+
+
+def _check_dim(rho, dim: int) -> None:
+    """ValueError unless ``rho`` has the shape (dim, dim) of a state."""
+    if np.shape(rho) != (dim, dim):
+        raise ValueError(f"initial state must be N x N with N = {dim}, "
+                         f"got shape {np.shape(rho)}")
 
 
 def random_density(dim: int, rng: np.random.Generator) -> QuantumState:

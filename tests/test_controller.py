@@ -194,3 +194,9 @@ class TestNewController:
     def test_bad_target_index(self):
         with pytest.raises(ValueError, match="index"):
             new_controller(0.04, 22, self.ops, eigenstate(self.ops, 1))
+
+    def test_malformed_initial_state_rejected(self):
+        ops = make_spin_operators(1)
+        for bad in (np.ones(3), np.eye(4) / 4):
+            with pytest.raises(ValueError, match="N x N with N = 3"):
+                new_controller(0.1, 3, ops, bad)

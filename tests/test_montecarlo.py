@@ -84,6 +84,10 @@ class TestExitTime:
             estimate_exit_time(0.1, eigenstate(OPS3, 3), 3, OPS3, 10.0, CFG,
                                M=4, base_seed=0)
 
+    def test_malformed_initial_state_rejected(self):
+        with pytest.raises(ValueError, match="N x N with N = 3"):
+            estimate_exit_time(0.1, np.ones(3), 3, OPS3, 1.0, CFG, M=2)
+
     def test_gamma_a_range_checked(self):
         for bad in (0.0, 1.0, 1.5, -0.1):
             with pytest.raises(ValueError, match="gamma_a"):

@@ -6,16 +6,24 @@ properties compare them with the plain commutator formulas on random
 Hermitian states, single and batched, for J in {1/2, 1, 5/2, 10} and
 every target index. ``switch_modes`` is compared with a scalar automaton
 written from the hysteresis law in the ``controller`` module docstring.
+The dtype rule (a real state is stepped in float64, a complex one in
+complex128, through the same kernels) is checked against the complex
+computation on the same matrix.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from spinstab.controller import feedback_gain, switch_modes
-from spinstab.dynamics import sme_drift
-from spinstab.quantum import _dag, make_spin_operators
+from spinstab import dynamics
+from spinstab.controller import feedback_gain, new_controller, switch_modes
+from spinstab.dynamics import (SdeStepConfig, _euler_step, integrate_ensemble,
+                               simulate_batch, sme_drift)
+from spinstab.quantum import (_clip_psd, _dag, make_spin_operators,
+                              random_density)
 
 OPS = {J: make_spin_operators(J) for J in (0.5, 1, 2.5, 10)}
 
@@ -111,3 +119,67 @@ def test_switch_modes_steps_like_the_scalar_automaton(run):
         modes = switch_modes(modes, row, gamma)
         want = [reference_mode(w, x, gamma) for w, x in zip(want, row.tolist())]
         assert modes.tolist() == want
+
+
+@st.composite
+def real_states(draw):
+    """(ops, rho, batch): a real symmetric unit-trace PSD state, or a stack
+    of them, from a real factor G as (G G^T + 1e-12 I) / trace."""
+    ops = OPS[draw(st.sampled_from(sorted(OPS)))]
+    batch = draw(st.one_of(st.none(), st.integers(1, 4)))
+    shape = (ops.dim, ops.dim) if batch is None else (batch, ops.dim, ops.dim)
+    g = draw(arrays(np.float64, shape, elements=_entries))
+    m = g @ g.swapaxes(-1, -2) + 1e-12 * np.eye(ops.dim)
+    m = m / np.trace(m, axis1=-2, axis2=-1)[..., None, None]
+    return ops, 0.5 * (m + m.swapaxes(-1, -2)), batch
+
+
+@settings(deadline=None)
+@given(real_states(), st.data())
+def test_real_state_steps_in_float64_like_the_complex_one(case, data):
+    ops, m, batch = case
+    shape = () if batch is None else (batch,)
+    u = data.draw(arrays(np.float64, shape,
+                         elements=st.floats(-2.0, 2.0, allow_subnormal=False)))
+    dw = data.draw(arrays(np.float64, shape, elements=st.floats(
+        -0.2, 0.2, allow_subnormal=False)))[..., None, None]
+    cfg = SdeStepConfig(dt=1e-3, eta=data.draw(st.floats(0.05, 1.0)))
+    out = _euler_step(m, u, dw, cfg, ops)
+    assert out.dtype == np.float64
+    np.testing.assert_array_equal(out, out.swapaxes(-1, -2))
+    np.testing.assert_allclose(out, _euler_step(m.astype(complex), u, dw, cfg,
+                                                ops), rtol=0, atol=1e-13)
+
+    # A traceless symmetric kick, so that the projection clips eigenvalues.
+    p = data.draw(arrays(np.float64, m.shape, elements=st.floats(
+        -0.3, 0.3, allow_subnormal=False)))
+    p = 0.5 * (p + p.swapaxes(-1, -2))
+    p -= (np.trace(p, axis1=-2, axis2=-1)[..., None, None] / ops.dim
+          * np.eye(ops.dim))
+    kicked = _clip_psd(m + p)
+    assert kicked.dtype == np.float64
+    np.testing.assert_array_equal(kicked, kicked.swapaxes(-1, -2))
+    np.testing.assert_allclose(kicked, _clip_psd((m + p).astype(complex)),
+                               rtol=0, atol=1e-13)
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.sampled_from(sorted(OPS)), st.integers(0, 2**32 - 1))
+def test_complex_state_is_stepped_in_complex128(J, seed):
+    ops = OPS[J]
+    rho0 = random_density(ops.dim, np.random.default_rng(seed))
+    ctrl = new_controller(0.5 / ops.dim, ops.dim, ops, rho0)
+    projected = []
+
+    def recording_clip_psd(mat):
+        projected.append(_clip_psd(mat))
+        return projected[-1]
+
+    with mock.patch.object(dynamics, "_clip_psd", recording_clip_psd):
+        simulate_batch(rho0, ctrl, 0.01, SdeStepConfig(), seed, [0, 1])
+        traj = integrate_ensemble(rho0, 1.0, 0.05, 1e-2, ops)
+    assert len(projected) == 10 + 5
+    assert traj.states.dtype == np.complex128
+    for state in projected:
+        assert state.dtype == np.complex128 and state.imag.any()
+        np.testing.assert_array_equal(state, _dag(state))
