@@ -5,16 +5,14 @@ integrator, and a Monte Carlo harness for convergence and exit-time
 statistics.
 """
 
-from .controller import ControllerState, Mode, feedback_gain, mh_control, new_controller
+from .controller import ControllerState, feedback_gain, new_controller
 from .dynamics import (
     EPS_CONV,
     OdeTrajectory,
     SdeStepConfig,
     TrajectoryRecord,
-    em_step,
     integrate_ensemble,
     simulate_batch,
-    simulate_trajectory,
     sme_diffusion,
     sme_drift,
 )
@@ -34,8 +32,6 @@ from .quantum import (
     lyapunov_Q,
     make_spin_operators,
     maximally_mixed,
-    project_to_state_space,
-    random_density,
 )
 
 __version__ = "0.1.0"
@@ -45,7 +41,6 @@ __all__ = [
     "EPS_CONV",
     "EnsembleStats",
     "ExitTimeReport",
-    "Mode",
     "NumericalFailureError",
     "OdeTrajectory",
     "QuantumState",
@@ -55,20 +50,15 @@ __all__ = [
     "compare_mean_vs_ode",
     "distance_V",
     "eigenstate",
-    "em_step",
     "estimate_exit_time",
     "feedback_gain",
     "integrate_ensemble",
     "lyapunov_Q",
     "make_spin_operators",
     "maximally_mixed",
-    "mh_control",
     "new_controller",
-    "project_to_state_space",
-    "random_density",
     "run_ensemble",
     "simulate_batch",
-    "simulate_trajectory",
     "sme_diffusion",
     "sme_drift",
 ]

@@ -163,10 +163,10 @@ def _resolve(cfg: SimConfig):
     return ops, QuantumState(np.load(path)), step
 
 
-def _parse_control(cfg: SimConfig, ops, rho0):
+def _parse_control(cfg: SimConfig, ops):
     """Turn the control spec into a ControllerState or a fixed input."""
     if cfg.control == "mh":
-        return new_controller(cfg.gamma, cfg.f, ops, rho0)
+        return new_controller(cfg.gamma, cfg.f, ops)
     if cfg.control.startswith("constant:"):
         return float(cfg.control.split(":", 1)[1])
     raise ConfigError(
@@ -240,7 +240,7 @@ def simulate(preset, config_path, **overrides):
     with _library_errors():
         ops, rho0, step = _resolve(cfg)
         records = simulate_batch(
-            rho0, _parse_control(cfg, ops, rho0), cfg.T, step, cfg.base_seed,
+            rho0, _parse_control(cfg, ops), cfg.T, step, cfg.base_seed,
             list(range(cfg.M)), f=cfg.f, ops=ops,
             record_stride=cfg.record_stride)
     out = _prepare_output(cfg)
@@ -262,7 +262,7 @@ def ensemble(preset, config_path, **overrides):
     with _library_errors():
         ops, rho0, step = _resolve(cfg)
         stats = run_ensemble(
-            rho0, _parse_control(cfg, ops, rho0), cfg.T, step, cfg.M,
+            rho0, _parse_control(cfg, ops), cfg.T, step, cfg.M,
             cfg.base_seed, f=cfg.f, ops=ops, record_stride=cfg.record_stride)
     out = _prepare_output(cfg)
     rows = ([_fmt(t), _fmt(v), _fmt(c)]

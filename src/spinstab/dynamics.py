@@ -32,11 +32,12 @@ half the data, through the same kernels. A complex initial state runs
 those kernels in complex128.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .controller import ControllerState, Mode, feedback_gain, switch_modes
+from .controller import ControllerState, feedback_gain, switch_modes
 from .quantum import (NumericalFailureError, QuantumState, SpinOperators,
                       _check_dim, _clip_psd, _dag)
 
@@ -47,8 +48,6 @@ __all__ = [
     "EPS_CONV",
     "sme_drift",
     "sme_diffusion",
-    "em_step",
-    "simulate_trajectory",
     "simulate_batch",
     "integrate_ensemble",
 ]
@@ -68,8 +67,8 @@ class SdeStepConfig:
     eta: float = 1.0
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError(f"eta must be in (0, 1], got {self.eta}")
 
@@ -157,19 +156,6 @@ def _euler_step(rho, u, dw, cfg: SdeStepConfig, ops: SpinOperators) -> np.ndarra
     return _clip_psd(rho + incr)
 
 
-def em_step(rho, u: float, cfg: SdeStepConfig, dw: float,
-            ops: SpinOperators) -> QuantumState:
-    """One projected Euler-Maruyama step.
-
-    ``dw`` is a caller-supplied Gaussian increment with variance dt, so a
-    step is a deterministic function of its arguments. The result is
-    projected back onto the state space unconditionally; a non-finite
-    result raises NumericalFailureError.
-    """
-    return QuantumState(_euler_step(np.asarray(rho, dtype=complex), u, dw,
-                                    cfg, ops), validate=False)
-
-
 def _checked_rho0(rho0, ops: SpinOperators) -> np.ndarray:
     """``rho0`` as an array in the dtype the run steps in, or ValueError
     unless it is an N x N state.
@@ -219,11 +205,14 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
     """Step a batch of trajectories that share rho0 and the control law.
 
     ``streams`` is a sequence of noise stream indices, one per member.
-    ``control`` is either a ControllerState template (each member gets an
-    independent copy of its mode, and ``f`` and ``ops`` are taken from it)
-    or a real number used as a fixed input, which needs both ``f`` and
-    ``ops``. With an ``exit_threshold`` the loop stops once every member has
-    reached V <= exit_threshold. The batch is stepped in the dtype that
+    ``control`` is either a ControllerState (``f`` and ``ops`` are taken
+    from it) or a real number used as a fixed input, which needs both ``f``
+    and ``ops``. Under the switching law each member carries its own mode
+    flag. Every member starts in the constant mode, so the first
+    ``switch_modes`` call, at t = 0, decides the mode: feedback exactly when
+    V(rho0) <= 1 - gamma, constant in the band and above it. With an
+    ``exit_threshold`` the loop stops once every member has reached
+    V <= exit_threshold. The batch is stepped in the dtype that
     ``_checked_rho0`` picks for ``rho0``. Raises ValueError for an input
     outside its range, including a ``rho0`` that is not an N x N density
     matrix, and NumericalFailureError, with the time of the failed step, if
@@ -238,8 +227,8 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
         u_const = float(control)
     if record_stride < 1:
         raise ValueError(f"record_stride must be >= 1, got {record_stride}")
-    if T <= 0:
-        raise ValueError(f"horizon T must be > 0, got {T}")
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"horizon T must be finite and > 0, got {T}")
     n_steps = int(round(T / cfg.dt))
     if n_steps < 1:
         raise ValueError(f"horizon T = {T} is below one step dt = {cfg.dt}")
@@ -259,7 +248,7 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
     n_rec = len(rec_ks)
 
     state = np.tile(rho0, (m_count, 1, 1))
-    modes = np.full(m_count, mh and control.mode is Mode.FEEDBACK, dtype=bool)
+    modes = np.zeros(m_count, dtype=bool)
     first_below = np.full(m_count, np.nan)
     exit_times = np.full(m_count, np.nan)
 
@@ -366,21 +355,6 @@ def _records_from_batch(res: _BatchResult, base_seed: int,
     return records
 
 
-def simulate_trajectory(rho0, controller, T: float, cfg: SdeStepConfig,
-                        seed: int, *, stream: int = 0, f: int | None = None,
-                        ops: SpinOperators | None = None,
-                        record_stride: int = 1) -> TrajectoryRecord:
-    """Simulate a single closed-loop (or fixed-input) trajectory.
-
-    ``controller`` is a ControllerState for the switching law, or a real
-    number for a fixed input (then ``f`` and ``ops`` must be given so the
-    distance summaries are defined). Deterministic given all inputs: the
-    same (seed, stream) yields a bit-identical record.
-    """
-    return simulate_batch(rho0, controller, T, cfg, seed, [stream], f=f,
-                          ops=ops, record_stride=record_stride)[0]
-
-
 # A step that overflows is caught by _clip_psd, so numpy need not warn first.
 @np.errstate(over="ignore", invalid="ignore")
 def integrate_ensemble(rho0, u: float, T: float, dt_ode: float,
@@ -394,10 +368,10 @@ def integrate_ensemble(rho0, u: float, T: float, dt_ode: float,
     outside its range, ``rho0`` included, and NumericalFailureError, with
     the time of the failed step, if the state becomes non-finite.
     """
-    if dt_ode <= 0:
-        raise ValueError(f"dt_ode must be > 0, got {dt_ode}")
-    if T <= 0:
-        raise ValueError(f"horizon T must be > 0, got {T}")
+    if not (math.isfinite(dt_ode) and dt_ode > 0):
+        raise ValueError(f"dt_ode must be finite and > 0, got {dt_ode}")
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"horizon T must be finite and > 0, got {T}")
     n_steps = int(round(T / dt_ode))
     if n_steps < 1:
         raise ValueError(f"horizon T = {T} is below one step dt_ode = {dt_ode}")

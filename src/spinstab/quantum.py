@@ -15,7 +15,7 @@ array helpers here (``_dag``, ``_clip_psd``, ``distance_V``,
 ``lyapunov_Q``) take either dtype and keep it.
 """
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,8 +28,6 @@ __all__ = [
     "maximally_mixed",
     "distance_V",
     "lyapunov_Q",
-    "project_to_state_space",
-    "random_density",
 ]
 
 # Tolerance on each density-matrix invariant (Hermiticity, trace, PSD).
@@ -65,10 +63,8 @@ class QuantumState:
     """
 
     data: np.ndarray
-    dim: int = field(init=False)
-    validate: InitVar[bool] = True
 
-    def __post_init__(self, validate):
+    def __post_init__(self):
         mat = np.array(self.data, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"state must be a square matrix, got shape {mat.shape}")
@@ -76,28 +72,22 @@ class QuantumState:
             raise ValueError("state dimension must be at least 2")
         mat.setflags(write=False)
         object.__setattr__(self, "data", mat)
-        object.__setattr__(self, "dim", mat.shape[0])
-        if validate:
-            if not np.isfinite(mat).all():
-                raise ValueError("state has non-finite entries")
-            herm_defect = np.linalg.norm(mat - _dag(mat))
-            if herm_defect > _TOL:
-                raise ValueError(f"state is not Hermitian: defect {herm_defect:.3e}")
-            tr_defect = abs(np.trace(mat) - 1.0)
-            if tr_defect > _TOL:
-                raise ValueError(f"state trace differs from 1 by {tr_defect:.3e}")
-            w_min = np.linalg.eigvalsh(0.5 * (mat + _dag(mat))).min()
-            if w_min < -_TOL:
-                raise ValueError(f"state is not PSD: min eigenvalue {w_min:.3e}")
+        if not np.isfinite(mat).all():
+            raise ValueError("state has non-finite entries")
+        herm_defect = np.linalg.norm(mat - _dag(mat))
+        if herm_defect > _TOL:
+            raise ValueError(f"state is not Hermitian: defect {herm_defect:.3e}")
+        tr_defect = abs(np.trace(mat) - 1.0)
+        if tr_defect > _TOL:
+            raise ValueError(f"state trace differs from 1 by {tr_defect:.3e}")
+        w_min = np.linalg.eigvalsh(0.5 * (mat + _dag(mat))).min()
+        if w_min < -_TOL:
+            raise ValueError(f"state is not PSD: min eigenvalue {w_min:.3e}")
 
     def __array__(self, dtype=None, copy=None):
         if dtype is None or dtype == self.data.dtype:
             return self.data
         return self.data.astype(dtype)
-
-    def purity(self) -> float:
-        """Tr(rho^2), equal to the squared Frobenius norm for Hermitian rho."""
-        return float(np.sum(np.abs(self.data) ** 2))
 
 
 @dataclass(frozen=True)
@@ -160,14 +150,14 @@ def eigenstate(ops: SpinOperators, k: int) -> QuantumState:
         raise ValueError(f"eigenstate index must be in 1..{ops.dim}, got {k}")
     mat = np.zeros((ops.dim, ops.dim), dtype=complex)
     mat[k - 1, k - 1] = 1.0
-    return QuantumState(mat, validate=False)
+    return QuantumState(mat)
 
 
 def maximally_mixed(n: int) -> QuantumState:
     """The state I/N, the unique fixed point of the averaged dynamics."""
     if n < 2:
         raise ValueError(f"dimension must be at least 2, got {n}")
-    return QuantumState(np.eye(n, dtype=complex) / n, validate=False)
+    return QuantumState(np.eye(n, dtype=complex) / n)
 
 
 def distance_V(rho, f: int):
@@ -195,12 +185,13 @@ def lyapunov_Q(rho):
 
 
 def _clip_psd(mat: np.ndarray) -> np.ndarray:
-    """Hermitize, clip negative eigenvalues, renormalize the trace.
+    """Project onto the state space: hermitize, clip negative eigenvalues,
+    renormalize the trace.
 
-    Batch-safe core of the state-space projection, and the one place where
-    a failed state is detected: raises NumericalFailureError when the input
-    has a non-finite entry or when clipping leaves a nonpositive trace.
-    The result has the input's dtype: a real (symmetric) input goes through
+    Batch-safe, and the one place where a failed state is detected: raises
+    NumericalFailureError when the input has a non-finite entry or when
+    clipping leaves a nonpositive trace. Valid states are fixed points up to
+    round-off. The result has the input's dtype: a real (symmetric) input goes through
     the real eigensolver and a real reconstruction, a complex one through
     the Hermitian eigensolver.
     """
@@ -217,29 +208,8 @@ def _clip_psd(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (out + _dag(out))
 
 
-def project_to_state_space(rho) -> QuantumState:
-    """Project a near-valid matrix back onto the state space.
-
-    Hermitizes via (rho + rho*)/2, clips negative eigenvalues to zero and
-    renormalizes the trace to one. Valid states are fixed points up to
-    round-off. Raises NumericalFailureError for a non-finite matrix or one
-    whose trace after clipping is nonpositive.
-    """
-    return QuantumState(_clip_psd(np.asarray(rho, dtype=complex)))
-
-
 def _check_dim(rho, dim: int) -> None:
     """ValueError unless ``rho`` has the shape (dim, dim) of a state."""
     if np.shape(rho) != (dim, dim):
         raise ValueError(f"initial state must be N x N with N = {dim}, "
                          f"got shape {np.shape(rho)}")
-
-
-def random_density(dim: int, rng: np.random.Generator) -> QuantumState:
-    """Random valid state G G* / Tr(G G*) with G complex Gaussian.
-
-    In the state space by construction; used throughout the property tests.
-    """
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    m = g @ g.conj().T
-    return QuantumState(m / np.trace(m).real, validate=False)

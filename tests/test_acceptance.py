@@ -10,10 +10,11 @@ import warnings
 import numpy as np
 import pytest
 
-from spinstab.controller import Mode, mh_control, new_controller
+from helpers import random_density, switching_law
+from spinstab.controller import new_controller
 from spinstab.dynamics import (
     SdeStepConfig,
-    em_step,
+    _euler_step,
     integrate_ensemble,
     simulate_batch,
     sme_diffusion,
@@ -26,7 +27,6 @@ from spinstab.quantum import (
     eigenstate,
     lyapunov_Q,
     make_spin_operators,
-    random_density,
 )
 
 CFG = SdeStepConfig(dt=1e-3, eta=1.0)
@@ -41,7 +41,7 @@ def test_criterion_01_small_system_convergence_fraction():
     """N=3, gamma=0.1 < 1/3: at least 95% of paths converged at T=50."""
     ops = make_spin_operators(1)
     rho0 = eigenstate(ops, 1)
-    ctrl = new_controller(0.1, 3, ops, rho0)
+    ctrl = new_controller(0.1, 3, ops)
     stats = run_ensemble(rho0, ctrl, 50.0, CFG, M=100, base_seed=7,
                          record_stride=50)
     frac = stats.convergence_fraction
@@ -54,7 +54,7 @@ def fig1_records():
     """The three guaranteed-range sample paths (J=10, gamma=0.04, T=10)."""
     ops = make_spin_operators(10)
     rho0 = eigenstate(ops, 1)
-    ctrl = new_controller(0.04, 11, ops, rho0)
+    ctrl = new_controller(0.04, 11, ops)
     return simulate_batch(rho0, ctrl, 10.0, CFG, 6, [0, 1, 2],
                           record_stride=100)
 
@@ -74,7 +74,7 @@ def test_criterion_03_large_gamma_shows_straggler(fig1_records):
     rho0 = eigenstate(ops, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        ctrl = new_controller(0.4, 11, ops, rho0)
+        ctrl = new_controller(0.4, 11, ops)
     recs = simulate_batch(rho0, ctrl, 10.0, CFG, 6, list(range(10)),
                           record_stride=100)
     final_v = np.array([r.V[-1] for r in recs])
@@ -146,20 +146,27 @@ def test_criterion_07_structure_preservation_bulk():
     total = 0
 
     def run_block(n, count, cfg):
+        """Draw ``count`` (state, u, dw) triples, one triple at a time, then
+        check the terms and take the step on all of them as one batch."""
         nonlocal herm_bad, tr_bad, psd_bad, worst_trace, total
         ops = ops_by_dim[n]
-        for _ in range(count):
-            rho = random_density(n, rng)
-            u = rng.uniform(-2, 2)
-            dw = rng.normal(0.0, np.sqrt(cfg.dt))
-            tr_d = abs(np.trace(sme_drift(rho, u, ops)))
-            tr_b = abs(np.trace(sme_diffusion(rho, ops, cfg.eta)))
-            worst_trace = max(worst_trace, tr_d, tr_b)
-            out = np.asarray(em_step(rho, u, cfg, dw, ops))
-            herm_bad += np.linalg.norm(out - out.conj().T) > 1e-9
-            tr_bad += abs(np.trace(out) - 1.0) > 1e-9
-            psd_bad += np.linalg.eigvalsh(out).min() < -1e-9
-            total += 1
+        rho = np.empty((count, n, n), dtype=complex)
+        u = np.empty(count)
+        dw = np.empty(count)
+        for i in range(count):
+            rho[i] = random_density(n, rng)
+            u[i] = rng.uniform(-2, 2)
+            dw[i] = rng.normal(0.0, np.sqrt(cfg.dt))
+        tr_d = np.abs(np.trace(sme_drift(rho, u, ops), axis1=-2, axis2=-1))
+        tr_b = np.abs(np.trace(sme_diffusion(rho, ops, cfg.eta), axis1=-2,
+                               axis2=-1))
+        worst_trace = max(worst_trace, tr_d.max(), tr_b.max())
+        out = _euler_step(rho, u, dw[:, None, None], cfg, ops)
+        herm_bad += np.sum(np.linalg.norm(out - out.conj().swapaxes(-1, -2),
+                                          axis=(-2, -1)) > 1e-9)
+        tr_bad += np.sum(np.abs(np.trace(out, axis1=-2, axis2=-1) - 1.0) > 1e-9)
+        psd_bad += np.sum(np.linalg.eigvalsh(out).min(axis=-1) < -1e-9)
+        total += count
 
     for n, count in ((2, 33000), (3, 33000), (5, 32000), (21, 2000)):
         run_block(n, count, CFG)
@@ -176,18 +183,18 @@ def test_criterion_08_exact_equilibrium_at_target():
     ok = True
     for J, f in ((1, 3), (10, 11)):
         ops = make_spin_operators(J)
-        target = eigenstate(ops, f)
-        ctrl = new_controller(0.04 if J == 10 else 0.1, f, ops, target)
+        target = np.asarray(eigenstate(ops, f))
+        ctrl = new_controller(0.04 if J == 10 else 0.1, f, ops)
         rng = np.random.default_rng(5)
         rho = target
+        feedback = False  # every trajectory starts in the constant mode
         worst = 0.0
         for _ in range(1000):
-            u, ctrl = mh_control(ctrl, rho)
+            feedback, u = switching_law(feedback, rho, ctrl)
             assert u == 0.0
-            assert ctrl.mode is Mode.FEEDBACK
-            rho = em_step(rho, u, CFG, rng.normal(0, np.sqrt(CFG.dt)), ops)
-            worst = max(worst, float(np.abs(np.asarray(rho)
-                                            - np.asarray(target)).max()))
+            assert feedback
+            rho = _euler_step(rho, u, rng.normal(0, np.sqrt(CFG.dt)), CFG, ops)
+            worst = max(worst, float(np.abs(rho - target).max()))
         ok = ok and worst <= 1e-14
         details.append(f"J={J}: max drift {worst:.1e}")
     report("criterion 8 (equilibrium exactness)", ok, "; ".join(details))
@@ -211,6 +218,7 @@ def test_criterion_10_hysteresis_branch_table():
     """Scripted V-sequences exercise every switching branch exactly."""
     ops = make_spin_operators(1)
     gamma = 0.2  # band is (0.8, 0.9)
+    FEEDBACK, CONSTANT = True, False  # the loop's mode flag
 
     def state_with_v(v):
         d = np.array([v / 2, v / 2, 1.0 - v])
@@ -218,27 +226,29 @@ def test_criterion_10_hysteresis_branch_table():
 
     # each row: V, expected mode after the update, expected input
     table = [
-        (1.00, Mode.CONSTANT, 1.0),   # far region forces the drive
-        (0.85, Mode.CONSTANT, 1.0),   # entered band from above: latched
-        (0.89, Mode.CONSTANT, 1.0),   # wanders inside the band
-        (0.81, Mode.CONSTANT, 1.0),   # still latched near the lower edge
-        (0.80, Mode.FEEDBACK, 0.0),   # closed boundary V = 1-gamma
-        (0.85, Mode.FEEDBACK, 0.0),   # re-entered band from below: latched
-        (0.89, Mode.FEEDBACK, 0.0),   # holds feedback through the band
-        (0.90, Mode.CONSTANT, 1.0),   # closed boundary V = 1-gamma/2
-        (0.85, Mode.CONSTANT, 1.0),   # band again, latched constant
-        (0.10, Mode.FEEDBACK, 0.0),   # deep feedback region
-        (0.85, Mode.FEEDBACK, 0.0),   # band entered from below once more
+        (1.00, CONSTANT, 1.0),   # far region forces the drive
+        (0.85, CONSTANT, 1.0),   # entered band from above: latched
+        (0.89, CONSTANT, 1.0),   # wanders inside the band
+        (0.81, CONSTANT, 1.0),   # still latched near the lower edge
+        (0.80, FEEDBACK, 0.0),   # closed boundary V = 1-gamma
+        (0.85, FEEDBACK, 0.0),   # re-entered band from below: latched
+        (0.89, FEEDBACK, 0.0),   # holds feedback through the band
+        (0.90, CONSTANT, 1.0),   # closed boundary V = 1-gamma/2
+        (0.85, CONSTANT, 1.0),   # band again, latched constant
+        (0.10, FEEDBACK, 0.0),   # deep feedback region
+        (0.85, FEEDBACK, 0.0),   # band entered from below once more
     ]
-    ctrl = new_controller(gamma, 3, ops, state_with_v(1.0))
+    ctrl = new_controller(gamma, 3, ops)
+    feedback = CONSTANT  # every trajectory starts in the constant mode
     ok = True
     failures = []
     for i, (v, want_mode, want_u) in enumerate(table):
         rho = state_with_v(v)
         assert distance_V(rho, 3) == pytest.approx(v, abs=1e-12)
-        u, ctrl = mh_control(ctrl, rho)
-        if ctrl.mode is not want_mode or u != want_u:
+        feedback, u = switching_law(feedback, rho, ctrl)
+        if feedback != want_mode or u != want_u:
             ok = False
-            failures.append(f"step {i} V={v}: got ({ctrl.mode}, {u})")
+            mode = "feedback" if feedback else "constant"
+            failures.append(f"step {i} V={v}: got ({mode}, {u})")
     report("criterion 10 (hysteresis branch table)", ok,
            "all branches as scripted" if ok else "; ".join(failures))

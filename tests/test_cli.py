@@ -111,15 +111,15 @@ class TestSimulateCommand:
             assert 0.0 <= float(r[1]) <= 1.0
             assert r[4] in ("feedback", "constant")
         # 17 significant digits reproduce the in-memory doubles exactly
-        from spinstab.dynamics import SdeStepConfig, simulate_trajectory
+        from spinstab.dynamics import SdeStepConfig, simulate_batch
         from spinstab.quantum import eigenstate, make_spin_operators
         from spinstab.controller import new_controller
 
         ops = make_spin_operators(1)
-        ctrl = new_controller(0.1, 3, ops, eigenstate(ops, 1))
-        rec = simulate_trajectory(eigenstate(ops, 1), ctrl, 0.2,
-                                  SdeStepConfig(dt=1e-3, eta=1.0), seed=12,
-                                  stream=0, record_stride=20)
+        ctrl = new_controller(0.1, 3, ops)
+        rec = simulate_batch(eigenstate(ops, 1), ctrl, 0.2,
+                             SdeStepConfig(dt=1e-3, eta=1.0), 12, [0],
+                             record_stride=20)[0]
         for row, v, p in zip(rows, rec.V, rec.purity):
             assert float(row[1]) == v
             assert float(row[3]) == p
@@ -305,6 +305,24 @@ class TestRejectedRuns:
         out = tmp_path / "o"
         res = RUNNER.invoke(main, [*argv, "-o", str(out)])
         assert res.exit_code == 2, res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, field", [
+        (["ensemble", "--preset", "acceptance-n3", "--gamma", "nan", "--T",
+          "2", "--M", "8"], "gamma"),
+        (["simulate", "--gamma", "inf"], "gamma"),
+        (["simulate", "--T", "inf"], "horizon T"),
+        (["simulate", "--T", "nan"], "horizon T"),
+        (["simulate", "--dt", "nan"], "dt"),
+        (["ode", "--T", "inf"], "horizon T"),
+        (["ode", "--dt-ode", "nan"], "dt_ode"),
+        (["exit-time", "--gamma-a", "0.1", "--T", "inf"], "horizon T"),
+    ], ids=lambda x: " ".join(x) if isinstance(x, list) else x)
+    def test_non_finite_value_exits_2_naming_it(self, tmp_path, argv, field):
+        out = tmp_path / "o"
+        res = RUNNER.invoke(main, [*argv, "-o", str(out)])
+        assert res.exit_code == 2, res.output
+        assert f"{field} must be finite" in res.output
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

@@ -3,20 +3,10 @@
 import numpy as np
 import pytest
 
-from spinstab.controller import (
-    ControllerState,
-    Mode,
-    feedback_gain,
-    mh_control,
-    new_controller,
-    switch_modes,
-)
-from spinstab.quantum import (
-    QuantumState,
-    eigenstate,
-    make_spin_operators,
-    random_density,
-)
+from helpers import random_density, switching_law
+from spinstab.controller import feedback_gain, new_controller, switch_modes
+from spinstab.dynamics import SdeStepConfig, simulate_batch
+from spinstab.quantum import QuantumState, eigenstate, make_spin_operators
 
 
 def diag_state(n, f, v):
@@ -24,6 +14,12 @@ def diag_state(n, f, v):
     d = np.full(n, v / (n - 1))
     d[f - 1] = 1.0 - v
     return QuantumState(np.diag(d).astype(complex))
+
+
+def first_record(ctrl, rho0):
+    """The record of a one-step closed-loop run from ``rho0``: entry 0 of its
+    ``modes`` and ``u`` is what the loop's first switch chose."""
+    return simulate_batch(rho0, ctrl, 1e-3, SdeStepConfig(), 0, [0])[0]
 
 
 class TestFeedbackGain:
@@ -82,68 +78,64 @@ class TestSwitchLaw:
     def setup_method(self):
         self.ops = make_spin_operators(1)
         self.gamma = 0.2  # boundaries at V = 0.8 and V = 0.9
-
-    def ctrl(self, mode):
-        return ControllerState(gamma=self.gamma, f=3, mode=mode, ops=self.ops)
+        self.ctrl = new_controller(self.gamma, 3, self.ops)
 
     def test_at_target_feedback_and_zero_input(self):
-        u, st = mh_control(self.ctrl(Mode.CONSTANT), eigenstate(self.ops, 3))
-        assert st.mode is Mode.FEEDBACK
+        feedback, u = switching_law(False, eigenstate(self.ops, 3), self.ctrl)
+        assert feedback
         assert u == 0.0
 
     def test_far_region_constant_drive(self):
-        u, st = mh_control(self.ctrl(Mode.FEEDBACK), eigenstate(self.ops, 1))
-        assert st.mode is Mode.CONSTANT
+        feedback, u = switching_law(True, eigenstate(self.ops, 1), self.ctrl)
+        assert not feedback
         assert u == 1.0
 
     def test_band_keeps_previous_mode(self):
         inside = diag_state(3, 3, 0.85)  # strictly inside (0.8, 0.9)
-        for mode in (Mode.FEEDBACK, Mode.CONSTANT):
-            u, st = mh_control(self.ctrl(mode), inside)
-            assert st.mode is mode
-            assert u == (0.0 if mode is Mode.FEEDBACK else 1.0)
+        for mode in (True, False):
+            feedback, u = switching_law(mode, inside, self.ctrl)
+            assert feedback == mode
+            assert u == (0.0 if mode else 1.0)
 
     def test_boundaries_are_closed(self):
         # V exactly 1-gamma selects feedback; V exactly 1-gamma/2 constant.
         gamma = 0.25
-        ops = self.ops
+        ctrl = new_controller(gamma, 3, self.ops)
         low = diag_state(3, 3, 1 - gamma)        # V = 0.75
         high = diag_state(3, 3, 1 - gamma / 2)   # V = 0.875
-        for mode in (Mode.FEEDBACK, Mode.CONSTANT):
-            st0 = ControllerState(gamma=gamma, f=3, mode=mode, ops=ops)
-            _, st = mh_control(st0, low)
-            assert st.mode is Mode.FEEDBACK
-            _, st = mh_control(st0, high)
-            assert st.mode is Mode.CONSTANT
+        for mode in (True, False):
+            feedback, _ = switching_law(mode, low, ctrl)
+            assert feedback
+            feedback, _ = switching_law(mode, high, ctrl)
+            assert not feedback
 
     def test_determinism(self):
         rng = np.random.default_rng(3)
         rho = random_density(3, rng)
-        st0 = self.ctrl(Mode.CONSTANT)
-        out1 = mh_control(st0, rho)
-        out2 = mh_control(st0, rho)
+        out1 = switching_law(False, rho, self.ctrl)
+        out2 = switching_law(False, rho, self.ctrl)
         assert out1[0] == out2[0]
         assert out1[1] == out2[1]
 
     def test_scripted_hysteresis_path(self):
         """Drive the controller through the band and check every branch."""
         seq = [
-            # (V, expected mode, expected u is feedback-gain?)
-            (0.95, Mode.CONSTANT, False),  # far region
-            (0.85, Mode.CONSTANT, False),  # entered band from above: latched
-            (0.89, Mode.CONSTANT, False),  # still in band
-            (0.79, Mode.FEEDBACK, True),   # crossed the lower boundary
-            (0.85, Mode.FEEDBACK, True),   # re-entered band from below: latched
-            (0.88, Mode.FEEDBACK, True),   # oscillating inside the band
-            (0.82, Mode.FEEDBACK, True),
-            (0.90, Mode.CONSTANT, False),  # reached the upper boundary
-            (0.85, Mode.CONSTANT, False),  # band again, now latched constant
+            # (V, expected mode is feedback?, expected u is feedback-gain?)
+            (0.95, False, False),  # far region
+            (0.85, False, False),  # entered band from above: latched
+            (0.89, False, False),  # still in band
+            (0.79, True, True),    # crossed the lower boundary
+            (0.85, True, True),    # re-entered band from below: latched
+            (0.88, True, True),    # oscillating inside the band
+            (0.82, True, True),
+            (0.90, False, False),  # reached the upper boundary
+            (0.85, False, False),  # band again, now latched constant
         ]
-        st = self.ctrl(Mode.CONSTANT)
+        feedback = False
         for v, want_mode, want_feedback in seq:
             rho = diag_state(3, 3, v)
-            u, st = mh_control(st, rho)
-            assert st.mode is want_mode, f"at V={v}"
+            feedback, u = switching_law(feedback, rho, self.ctrl)
+            assert feedback == want_mode, f"at V={v}"
             # scripted states are diagonal, so the feedback gain is 0
             assert u == (0.0 if want_feedback else 1.0), f"at V={v}"
 
@@ -165,38 +157,49 @@ class TestNewController:
         import warnings as _w
         with _w.catch_warnings():
             _w.simplefilter("error")
-            st = new_controller(0.04, 11, self.ops, eigenstate(self.ops, 1))
-        assert not st.stability_warning
-        assert st.mode is Mode.CONSTANT
+            ctrl = new_controller(0.04, 11, self.ops)
+        assert first_record(ctrl, eigenstate(self.ops, 1)).modes[0] == "constant"
 
     def test_gamma_outside_guaranteed_range_warns(self):
         with pytest.warns(UserWarning, match="outside"):
-            st = new_controller(0.4, 11, self.ops, eigenstate(self.ops, 1))
-        assert st.stability_warning
+            new_controller(0.4, 11, self.ops)
 
     def test_gamma_zero_rejected(self):
         with pytest.raises(ValueError, match="gamma"):
-            new_controller(0.0, 11, self.ops, eigenstate(self.ops, 1))
+            new_controller(0.0, 11, self.ops)
+
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            new_controller(gamma, 11, self.ops)
 
     def test_initial_mode_from_initial_state(self):
         ops = make_spin_operators(1)
-        at_target = new_controller(0.1, 3, ops, eigenstate(ops, 3))
-        assert at_target.mode is Mode.FEEDBACK
-        far = new_controller(0.1, 3, ops, eigenstate(ops, 1))
-        assert far.mode is Mode.CONSTANT
+        ctrl = new_controller(0.1, 3, ops)
+        assert first_record(ctrl, eigenstate(ops, 3)).modes[0] == "feedback"
+        assert first_record(ctrl, eigenstate(ops, 1)).modes[0] == "constant"
 
     def test_initial_state_inside_band_gets_constant_drive(self):
         ops = make_spin_operators(1)
         inside = diag_state(3, 3, 0.93)  # band for gamma=0.1 is (0.9, 0.95)
-        st = new_controller(0.1, 3, ops, inside)
-        assert st.mode is Mode.CONSTANT
+        rec = first_record(new_controller(0.1, 3, ops), inside)
+        assert rec.modes[0] == "constant"
+        assert rec.u[0] == 1.0
 
     def test_bad_target_index(self):
         with pytest.raises(ValueError, match="index"):
-            new_controller(0.04, 22, self.ops, eigenstate(self.ops, 1))
+            new_controller(0.04, 22, self.ops)
 
     def test_malformed_initial_state_rejected(self):
+        # The integrator checks its initial state on entry; the controller
+        # takes no state.
         ops = make_spin_operators(1)
+        ctrl = new_controller(0.1, 3, ops)
         for bad in (np.ones(3), np.eye(4) / 4):
             with pytest.raises(ValueError, match="N x N with N = 3"):
-                new_controller(0.1, 3, ops, bad)
+                simulate_batch(bad, ctrl, 1e-3, SdeStepConfig(), 0, [0])
+
+    def test_initial_state_argument_is_not_read(self):
+        ops = make_spin_operators(1)
+        assert new_controller(0.1, 3, ops, np.ones(3)) == new_controller(
+            0.1, 3, ops)

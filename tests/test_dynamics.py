@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
+from helpers import random_density
 from spinstab import dynamics
 from spinstab.controller import feedback_gain, new_controller
 from spinstab.dynamics import (
     SdeStepConfig,
     _euler_step,
-    em_step,
     integrate_ensemble,
     simulate_batch,
-    simulate_trajectory,
     sme_diffusion,
     sme_drift,
 )
@@ -22,7 +21,6 @@ from spinstab.quantum import (
     lyapunov_Q,
     make_spin_operators,
     maximally_mixed,
-    random_density,
 )
 
 
@@ -123,19 +121,21 @@ class TestDriftDiffusionTerms:
 
 
 class TestEmStep:
+    """The Euler-Maruyama step kernel ``_euler_step``, on complex states."""
+
     def setup_method(self):
         self.ops = make_spin_operators(1)
         self.cfg = SdeStepConfig(dt=1e-3, eta=1.0)
 
     def test_target_is_exact_fixed_point(self):
-        rho = eigenstate(self.ops, 3)
-        out = em_step(rho, 0.0, self.cfg, dw=0.03, ops=self.ops)
-        np.testing.assert_array_equal(np.asarray(out), np.asarray(rho))
+        rho = np.asarray(eigenstate(self.ops, 3))
+        out = _euler_step(rho, 0.0, 0.03, self.cfg, self.ops)
+        np.testing.assert_array_equal(out, rho)
 
     def test_non_finite_increment_raises(self):
         with pytest.raises(NumericalFailureError):
-            em_step(eigenstate(self.ops, 1), 1.0, self.cfg, dw=np.nan,
-                    ops=self.ops)
+            _euler_step(np.asarray(eigenstate(self.ops, 1)), 1.0, np.nan,
+                        self.cfg, self.ops)
 
     def test_batched_loop_raises_with_failure_time(self):
         # A valid pure state and a drive so large that the first step
@@ -143,8 +143,7 @@ class TestEmStep:
         cfg = SdeStepConfig(dt=1e10)
         rho0 = np.full((3, 3), 1 / 3, dtype=complex)
         with pytest.raises(NumericalFailureError) as exc:
-            simulate_trajectory(rho0, 1e300, 2e10, cfg, seed=0, f=3,
-                                ops=self.ops)
+            simulate_batch(rho0, 1e300, 2e10, cfg, 0, [0], f=3, ops=self.ops)
         assert exc.value.time == pytest.approx(cfg.dt)
 
     def test_invariants_after_random_steps(self):
@@ -153,12 +152,11 @@ class TestEmStep:
             rho = random_density(3, rng)
             u = rng.uniform(-2, 2)
             dw = rng.normal(0, np.sqrt(self.cfg.dt))
-            out = em_step(rho, u, self.cfg, dw, self.ops)
-            mat = np.asarray(out)
+            mat = _euler_step(rho, u, dw, self.cfg, self.ops)
             assert np.linalg.norm(mat - mat.conj().T) <= 1e-9
             assert abs(np.trace(mat) - 1) <= 1e-9
             assert np.linalg.eigvalsh(mat).min() >= -1e-9
-            assert 1 / 3 - 1e-9 <= out.purity() <= 1 + 1e-9
+            assert 1 / 3 - 1e-9 <= np.vdot(mat, mat).real <= 1 + 1e-9
 
     def test_one_step_refinement_error_scales_linearly(self):
         """A dt step vs two dt/2 substeps on the same Brownian increments:
@@ -175,10 +173,10 @@ class TestEmStep:
                 u = rng.uniform(-2, 2)
                 dw1 = rng.normal(0, np.sqrt(dt / 2))
                 dw2 = rng.normal(0, np.sqrt(dt / 2))
-                full = em_step(rho, u, cfg_full, dw1 + dw2, ops)
-                half = em_step(em_step(rho, u, cfg_half, dw1, ops),
-                               u, cfg_half, dw2, ops)
-                gaps.append(np.linalg.norm(np.asarray(full) - np.asarray(half)))
+                full = _euler_step(rho, u, dw1 + dw2, cfg_full, ops)
+                half = _euler_step(_euler_step(rho, u, dw1, cfg_half, ops),
+                                   u, dw2, cfg_half, ops)
+                gaps.append(np.linalg.norm(full - half))
             return np.mean(gaps)
 
         d1 = mean_defect(2e-3)
@@ -230,40 +228,40 @@ class TestEmStep:
 
 
 class TestSimulateTrajectory:
+    """Single trajectories, each the one-stream run ``simulate_batch(...,
+    [stream])[0]``."""
+
     def setup_method(self):
         self.ops = make_spin_operators(1)
         self.cfg = SdeStepConfig(dt=1e-3, eta=1.0)
+        self.ctrl = new_controller(0.1, 3, self.ops)
 
     def test_stationary_at_target(self):
-        ctrl = new_controller(0.1, 3, self.ops, eigenstate(self.ops, 3))
-        rec = simulate_trajectory(eigenstate(self.ops, 3), ctrl, 1.0, self.cfg,
-                                  seed=5)
+        rec = simulate_batch(eigenstate(self.ops, 3), self.ctrl, 1.0, self.cfg,
+                             5, [0])[0]
         assert np.all(rec.V == 0.0)
         assert np.all(rec.u == 0.0)
         assert rec.converged
 
     def test_same_seed_bit_identical(self):
-        ctrl = new_controller(0.1, 3, self.ops, eigenstate(self.ops, 1))
-        a = simulate_trajectory(eigenstate(self.ops, 1), ctrl, 2.0, self.cfg,
-                                seed=42)
-        b = simulate_trajectory(eigenstate(self.ops, 1), ctrl, 2.0, self.cfg,
-                                seed=42)
+        a = simulate_batch(eigenstate(self.ops, 1), self.ctrl, 2.0, self.cfg,
+                           42, [0])[0]
+        b = simulate_batch(eigenstate(self.ops, 1), self.ctrl, 2.0, self.cfg,
+                           42, [0])[0]
         np.testing.assert_array_equal(a.V, b.V)
         np.testing.assert_array_equal(a.u, b.u)
         np.testing.assert_array_equal(a.purity, b.purity)
 
     def test_different_streams_differ(self):
-        ctrl = new_controller(0.1, 3, self.ops, eigenstate(self.ops, 1))
-        a = simulate_trajectory(eigenstate(self.ops, 1), ctrl, 1.0, self.cfg,
-                                seed=42, stream=0)
-        b = simulate_trajectory(eigenstate(self.ops, 1), ctrl, 1.0, self.cfg,
-                                seed=42, stream=1)
+        a = simulate_batch(eigenstate(self.ops, 1), self.ctrl, 1.0, self.cfg,
+                           42, [0])[0]
+        b = simulate_batch(eigenstate(self.ops, 1), self.ctrl, 1.0, self.cfg,
+                           42, [1])[0]
         assert not np.array_equal(a.V, b.V)
 
     def test_record_shape_and_invariants(self):
-        ctrl = new_controller(0.1, 3, self.ops, eigenstate(self.ops, 1))
-        rec = simulate_trajectory(eigenstate(self.ops, 1), ctrl, 1.0, self.cfg,
-                                  seed=3, record_stride=7)
+        rec = simulate_batch(eigenstate(self.ops, 1), self.ctrl, 1.0, self.cfg,
+                             3, [0], record_stride=7)[0]
         assert np.all(np.diff(rec.times) > 0)
         assert rec.times[0] == 0.0
         assert rec.times[-1] == pytest.approx(1.0)
@@ -272,30 +270,27 @@ class TestSimulateTrajectory:
         assert set(rec.modes) <= {"feedback", "constant"}
 
     def test_batch_equals_singles(self):
-        ctrl = new_controller(0.1, 3, self.ops, eigenstate(self.ops, 1))
-        batch = simulate_batch(eigenstate(self.ops, 1), ctrl, 1.0, self.cfg,
-                               11, [0, 1, 2])
+        batch = simulate_batch(eigenstate(self.ops, 1), self.ctrl, 1.0,
+                               self.cfg, 11, [0, 1, 2])
         for stream in (0, 1, 2):
-            solo = simulate_trajectory(eigenstate(self.ops, 1), ctrl, 1.0,
-                                       self.cfg, seed=11, stream=stream)
+            solo = simulate_batch(eigenstate(self.ops, 1), self.ctrl, 1.0,
+                                  self.cfg, 11, [stream])[0]
             np.testing.assert_array_equal(batch[stream].V, solo.V)
             np.testing.assert_array_equal(batch[stream].u, solo.u)
 
     def test_fixed_input_run_records_constant_mode(self):
-        rec = simulate_trajectory(eigenstate(self.ops, 1), 1.0, 0.5, self.cfg,
-                                  seed=1, f=3, ops=self.ops)
+        rec = simulate_batch(eigenstate(self.ops, 1), 1.0, 0.5, self.cfg, 1,
+                             [0], f=3, ops=self.ops)[0]
         assert np.all(rec.u == 1.0)
         assert set(rec.modes) == {"constant"}
 
     def test_fixed_input_requires_target_and_ops(self):
         with pytest.raises(ValueError, match="fixed-input"):
-            simulate_trajectory(eigenstate(self.ops, 1), 1.0, 0.5, self.cfg,
-                                seed=1)
+            simulate_batch(eigenstate(self.ops, 1), 1.0, 0.5, self.cfg, 1, [0])
 
     def test_empty_stream_list_rejected(self):
-        ctrl = new_controller(0.1, 3, self.ops, eigenstate(self.ops, 1))
         with pytest.raises(ValueError, match="M must be >= 1"):
-            simulate_batch(eigenstate(self.ops, 1), ctrl, 0.05, self.cfg,
+            simulate_batch(eigenstate(self.ops, 1), self.ctrl, 0.05, self.cfg,
                            base_seed=0, streams=[])
 
     def test_generator_streams_give_one_record_each(self):
@@ -316,8 +311,8 @@ class TestSimulateTrajectory:
             cfg = SdeStepConfig(dt=dt, eta=1.0)
             worst = 0.0
             for stream in range(4):
-                rec = simulate_trajectory(rho0, 1.0, 2.0, cfg, seed=31,
-                                          stream=stream, f=3, ops=self.ops)
+                rec = simulate_batch(rho0, 1.0, 2.0, cfg, 31, [stream], f=3,
+                                     ops=self.ops)[0]
                 worst = max(worst, float((1.0 - rec.purity).max()))
             return worst
 
@@ -381,6 +376,11 @@ class TestEnsembleOde:
             integrate_ensemble(maximally_mixed(3), 1.0, 1.0, -1e-2, self.ops)
         with pytest.raises(ValueError):
             integrate_ensemble(maximally_mixed(3), 1.0, 0.0, 1e-2, self.ops)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="dt_ode must be finite"):
+                integrate_ensemble(maximally_mixed(3), 1.0, 1.0, bad, self.ops)
+            with pytest.raises(ValueError, match="horizon T must be finite"):
+                integrate_ensemble(maximally_mixed(3), 1.0, bad, 1e-2, self.ops)
 
     def test_states_are_one_read_only_array(self, monkeypatch):
         built = []
@@ -417,12 +417,13 @@ BAD_RHO0 = {
                   "N = 3"),
 }
 
-# Every integrator entry that takes an initial state.
+# Every integrator entry that takes an initial state; "simulate_trajectory"
+# is one fixed-input path.
 ENTRIES = {
-    "simulate_trajectory": lambda rho0: simulate_trajectory(
-        rho0, 1.0, 0.01, SdeStepConfig(), seed=0, f=3, ops=_OPS3),
+    "simulate_trajectory": lambda rho0: simulate_batch(
+        rho0, 1.0, 0.01, SdeStepConfig(), 0, [0], f=3, ops=_OPS3),
     "simulate_batch_mh": lambda rho0: simulate_batch(
-        rho0, new_controller(0.1, 1, _OPS3, rho0), 0.01, SdeStepConfig(), 0,
+        rho0, new_controller(0.1, 1, _OPS3), 0.01, SdeStepConfig(), 0,
         [0, 1]),
     "run_ensemble": lambda rho0: run_ensemble(
         rho0, 1.0, 0.01, SdeStepConfig(), M=2, f=3, ops=_OPS3),
@@ -447,3 +448,6 @@ class TestStepConfig:
             SdeStepConfig(eta=0.0)
         with pytest.raises(ValueError):
             SdeStepConfig(eta=1.1)
+        for dt in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="dt must be finite"):
+                SdeStepConfig(dt=dt)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spinstab.controller import new_controller
-from spinstab.dynamics import SdeStepConfig, integrate_ensemble, simulate_trajectory
+from spinstab.dynamics import SdeStepConfig, integrate_ensemble, simulate_batch
 from spinstab.montecarlo import (
     compare_mean_vs_ode,
     default_workers,
@@ -26,17 +26,16 @@ RHO1 = eigenstate(OPS3, 1)
 
 class TestRunEnsemble:
     def test_single_member_reduces_to_trajectory(self):
-        ctrl = new_controller(0.1, 3, OPS3, RHO1)
+        ctrl = new_controller(0.1, 3, OPS3)
         stats = run_ensemble(RHO1, ctrl, 2.0, CFG, M=1, base_seed=9,
                              record_stride=10)
-        rec = simulate_trajectory(RHO1, ctrl, 2.0, CFG, seed=9, stream=0,
-                                  record_stride=10)
+        rec = simulate_batch(RHO1, ctrl, 2.0, CFG, 9, [0], record_stride=10)[0]
         np.testing.assert_array_equal(stats.times, rec.times)
         np.testing.assert_array_equal(stats.mean_V, rec.V)
         assert stats.final_V[0] == rec.V[-1]
 
     def test_reproducible_and_worker_independent(self):
-        ctrl = new_controller(0.1, 3, OPS3, RHO1)
+        ctrl = new_controller(0.1, 3, OPS3)
         kw = dict(M=130, base_seed=3, record_stride=100)
         a = run_ensemble(RHO1, ctrl, 0.5, CFG, **kw, workers=1)
         b = run_ensemble(RHO1, ctrl, 0.5, CFG, **kw, workers=1)

@@ -5,25 +5,28 @@ F_y as one real matmul; both rest on the state being Hermitian. These
 properties compare them with the plain commutator formulas on random
 Hermitian states, single and batched, for J in {1/2, 1, 5/2, 10} and
 every target index. ``switch_modes`` is compared with a scalar automaton
-written from the hysteresis law in the ``controller`` module docstring.
+written from the hysteresis law in the ``controller`` module docstring,
+and the mode the integrator's loop picks at t = 0 with the rule that
+docstring states for it.
 The dtype rule (a real state is stepped in float64, a complex one in
 complex128, through the same kernels) is checked against the complex
 computation on the same matrix.
 """
 
+import warnings
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from helpers import random_density
 from spinstab import dynamics
 from spinstab.controller import feedback_gain, new_controller, switch_modes
 from spinstab.dynamics import (SdeStepConfig, _euler_step, integrate_ensemble,
                                simulate_batch, sme_drift)
-from spinstab.quantum import (_clip_psd, _dag, make_spin_operators,
-                              random_density)
+from spinstab.quantum import _clip_psd, _dag, distance_V, make_spin_operators
 
 OPS = {J: make_spin_operators(J) for J in (0.5, 1, 2.5, 10)}
 
@@ -31,11 +34,12 @@ _entries = st.floats(-1.0, 1.0, allow_subnormal=False)
 
 
 @st.composite
-def spin_states(draw):
-    """(ops, rho, batch): an exactly Hermitian unit-trace PSD state, or a
-    stack of them, from a complex factor G as (G G* + 1e-12 I) / trace."""
+def spin_states(draw, batched=True):
+    """(ops, rho, batch): an exactly Hermitian unit-trace PSD state, or (if
+    ``batched``) a stack of them, from a complex factor G as
+    (G G* + 1e-12 I) / trace."""
     ops = OPS[draw(st.sampled_from(sorted(OPS)))]
-    batch = draw(st.one_of(st.none(), st.integers(1, 4)))
+    batch = draw(st.one_of(st.none(), st.integers(1, 4))) if batched else None
     shape = (ops.dim, ops.dim) if batch is None else (batch, ops.dim, ops.dim)
     g = (draw(arrays(np.float64, shape, elements=_entries))
          + 1j * draw(arrays(np.float64, shape, elements=_entries)))
@@ -122,6 +126,37 @@ def test_switch_modes_steps_like_the_scalar_automaton(run):
 
 
 @st.composite
+def initial_modes(draw):
+    """(ops, rho0, f, gamma): a random state and target, with gamma drawn at
+    random, or so that V(rho0) sits exactly on the lower band edge 1 - gamma,
+    strictly inside the band or exactly on its upper edge 1 - gamma/2."""
+    ops, rho0, _ = draw(spin_states(batched=False))
+    f = draw(st.integers(1, ops.dim))
+    v = distance_V(rho0, f)
+    where = draw(st.sampled_from(["random", "lower", "inside", "upper"]))
+    if where == "random":
+        gamma = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    else:
+        gamma = {"lower": 1.0, "inside": 1.5, "upper": 2.0}[where] * (1.0 - v)
+        edge = {"lower": 1.0 - gamma, "upper": 1.0 - gamma / 2}.get(where, v)
+        assume(gamma > 0.0 and edge == v)
+    return ops, rho0, f, gamma
+
+
+@settings(deadline=None)
+@given(initial_modes())
+def test_first_switch_picks_feedback_iff_v0_at_most_one_minus_gamma(case):
+    ops, rho0, f, gamma = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # gamma >= 1/N is fine
+        ctrl = new_controller(gamma, f, ops)
+    rec = simulate_batch(rho0, ctrl, 1e-3, SdeStepConfig(), 0, [0])[0]
+    feedback = distance_V(rho0, f) <= 1.0 - gamma
+    assert rec.modes[0] == ("feedback" if feedback else "constant")
+    assert rec.u[0] == (feedback_gain(rho0, f, ops) if feedback else 1.0)
+
+
+@st.composite
 def real_states(draw):
     """(ops, rho, batch): a real symmetric unit-trace PSD state, or a stack
     of them, from a real factor G as (G G^T + 1e-12 I) / trace."""
@@ -168,7 +203,7 @@ def test_real_state_steps_in_float64_like_the_complex_one(case, data):
 def test_complex_state_is_stepped_in_complex128(J, seed):
     ops = OPS[J]
     rho0 = random_density(ops.dim, np.random.default_rng(seed))
-    ctrl = new_controller(0.5 / ops.dim, ops.dim, ops, rho0)
+    ctrl = new_controller(0.5 / ops.dim, ops.dim, ops)
     projected = []
 
     def recording_clip_psd(mat):

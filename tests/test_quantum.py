@@ -5,16 +5,16 @@ import dataclasses
 import numpy as np
 import pytest
 
+from helpers import random_density
 from spinstab.quantum import (
     NumericalFailureError,
     QuantumState,
+    _clip_psd,
     distance_V,
     eigenstate,
     lyapunov_Q,
     make_spin_operators,
     maximally_mixed,
-    project_to_state_space,
-    random_density,
 )
 
 J_GRID = [0.5 * k for k in range(1, 21)]  # 1/2, 1, ..., 10
@@ -171,21 +171,19 @@ class TestProjection:
         rng = np.random.default_rng(3)
         for _ in range(50):
             rho = random_density(4, rng)
-            out = project_to_state_space(np.asarray(rho))
-            np.testing.assert_allclose(np.asarray(out), np.asarray(rho),
-                                       atol=1e-13)
+            out = _clip_psd(rho)
+            np.testing.assert_allclose(out, rho, atol=1e-13)
 
     def test_clip_and_renormalize(self):
-        out = project_to_state_space(np.diag([1.1, -0.1]))
-        np.testing.assert_allclose(np.asarray(out), np.diag([1.0, 0.0]),
-                                   atol=1e-14)
+        out = _clip_psd(np.diag([1.1, -0.1]))
+        np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-14)
 
     def test_antihermitian_part_removed(self):
         rng = np.random.default_rng(4)
-        rho = np.asarray(random_density(3, rng))
+        rho = random_density(3, rng)
         k = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         k = k - k.conj().T  # anti-Hermitian
-        out = np.asarray(project_to_state_space(rho + 1e-6 * k))
+        out = _clip_psd(rho + 1e-6 * k)
         np.testing.assert_allclose(out, out.conj().T, atol=1e-15)
 
     def test_idempotent(self):
@@ -193,8 +191,8 @@ class TestProjection:
         for _ in range(50):
             raw = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
             raw = raw + raw.conj().T  # Hermitian but wildly invalid
-            once = np.asarray(project_to_state_space(raw))
-            twice = np.asarray(project_to_state_space(once))
+            once = _clip_psd(raw)
+            twice = _clip_psd(once)
             np.testing.assert_allclose(twice, once, atol=1e-13)
 
     def test_all_invariants_after_projection(self):
@@ -202,26 +200,25 @@ class TestProjection:
         tol = 1e-9
         for _ in range(100):
             raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            out = np.asarray(project_to_state_space(raw + raw.conj().T))
+            out = _clip_psd(raw + raw.conj().T)
             assert np.linalg.norm(out - out.conj().T) <= tol
             assert abs(np.trace(out) - 1) <= tol
             assert np.linalg.eigvalsh(out).min() >= -tol
 
     def test_total_loss_raises(self):
         with pytest.raises(NumericalFailureError):
-            project_to_state_space(np.diag([-1.0, -2.0]))
+            _clip_psd(np.diag([-1.0, -2.0]))
 
     def test_non_finite_raises(self):
         for bad in (np.nan, np.inf):
             with pytest.raises(NumericalFailureError, match="non-finite"):
-                project_to_state_space(np.diag([bad, 0.5]))
+                _clip_psd(np.diag([bad, 0.5]))
 
 
 class TestQuantumStateValidation:
     def test_accepts_valid(self):
         rng = np.random.default_rng(2)
-        st = random_density(3, rng)
-        QuantumState(np.asarray(st))  # revalidate explicitly
+        QuantumState(random_density(3, rng))
 
     def test_rejects_nonhermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
@@ -244,6 +241,3 @@ class TestQuantumStateValidation:
         st = maximally_mixed(2)
         with pytest.raises(ValueError):
             np.asarray(st)[0, 0] = 5.0
-
-    def test_purity(self):
-        assert maximally_mixed(4).purity() == pytest.approx(0.25)
