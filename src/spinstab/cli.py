@@ -25,7 +25,8 @@ import click
 import numpy as np
 
 from .controller import new_controller
-from .dynamics import SdeStepConfig, integrate_ensemble, simulate_batch
+from .dynamics import (EPS_CONV, SdeStepConfig, integrate_ensemble,
+                       simulate_batch)
 from .montecarlo import estimate_exit_time, run_ensemble
 from .quantum import (
     NumericalFailureError,
@@ -55,8 +56,8 @@ class SimConfig:
     ``initial`` is a 1-based eigenstate index or a path to a ``.npy`` file
     holding an explicit density matrix. ``control`` is ``"mh"`` for the
     switching law or ``"constant:<value>"`` for a fixed input. ``gamma_a``
-    and ``T_cap`` only matter for exit-time runs, ``dt_ode`` and ``u_ode``
-    only for averaged-dynamics runs.
+    only matters for exit-time runs, ``dt_ode`` and ``u_ode`` only for
+    averaged-dynamics runs, which do not read ``dt`` or ``eta``.
     """
 
     J: float = 1.0
@@ -72,7 +73,6 @@ class SimConfig:
     record_stride: int = 1
     control: str = "mh"
     gamma_a: float | None = None
-    T_cap: float | None = None
     dt_ode: float = 1e-2
     u_ode: float = 1.0
 
@@ -151,16 +151,15 @@ def _library_errors():
 
 
 def _resolve(cfg: SimConfig):
-    """Build (ops, rho0, step config); the constructors check the values."""
+    """Build (ops, rho0); the constructors check the values."""
     ops = make_spin_operators(cfg.J)
-    step = SdeStepConfig(dt=cfg.dt, eta=cfg.eta)
     if isinstance(cfg.initial, int) or (isinstance(cfg.initial, str)
                                         and cfg.initial.lstrip("-").isdigit()):
-        return ops, eigenstate(ops, int(cfg.initial)), step
+        return ops, eigenstate(ops, int(cfg.initial))
     path = Path(str(cfg.initial))
     if not path.exists():
         raise ConfigError(f"initial: no such matrix file '{path}'")
-    return ops, QuantumState(np.load(path)), step
+    return ops, QuantumState(np.load(path))
 
 
 def _parse_control(cfg: SimConfig, ops):
@@ -238,9 +237,10 @@ def simulate(preset, config_path, **overrides):
     """Simulate closed-loop sample paths; one CSV per trajectory."""
     cfg = load_config(preset, config_path, overrides)
     with _library_errors():
-        ops, rho0, step = _resolve(cfg)
+        ops, rho0 = _resolve(cfg)
         records = simulate_batch(
-            rho0, _parse_control(cfg, ops), cfg.T, step, cfg.base_seed,
+            rho0, _parse_control(cfg, ops), cfg.T,
+            SdeStepConfig(cfg.dt, cfg.eta), cfg.base_seed,
             list(range(cfg.M)), f=cfg.f, ops=ops,
             record_stride=cfg.record_stride)
     out = _prepare_output(cfg)
@@ -260,9 +260,10 @@ def ensemble(preset, config_path, **overrides):
     """Monte Carlo ensemble statistics (CSV series + JSON summary)."""
     cfg = load_config(preset, config_path, overrides)
     with _library_errors():
-        ops, rho0, step = _resolve(cfg)
+        ops, rho0 = _resolve(cfg)
         stats = run_ensemble(
-            rho0, _parse_control(cfg, ops), cfg.T, step, cfg.M,
+            rho0, _parse_control(cfg, ops), cfg.T,
+            SdeStepConfig(cfg.dt, cfg.eta), cfg.M,
             cfg.base_seed, f=cfg.f, ops=ops, record_stride=cfg.record_stride)
     out = _prepare_output(cfg)
     rows = ([_fmt(t), _fmt(v), _fmt(c)]
@@ -272,7 +273,7 @@ def ensemble(preset, config_path, **overrides):
         "convergence_fraction": stats.convergence_fraction,
         "M": stats.M,
         "seed": stats.base_seed,
-        "eps_conv": stats.eps_conv,
+        "eps_conv": EPS_CONV,
         "mean_V_final": float(stats.mean_V[-1]),
         "failures": [[int(i), float(t)] for i, t in stats.failures],
     }
@@ -286,18 +287,16 @@ def ensemble(preset, config_path, **overrides):
 @_with_config_options
 @click.option("--gamma-a", "gamma_a", type=float, default=None,
               help="Region parameter: exit when V <= 1 - gamma_a.")
-@click.option("--t-cap", "T_cap", type=float, default=None,
-              help="Censoring horizon (defaults to T).")
 def exit_time(preset, config_path, **overrides):
     """Estimate first-exit times of the far region under the fixed input."""
     cfg = load_config(preset, config_path, overrides)
     if cfg.gamma_a is None:
         raise ConfigError("gamma_a: required for exit-time runs")
-    t_cap = cfg.T_cap if cfg.T_cap is not None else cfg.T
     with _library_errors():
-        ops, rho0, step = _resolve(cfg)
-        report = estimate_exit_time(cfg.gamma_a, rho0, cfg.f, ops, t_cap,
-                                    step, cfg.M, cfg.base_seed)
+        ops, rho0 = _resolve(cfg)
+        report = estimate_exit_time(cfg.gamma_a, rho0, cfg.f, ops, cfg.T,
+                                    SdeStepConfig(cfg.dt, cfg.eta), cfg.M,
+                                    cfg.base_seed)
     out = _prepare_output(cfg)
     payload = asdict(report)
     payload["tau"] = [float(t) for t in report.tau]
@@ -305,7 +304,7 @@ def exit_time(preset, config_path, **overrides):
         json.dumps(payload, sort_keys=True, indent=2) + "\n")
     if report.inconclusive:
         click.echo(f"inconclusive: all {report.M} paths censored at "
-                   f"T_cap = {t_cap:g}")
+                   f"T = {cfg.T:g}")
     else:
         click.echo(f"mean exit time {report.mean:.4g} "
                    f"(censored {report.censored}/{report.M}, "
@@ -322,7 +321,7 @@ def ode(preset, config_path, **overrides):
     """Integrate the averaged dynamics and export its distance diagnostics."""
     cfg = load_config(preset, config_path, overrides)
     with _library_errors():
-        ops, rho0, _ = _resolve(cfg)
+        ops, rho0 = _resolve(cfg)
         traj = integrate_ensemble(rho0, cfg.u_ode, cfg.T, cfg.dt_ode, ops)
         V = distance_V(traj.states, cfg.f)
     mixed = np.asarray(maximally_mixed(ops.dim))

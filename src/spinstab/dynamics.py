@@ -33,13 +33,14 @@ those kernels in complex128.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .controller import ControllerState, feedback_gain, switch_modes
 from .quantum import (NumericalFailureError, QuantumState, SpinOperators,
-                      _check_dim, _clip_psd, _dag)
+                      _check_dim, _clip_psd, _dag, distance_V)
 
 __all__ = [
     "SdeStepConfig",
@@ -55,8 +56,9 @@ __all__ = [
 # Convergence flag threshold on V: discriminates converged paths at figure level.
 EPS_CONV = 0.01
 
-# Cap on the number of Gaussian increments drawn per chunk (memory bound).
-_NOISE_CHUNK_ELEMS = 4_000_000
+# Steps of noise drawn per member at a time. Philox draws do not depend on
+# how they are blocked, so the block size bounds memory and changes no result.
+_NOISE_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,6 @@ class TrajectoryRecord:
     u: np.ndarray
     purity: np.ndarray
     modes: np.ndarray
-    seed: int
     stream: int
     converged: bool
     first_time_below: float | None
@@ -170,6 +171,26 @@ def _checked_rho0(rho0, ops: SpinOperators) -> np.ndarray:
     return mat if mat.imag.any() else np.ascontiguousarray(mat.real)
 
 
+def _step_count(T: float, dt: float, dt_name: str) -> int:
+    """The number of steps of size ``dt`` that reach the horizon ``T``.
+
+    The one place a horizon and a step become a step count. Raises
+    ValueError naming the bad value unless both are finite and > 0 and
+    T / dt rounds to a count from 1 to sys.maxsize.
+    """
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"{dt_name} must be finite and > 0, got {dt}")
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"horizon T must be finite and > 0, got {T}")
+    if not T / dt <= sys.maxsize:
+        raise ValueError(f"horizon T = {T} is {T / dt:g} steps of "
+                         f"{dt_name} = {dt}, more than {sys.maxsize}")
+    n_steps = round(T / dt)
+    if n_steps < 1:
+        raise ValueError(f"horizon T = {T} is below one step {dt_name} = {dt}")
+    return n_steps
+
+
 def _failed_at(err: NumericalFailureError, t: float) -> NumericalFailureError:
     """The same failure, stamped with the time of the step that caused it."""
     return NumericalFailureError(f"{err} at t = {t:g}", time=t)
@@ -210,13 +231,15 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
     and ``ops``. Under the switching law each member carries its own mode
     flag. Every member starts in the constant mode, so the first
     ``switch_modes`` call, at t = 0, decides the mode: feedback exactly when
-    V(rho0) <= 1 - gamma, constant in the band and above it. With an
-    ``exit_threshold`` the loop stops once every member has reached
-    V <= exit_threshold. The batch is stepped in the dtype that
-    ``_checked_rho0`` picks for ``rho0``. Raises ValueError for an input
-    outside its range, including a ``rho0`` that is not an N x N density
-    matrix, and NumericalFailureError, with the time of the failed step, if
-    a member's state becomes non-finite.
+    V(rho0) <= 1 - gamma, constant in the band and above it. Step k of the
+    ``_step_count`` steps is recorded when ``k % record_stride == 0`` and at
+    the last step. With an ``exit_threshold`` the loop, and the records,
+    stop once every member has reached V <= exit_threshold. Each member
+    draws its noise in blocks of ``_NOISE_BLOCK`` steps. The batch is
+    stepped in the dtype that ``_checked_rho0`` picks for ``rho0``. Raises
+    ValueError for an input outside its range, including a ``rho0`` that is
+    not an N x N density matrix, and NumericalFailureError, with the time of
+    the failed step, if a member's state becomes non-finite.
     """
     mh = isinstance(control, ControllerState)
     if mh:
@@ -227,48 +250,38 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
         u_const = float(control)
     if record_stride < 1:
         raise ValueError(f"record_stride must be >= 1, got {record_stride}")
-    if not (math.isfinite(T) and T > 0):
-        raise ValueError(f"horizon T must be finite and > 0, got {T}")
-    n_steps = int(round(T / cfg.dt))
-    if n_steps < 1:
-        raise ValueError(f"horizon T = {T} is below one step dt = {cfg.dt}")
+    n_steps = _step_count(T, cfg.dt, "dt")
 
     m_count = len(streams)
     if m_count < 1:
         raise ValueError("M must be >= 1: no trajectory streams given")
     rho0 = _checked_rho0(rho0, ops)
-    n = ops.dim
-    fi = f - 1
-    if not 0 <= fi < n:
-        raise ValueError(f"target index must be in 1..{n}, got {f}")
-
-    rec_ks = list(range(0, n_steps + 1, record_stride))
-    if rec_ks[-1] != n_steps:
-        rec_ks.append(n_steps)
-    n_rec = len(rec_ks)
 
     state = np.tile(rho0, (m_count, 1, 1))
     modes = np.zeros(m_count, dtype=bool)
     first_below = np.full(m_count, np.nan)
     exit_times = np.full(m_count, np.nan)
 
+    # steps 0, s, 2s, ... and the last: ceil(n_steps / s) + 1 records
+    n_rec = -(-n_steps // record_stride) + 1
+    rec_t = np.zeros(n_rec)
     rec_V = np.zeros((n_rec, m_count))
     rec_u = np.zeros((n_rec, m_count))
     rec_purity = np.zeros((n_rec, m_count))
     rec_modes = np.zeros((n_rec, m_count), dtype=np.uint8)
-    rec_sum = np.zeros((n_rec, n, n), dtype=complex) if accumulate_sum else None
+    rec_sum = (np.zeros((n_rec, *rho0.shape), dtype=complex)
+               if accumulate_sum else None)
 
     gens = [_philox_rng(base_seed, s) for s in streams]
     sqrt_dt = np.sqrt(cfg.dt)
-    chunk_len = max(1, min(n_steps, _NOISE_CHUNK_ELEMS // m_count))
-    noise = np.empty((m_count, chunk_len))
-    chunk_start = chunk_fill = 0
+    noise = np.empty((m_count, min(_NOISE_BLOCK, n_steps)))
+    block_start = block_fill = 0
 
     rec_i = 0
     k = 0
     while True:
         t = k * cfg.dt
-        v = np.clip(1.0 - state[:, fi, fi].real, 0.0, 1.0)
+        v = distance_V(state, f)
 
         newly_below = np.isnan(first_below) & (v < EPS_CONV)
         if newly_below.any():
@@ -284,7 +297,8 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
         else:
             u_vec = np.full(m_count, u_const)
 
-        if rec_i < n_rec and k == rec_ks[rec_i]:
+        if k % record_stride == 0 or k == n_steps:
+            rec_t[rec_i] = t
             rec_V[rec_i] = v
             rec_u[rec_i] = u_vec
             rec_purity[rec_i] = np.sum(np.abs(state) ** 2, axis=(-2, -1))
@@ -298,12 +312,12 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
         if exit_threshold is not None and not np.isnan(exit_times).any():
             break
 
-        if k - chunk_start >= chunk_fill:
-            chunk_start = k
-            chunk_fill = min(chunk_len, n_steps - k)
+        if k - block_start >= block_fill:
+            block_start = k
+            block_fill = min(_NOISE_BLOCK, n_steps - k)
             for j, g in enumerate(gens):
-                noise[j, :chunk_fill] = g.normal(0.0, sqrt_dt, chunk_fill)
-        dw = noise[:, k - chunk_start]
+                noise[j, :block_fill] = g.normal(0.0, sqrt_dt, block_fill)
+        dw = noise[:, k - block_start]
 
         try:
             state = _euler_step(state, u_vec, dw[:, None, None], cfg, ops)
@@ -312,9 +326,8 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
         k += 1
 
     return _BatchResult(
-        times=np.asarray(rec_ks[:rec_i], dtype=float) * cfg.dt,
-        V=rec_V[:rec_i], u=rec_u[:rec_i], purity=rec_purity[:rec_i],
-        modes=rec_modes[:rec_i],
+        times=rec_t[:rec_i], V=rec_V[:rec_i], u=rec_u[:rec_i],
+        purity=rec_purity[:rec_i], modes=rec_modes[:rec_i],
         state_sum=rec_sum[:rec_i] if accumulate_sum else None,
         first_below=first_below, exit_times=exit_times)
 
@@ -334,11 +347,6 @@ def simulate_batch(rho0, control, T: float, cfg: SdeStepConfig,
     streams = list(streams)
     res = _integrate_batch(rho0, control, T, cfg, base_seed, streams, f=f,
                            ops=ops, record_stride=record_stride)
-    return _records_from_batch(res, base_seed, streams)
-
-
-def _records_from_batch(res: _BatchResult, base_seed: int,
-                        streams) -> list[TrajectoryRecord]:
     records = []
     for j, stream in enumerate(streams):
         fb = res.first_below[j]
@@ -348,7 +356,6 @@ def _records_from_batch(res: _BatchResult, base_seed: int,
             u=res.u[:, j].copy(),
             purity=res.purity[:, j].copy(),
             modes=np.where(res.modes[:, j] == 1, "feedback", "constant"),
-            seed=base_seed,
             stream=stream,
             converged=bool(res.V[-1, j] < EPS_CONV),
             first_time_below=None if np.isnan(fb) else float(fb)))
@@ -368,14 +375,7 @@ def integrate_ensemble(rho0, u: float, T: float, dt_ode: float,
     outside its range, ``rho0`` included, and NumericalFailureError, with
     the time of the failed step, if the state becomes non-finite.
     """
-    if not (math.isfinite(dt_ode) and dt_ode > 0):
-        raise ValueError(f"dt_ode must be finite and > 0, got {dt_ode}")
-    if not (math.isfinite(T) and T > 0):
-        raise ValueError(f"horizon T must be finite and > 0, got {T}")
-    n_steps = int(round(T / dt_ode))
-    if n_steps < 1:
-        raise ValueError(f"horizon T = {T} is below one step dt_ode = {dt_ode}")
-
+    n_steps = _step_count(T, dt_ode, "dt_ode")
     state = _checked_rho0(rho0, ops)
     states = np.empty((n_steps + 1, ops.dim, ops.dim), dtype=state.dtype)
     states[0] = state

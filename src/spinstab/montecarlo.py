@@ -53,12 +53,11 @@ class EnsembleStats:
 
     ``mean_state`` is the per-time average over all members, projected
     back to the state space. ``conv_frac`` tracks the fraction of members
-    with V below ``eps_conv`` (always EPS_CONV) at each time;
-    ``convergence_fraction`` is its value at the horizon, and ``final_V``
-    holds each member's V there, members 0..M-1 in order. ``failures`` is
-    always empty: a member whose state becomes non-finite stops the whole
-    run with NumericalFailureError. ``eps_conv`` and ``failures`` are kept
-    because ``summary.json`` writes them.
+    with V below EPS_CONV at each time; ``convergence_fraction`` is its
+    value at the horizon, and ``final_V`` holds each member's V there,
+    members 0..M-1 in order. ``failures`` is always empty: a member whose
+    state becomes non-finite stops the whole run with
+    NumericalFailureError. It is kept because ``summary.json`` writes it.
     """
 
     times: np.ndarray
@@ -69,7 +68,6 @@ class EnsembleStats:
     convergence_fraction: float
     M: int
     base_seed: int
-    eps_conv: float
     failures: list
 
 
@@ -156,7 +154,7 @@ def run_ensemble(rho0, control, T: float, cfg: SdeStepConfig, M: int = 100,
         mean_state=mean_state,
         final_V=np.concatenate([res.V[-1] for res in results]),
         convergence_fraction=float(conv_frac[-1]), M=M, base_seed=base_seed,
-        eps_conv=EPS_CONV, failures=[])
+        failures=[])
 
 
 def estimate_exit_time(gamma_a: float, rho0, f: int, ops: SpinOperators,
@@ -205,13 +203,13 @@ def estimate_exit_time(gamma_a: float, rho0, f: int, ops: SpinOperators,
     stderr = float(tau.std(ddof=1) / np.sqrt(tau.size)) if tau.size > 1 else None
     t0 = float(np.median(tau))
     still_inside = int((tau > t0).sum()) + censored
+    # At most half of tau lies above its median, so p_hat < 1.
     p_hat = still_inside / M
-    bound = float(t0 / (1.0 - p_hat)) if p_hat < 1.0 else None
     return ExitTimeReport(
         gamma_a=gamma_a, threshold=threshold, tau=tau, censored=censored,
         M=M, mean=mean, stderr=stderr, dynkin_t0=t0, dynkin_p_hat=p_hat,
-        dynkin_bound=bound, inconclusive=False, base_seed=base_seed,
-        T_cap=T_cap)
+        dynkin_bound=float(t0 / (1.0 - p_hat)), inconclusive=False,
+        base_seed=base_seed, T_cap=T_cap)
 
 
 def compare_mean_vs_ode(rho0, u: float, T: float, cfg: SdeStepConfig,

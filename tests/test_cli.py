@@ -62,6 +62,17 @@ class TestConfig:
         with pytest.raises(Exception, match="gamma_b"):
             load_config(None, str(cfg_file), {})
 
+    def test_removed_t_cap_key_exits_2(self, tmp_path):
+        # the exit-time horizon is T; a config file naming T_cap is rejected
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({"T_cap": 10.0}))
+        res = RUNNER.invoke(main, ["exit-time", "--config", str(cfg_file),
+                                   "--gamma-a", "0.1", "-o",
+                                   str(tmp_path / "o")])
+        assert res.exit_code == 2, res.output
+        assert "unknown config key 'T_cap'" in res.output
+        assert not (tmp_path / "o").exists()
+
     def test_json_syntax_error_locates_line(self, tmp_path):
         cfg_file = tmp_path / "c.json"
         cfg_file.write_text('{\n  "gamma": 0.1,\n}\n')
@@ -237,6 +248,16 @@ class TestExitTimeCommand:
 
 
 class TestOdeCommand:
+    def test_step_settings_it_does_not_use_are_not_checked(self, tmp_path):
+        argv = ["ode", "--J", "1", "--f", "3", "--T", "0.5"]
+        plain = RUNNER.invoke(main, [*argv, "-o", str(tmp_path / "a")])
+        odd = RUNNER.invoke(main, [*argv, "--dt", "0", "--eta", "5",
+                                   "-o", str(tmp_path / "b")])
+        assert plain.exit_code == 0, plain.output
+        assert odd.exit_code == 0, odd.output
+        assert ((tmp_path / "b" / "ode.csv").read_bytes()
+                == (tmp_path / "a" / "ode.csv").read_bytes())
+
     def test_csv_and_final_distance(self, tmp_path):
         res = RUNNER.invoke(main, [
             "ode", "--J", "2", "--f", "3", "--initial", "1", "--T", "80",
@@ -323,6 +344,19 @@ class TestRejectedRuns:
         res = RUNNER.invoke(main, [*argv, "-o", str(out)])
         assert res.exit_code == 2, res.output
         assert f"{field} must be finite" in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--T", "1e300", "--dt", "1e-10"],
+        ["ode", "--T", "1e300", "--dt-ode", "1e-10"],
+    ], ids=" ".join)
+    def test_step_count_overflow_exits_2_naming_the_horizon(self, tmp_path,
+                                                            argv):
+        out = tmp_path / "o"
+        res = RUNNER.invoke(main, [argv[0], "--J", "1", "--f", "3", *argv[1:],
+                                   "-o", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "horizon T = 1e+300" in res.output
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

@@ -1,5 +1,7 @@
 """Tests for the SDE/ODE integrators, drift/diffusion terms and records."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from spinstab.dynamics import (
     sme_diffusion,
     sme_drift,
 )
-from spinstab.montecarlo import run_ensemble
+from spinstab.montecarlo import estimate_exit_time, run_ensemble
 from spinstab.quantum import (
     NumericalFailureError,
     eigenstate,
@@ -400,6 +402,64 @@ class TestEnsembleOde:
             traj.states[-1, 0, 0] = 0.0
         # one QuantumState for the check of rho0, none per RK4 step
         assert len(built) == 1
+
+
+class TestStepCount:
+    """``_step_count`` is where both integrators turn (T, dt) into steps."""
+
+    def test_rounds_to_the_nearest_count(self):
+        assert dynamics._step_count(1.0, 1e-3, "dt") == 1000
+        assert dynamics._step_count(0.0104, 1e-3, "dt") == 10
+
+    @pytest.mark.parametrize("T, dt, text", [
+        (1.0, 0.0, "dt must be finite"),
+        (1.0, np.nan, "dt must be finite"),
+        (np.inf, 1e-3, "horizon T must be finite"),
+        (-1.0, 1e-3, "horizon T must be finite"),
+        (1e300, 1e-10, r"horizon T = 1e\+300 is inf steps"),
+        (1.0, 1e-19, "more than"),
+        (4e-4, 1e-3, "below one step"),
+    ])
+    def test_rejects_naming_the_bad_value(self, T, dt, text):
+        with pytest.raises(ValueError, match=text):
+            dynamics._step_count(T, dt, "dt")
+
+    def test_largest_count_is_sys_maxsize(self):
+        assert dynamics._step_count(float(2**62), 1.0, "dt") == 2**62
+        with pytest.raises(ValueError, match=str(sys.maxsize)):
+            dynamics._step_count(float(2**63), 1.0, "dt")
+
+
+def _noise_block_outputs():
+    """Records at J=1 and J=10 and exit times, each run longer than one
+    default block of 512 steps."""
+    out = []
+    for J, f, T in ((1, 3, 0.6), (10, 11, 0.55)):
+        ops = make_spin_operators(J)
+        recs = simulate_batch(eigenstate(ops, 1), new_controller(0.04, f, ops),
+                              T, SdeStepConfig(), 5, [0, 1],
+                              record_stride=10)
+        out.append(np.stack([np.stack([r.times, r.V, r.u, r.purity])
+                             for r in recs]))
+    ops = make_spin_operators(1)
+    rep = estimate_exit_time(0.05, eigenstate(ops, 1), 3, ops, 1.0,
+                             SdeStepConfig(), M=6, base_seed=31)
+    return [*out, rep.tau, np.array([rep.censored])]
+
+
+class TestNoiseBlocks:
+    """The noise block size bounds memory and changes no output bit."""
+
+    @pytest.fixture(scope="class")
+    def default(self):
+        return _noise_block_outputs()
+
+    @pytest.mark.parametrize("block", [7, 10**6])
+    def test_outputs_do_not_depend_on_the_block(self, monkeypatch, default,
+                                                block):
+        monkeypatch.setattr(dynamics, "_NOISE_BLOCK", block)
+        for got, want in zip(_noise_block_outputs(), default, strict=True):
+            np.testing.assert_array_equal(got, want)
 
 
 _OPS3 = make_spin_operators(1)

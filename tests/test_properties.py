@@ -10,9 +10,11 @@ and the mode the integrator's loop picks at t = 0 with the rule that
 docstring states for it.
 The dtype rule (a real state is stepped in float64, a complex one in
 complex128, through the same kernels) is checked against the complex
-computation on the same matrix.
+computation on the same matrix. The record grid of the stepping loop is
+every ``record_stride``-th step and the last, for any step count and stride.
 """
 
+import sys
 import warnings
 from unittest import mock
 
@@ -26,7 +28,8 @@ from spinstab import dynamics
 from spinstab.controller import feedback_gain, new_controller, switch_modes
 from spinstab.dynamics import (SdeStepConfig, _euler_step, integrate_ensemble,
                                simulate_batch, sme_drift)
-from spinstab.quantum import _clip_psd, _dag, distance_V, make_spin_operators
+from spinstab.quantum import (_clip_psd, _dag, distance_V, eigenstate,
+                              make_spin_operators)
 
 OPS = {J: make_spin_operators(J) for J in (0.5, 1, 2.5, 10)}
 
@@ -218,3 +221,17 @@ def test_complex_state_is_stepped_in_complex128(J, seed):
     for state in projected:
         assert state.dtype == np.complex128 and state.imag.any()
         np.testing.assert_array_equal(state, _dag(state))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 40),
+       st.one_of(st.integers(1, 50), st.just(sys.maxsize)))
+def test_record_grid_is_every_stride_th_step_and_the_last(n_steps, stride):
+    ops, cfg = OPS[0.5], SdeStepConfig()
+    rec, = simulate_batch(eigenstate(ops, 1), 1.0, n_steps * cfg.dt, cfg, 0,
+                          [0], f=2, ops=ops, record_stride=stride)
+    ks = list(range(0, n_steps + 1, stride))
+    if ks[-1] != n_steps:
+        ks.append(n_steps)
+    np.testing.assert_array_equal(rec.times, [cfg.dt * k for k in ks])
+    assert len(rec.V) == len(rec.u) == len(rec.modes) == len(ks)
