@@ -5,7 +5,8 @@ integrator, and a Monte Carlo harness for convergence and exit-time
 statistics.
 """
 
-from .controller import ControllerState, feedback_gain, new_controller
+from .controller import (ConstantInput, ControllerState, feedback_gain,
+                         new_controller)
 from .dynamics import (
     EPS_CONV,
     OdeTrajectory,
@@ -37,6 +38,7 @@ from .quantum import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "ConstantInput",
     "ControllerState",
     "EPS_CONV",
     "EnsembleStats",

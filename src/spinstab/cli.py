@@ -24,7 +24,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .controller import new_controller
+from .controller import ConstantInput, new_controller
 from .dynamics import (EPS_CONV, SdeStepConfig, integrate_ensemble,
                        simulate_batch)
 from .montecarlo import estimate_exit_time, run_ensemble
@@ -163,11 +163,11 @@ def _resolve(cfg: SimConfig):
 
 
 def _parse_control(cfg: SimConfig, ops):
-    """Turn the control spec into a ControllerState or a fixed input."""
+    """Turn the control spec into a ControllerState or a ConstantInput."""
     if cfg.control == "mh":
         return new_controller(cfg.gamma, cfg.f, ops)
     if cfg.control.startswith("constant:"):
-        return float(cfg.control.split(":", 1)[1])
+        return ConstantInput(float(cfg.control.split(":", 1)[1]), cfg.f, ops)
     raise ConfigError(
         f"control: expected 'mh' or 'constant:<value>', got '{cfg.control}'")
 
@@ -241,8 +241,7 @@ def simulate(preset, config_path, **overrides):
         records = simulate_batch(
             rho0, _parse_control(cfg, ops), cfg.T,
             SdeStepConfig(cfg.dt, cfg.eta), cfg.base_seed,
-            list(range(cfg.M)), f=cfg.f, ops=ops,
-            record_stride=cfg.record_stride)
+            list(range(cfg.M)), record_stride=cfg.record_stride)
     out = _prepare_output(cfg)
     for rec in records:
         path = out / f"trajectory_seed{cfg.base_seed}_stream{rec.stream}.csv"
@@ -264,7 +263,7 @@ def ensemble(preset, config_path, **overrides):
         stats = run_ensemble(
             rho0, _parse_control(cfg, ops), cfg.T,
             SdeStepConfig(cfg.dt, cfg.eta), cfg.M,
-            cfg.base_seed, f=cfg.f, ops=ops, record_stride=cfg.record_stride)
+            cfg.base_seed, record_stride=cfg.record_stride)
     out = _prepare_output(cfg)
     rows = ([_fmt(t), _fmt(v), _fmt(c)]
             for t, v, c in zip(stats.times, stats.mean_V, stats.conv_frac))
@@ -322,7 +321,8 @@ def ode(preset, config_path, **overrides):
     cfg = load_config(preset, config_path, overrides)
     with _library_errors():
         ops, rho0 = _resolve(cfg)
-        traj = integrate_ensemble(rho0, cfg.u_ode, cfg.T, cfg.dt_ode, ops)
+        control = ConstantInput(cfg.u_ode, cfg.f, ops)
+        traj = integrate_ensemble(rho0, control, cfg.T, cfg.dt_ode)
         V = distance_V(traj.states, cfg.f)
     mixed = np.asarray(maximally_mixed(ops.dim))
     # Per row: a whole-array Q costs memory, a batched norm the last bits.

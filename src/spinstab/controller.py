@@ -16,7 +16,9 @@ trajectory starts in the constant mode, so the first switch, at t = 0,
 selects feedback exactly when V(rho0) <= 1 - gamma: a state starting inside
 the band, which has no crossing history, gets the constant drive.
 Switching parameters gamma >= 1/N are accepted but flagged: they fall
-outside the range with a convergence guarantee.
+outside the range with a convergence guarantee. A run's control is one
+value that carries its target and operators and checks itself when built:
+a ``ControllerState`` for this law or a ``ConstantInput`` for a fixed drive.
 """
 
 import math
@@ -28,6 +30,7 @@ import numpy as np
 from .quantum import SpinOperators
 
 __all__ = [
+    "ConstantInput",
     "ControllerState",
     "feedback_gain",
     "switch_modes",
@@ -35,14 +38,40 @@ __all__ = [
 ]
 
 
+def _check_target(f: int, ops: SpinOperators) -> None:
+    if not 1 <= f <= ops.dim:
+        raise ValueError(f"target index must be in 1..{ops.dim}, got {f}")
+
+
 @dataclass(frozen=True)
 class ControllerState:
     """The switching law's parameters: switching parameter, target index
-    (1-based) and operators. Immutable, shared by every trajectory."""
+    (1-based) and operators. Immutable, shared by every trajectory; raises
+    ValueError unless gamma is finite and > 0 and f is in 1..N."""
 
     gamma: float
     f: int
     ops: SpinOperators
+
+    def __post_init__(self):
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
+        _check_target(self.f, self.ops)
+
+
+@dataclass(frozen=True)
+class ConstantInput:
+    """A fixed input u, target index f (1-based) and operators. Immutable;
+    raises ValueError unless u is finite and f is in 1..N."""
+
+    u: float
+    f: int
+    ops: SpinOperators
+
+    def __post_init__(self):
+        if not math.isfinite(self.u):
+            raise ValueError(f"constant input u must be finite, got {self.u}")
+        _check_target(self.f, self.ops)
 
 
 def feedback_gain(rho, f: int, ops: SpinOperators):
@@ -71,21 +100,17 @@ def switch_modes(feedback_mode, v, gamma: float):
 
 def new_controller(gamma: float, f: int, ops: SpinOperators,
                    initial_rho=None) -> ControllerState:
-    """Construct the switching law for target ``f``.
+    """``ControllerState(gamma, f, ops)``, with a warning when gamma >= 1/N.
 
-    gamma must be finite and positive; gamma >= 1/N is accepted with a
-    warning since it lies outside the guaranteed-convergence range. The
-    initial mode is not stored: the integrator derives it from its own
-    initial state (see the module docstring), so ``initial_rho`` is
+    Such a gamma is accepted since it lies outside the guaranteed-convergence
+    range. The initial mode is not stored: the integrator derives it from
+    its own initial state (see the module docstring), so ``initial_rho`` is
     accepted for existing call sites and not read.
     """
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise ValueError(f"gamma must be finite and > 0, got {gamma}")
-    if not 1 <= f <= ops.dim:
-        raise ValueError(f"target index must be in 1..{ops.dim}, got {f}")
+    ctrl = ControllerState(gamma, f, ops)
     if gamma >= 1.0 / ops.dim:
         warnings.warn(
             f"gamma = {gamma:g} >= 1/N = {1.0 / ops.dim:g}: outside the "
             "switching-parameter range with a convergence guarantee",
             stacklevel=2)
-    return ControllerState(gamma=gamma, f=f, ops=ops)
+    return ctrl

@@ -34,6 +34,7 @@ those kernels in complex128.
 
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,11 +138,13 @@ def sme_diffusion(rho, ops: SpinOperators, eta: float) -> np.ndarray:
 
     F_z is diagonal, so F_z rho + rho F_z is (lam_i + lam_j) rho_ij and
     Tr(F_z rho) is the diagonal of ``rho`` dotted with the eigenvalues.
-    Traceless and Hermitian; zero at every measurement eigenstate.
+    Traceless and Hermitian; zero at every measurement eigenstate. A batch
+    row equals the single-matrix call bit for bit: einsum sums every row in
+    one order, where matmul would hand a batch of one to BLAS.
     """
     m = np.asarray(rho)
     lam = ops.lambdas
-    mean = m.diagonal(0, -2, -1).real @ lam
+    mean = np.einsum("...i,i->...", m.diagonal(0, -2, -1).real, lam)
     out = lam[:, None] * m + m * lam - 2.0 * mean[..., None, None] * m
     return np.sqrt(eta) * out
 
@@ -191,6 +194,17 @@ def _step_count(T: float, dt: float, dt_name: str) -> int:
     return n_steps
 
 
+@contextmanager
+def _records_fit(T: float, dt: float, dt_name: str, stride: int):
+    """A failed allocation of a run's records as a ValueError naming T."""
+    try:
+        yield
+    except MemoryError as e:
+        raise ValueError(f"horizon T = {T:g} at {dt_name} = {dt:g} with "
+                         f"record stride {stride} does not fit in memory: "
+                         f"{e}") from e
+
+
 def _failed_at(err: NumericalFailureError, t: float) -> NumericalFailureError:
     """The same failure, stamped with the time of the step that caused it."""
     return NumericalFailureError(f"{err} at t = {t:g}", time=t)
@@ -219,18 +233,17 @@ class _BatchResult:
 # A step that overflows is caught by _clip_psd, so numpy need not warn first.
 @np.errstate(over="ignore", invalid="ignore")
 def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
-                     base_seed: int, streams, *, f: int | None = None,
-                     ops: SpinOperators | None = None, record_stride: int = 1,
+                     base_seed: int, streams, *, record_stride: int = 1,
                      accumulate_sum: bool = False,
                      exit_threshold: float | None = None) -> _BatchResult:
-    """Step a batch of trajectories that share rho0 and the control law.
+    """Step a batch of trajectories that share rho0 and the control.
 
     ``streams`` is a sequence of noise stream indices, one per member.
-    ``control`` is either a ControllerState (``f`` and ``ops`` are taken
-    from it) or a real number used as a fixed input, which needs both ``f``
-    and ``ops``. Under the switching law each member carries its own mode
-    flag. Every member starts in the constant mode, so the first
-    ``switch_modes`` call, at t = 0, decides the mode: feedback exactly when
+    ``control`` is a ControllerState (the switching law) or a ConstantInput
+    (a fixed input); the target index and operators are taken from it.
+    Under the switching law each member carries its own mode flag. Every
+    member starts in the constant mode, so the first ``switch_modes``
+    call, at t = 0, decides the mode: feedback exactly when
     V(rho0) <= 1 - gamma, constant in the band and above it. Step k of the
     ``_step_count`` steps is recorded when ``k % record_stride == 0`` and at
     the last step. With an ``exit_threshold`` the loop, and the records,
@@ -238,16 +251,12 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
     draws its noise in blocks of ``_NOISE_BLOCK`` steps. The batch is
     stepped in the dtype that ``_checked_rho0`` picks for ``rho0``. Raises
     ValueError for an input outside its range, including a ``rho0`` that is
-    not an N x N density matrix, and NumericalFailureError, with the time of
-    the failed step, if a member's state becomes non-finite.
+    not an N x N density matrix and records too large for memory, and
+    NumericalFailureError, with the time of the failed step, if a member's
+    state becomes non-finite.
     """
+    f, ops = control.f, control.ops
     mh = isinstance(control, ControllerState)
-    if mh:
-        f, ops = control.f, control.ops
-    else:
-        if f is None or ops is None:
-            raise ValueError("a fixed-input run requires both f and ops")
-        u_const = float(control)
     if record_stride < 1:
         raise ValueError(f"record_stride must be >= 1, got {record_stride}")
     n_steps = _step_count(T, cfg.dt, "dt")
@@ -264,13 +273,14 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
 
     # steps 0, s, 2s, ... and the last: ceil(n_steps / s) + 1 records
     n_rec = -(-n_steps // record_stride) + 1
-    rec_t = np.zeros(n_rec)
-    rec_V = np.zeros((n_rec, m_count))
-    rec_u = np.zeros((n_rec, m_count))
-    rec_purity = np.zeros((n_rec, m_count))
-    rec_modes = np.zeros((n_rec, m_count), dtype=np.uint8)
-    rec_sum = (np.zeros((n_rec, *rho0.shape), dtype=complex)
-               if accumulate_sum else None)
+    with _records_fit(T, cfg.dt, "dt", record_stride):
+        rec_t = np.zeros(n_rec)
+        rec_V = np.zeros((n_rec, m_count))
+        rec_u = np.zeros((n_rec, m_count))
+        rec_purity = np.zeros((n_rec, m_count))
+        rec_modes = np.zeros((n_rec, m_count), dtype=np.uint8)
+        rec_sum = (np.zeros((n_rec, *rho0.shape), dtype=complex)
+                   if accumulate_sum else None)
 
     gens = [_philox_rng(base_seed, s) for s in streams]
     sqrt_dt = np.sqrt(cfg.dt)
@@ -295,7 +305,7 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
             modes = switch_modes(modes, v, control.gamma)
             u_vec = np.where(modes, feedback_gain(state, f, ops), 1.0)
         else:
-            u_vec = np.full(m_count, u_const)
+            u_vec = np.full(m_count, control.u)
 
         if k % record_stride == 0 or k == n_steps:
             rec_t[rec_i] = t
@@ -333,20 +343,20 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
 
 
 def simulate_batch(rho0, control, T: float, cfg: SdeStepConfig,
-                   base_seed: int, streams, *, f: int | None = None,
-                   ops: SpinOperators | None = None,
+                   base_seed: int, streams, *,
                    record_stride: int = 1) -> list[TrajectoryRecord]:
     """Simulate one trajectory per stream index and return their records.
 
-    All trajectories start from ``rho0`` and share the control law;
-    stream k draws its noise from the generator keyed (base_seed, k).
+    All trajectories start from ``rho0`` and share ``control``, a
+    ControllerState or a ConstantInput; stream k draws its noise from the
+    generator keyed (base_seed, k).
     Raises ValueError for an input outside its range, including an empty
     ``streams``, and NumericalFailureError (with the failure time attached)
     if any member's state becomes non-finite.
     """
     streams = list(streams)
-    res = _integrate_batch(rho0, control, T, cfg, base_seed, streams, f=f,
-                           ops=ops, record_stride=record_stride)
+    res = _integrate_batch(rho0, control, T, cfg, base_seed, streams,
+                           record_stride=record_stride)
     records = []
     for j, stream in enumerate(streams):
         fb = res.first_below[j]
@@ -364,20 +374,23 @@ def simulate_batch(rho0, control, T: float, cfg: SdeStepConfig,
 
 # A step that overflows is caught by _clip_psd, so numpy need not warn first.
 @np.errstate(over="ignore", invalid="ignore")
-def integrate_ensemble(rho0, u: float, T: float, dt_ode: float,
-                       ops: SpinOperators) -> OdeTrajectory:
-    """Integrate the averaged dynamics under the constant input ``u`` by RK4.
+def integrate_ensemble(rho0, control, T: float,
+                       dt_ode: float) -> OdeTrajectory:
+    """Integrate the averaged dynamics under a ConstantInput's u by RK4.
 
     Every grid state is projected back onto the state space and written
     into one read-only (K+1, N, N) array, float64 for a ``rho0`` with a
-    zero imaginary part and complex128 otherwise. With any nonzero ``u`` the
+    zero imaginary part and complex128 otherwise. With any nonzero u the
     trajectory approaches I/N as T grows. Raises ValueError for an input
-    outside its range, ``rho0`` included, and NumericalFailureError, with
-    the time of the failed step, if the state becomes non-finite.
+    outside its range, ``rho0`` included, or grid states too many for
+    memory, and NumericalFailureError, with the time of the failed step, if
+    the state becomes non-finite.
     """
+    u, ops = control.u, control.ops
     n_steps = _step_count(T, dt_ode, "dt_ode")
     state = _checked_rho0(rho0, ops)
-    states = np.empty((n_steps + 1, ops.dim, ops.dim), dtype=state.dtype)
+    with _records_fit(T, dt_ode, "dt_ode", 1):
+        states = np.empty((n_steps + 1, ops.dim, ops.dim), dtype=state.dtype)
     states[0] = state
     half = 0.5 * dt_ode
     for k in range(n_steps):

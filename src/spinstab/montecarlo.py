@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .controller import ConstantInput
 from .dynamics import (EPS_CONV, SdeStepConfig, _checked_rho0, _integrate_batch,
                        integrate_ensemble)
 from .quantum import SpinOperators, _clip_psd, distance_V
@@ -121,18 +122,18 @@ def _map_chunks(M: int, workers: int | None, **batch_kwargs) -> list:
 
 
 def run_ensemble(rho0, control, T: float, cfg: SdeStepConfig, M: int = 100,
-                 base_seed: int = 0, *, f: int | None = None,
-                 ops: SpinOperators | None = None, record_stride: int = 1,
+                 base_seed: int = 0, *, record_stride: int = 1,
                  workers: int | None = None) -> EnsembleStats:
     """Run M trajectories and reduce them into ensemble statistics.
 
-    ``control`` is a ControllerState or a fixed real input (then ``f`` and
-    ``ops`` are required). Raises ValueError for an input outside its range
-    and NumericalFailureError if any member's state becomes non-finite.
+    ``control`` is a ControllerState (the switching law) or a ConstantInput
+    (a fixed input); V is measured against its target. Raises ValueError
+    for an input outside its range and NumericalFailureError if any
+    member's state becomes non-finite.
     """
     results = _map_chunks(
         M, workers, rho0=rho0, control=control,
-        T=T, cfg=cfg, base_seed=base_seed, f=f, ops=ops,
+        T=T, cfg=cfg, base_seed=base_seed,
         record_stride=record_stride, accumulate_sum=True)
 
     times = results[0].times
@@ -172,6 +173,7 @@ def estimate_exit_time(gamma_a: float, rho0, f: int, ops: SpinOperators,
     Raises ValueError for an input outside its range and
     NumericalFailureError if any member's state becomes non-finite.
     """
+    control = ConstantInput(1.0, f, ops)
     if not 0.0 < gamma_a < 1.0:
         raise ValueError(f"gamma_a must be in (0, 1), got {gamma_a}")
     threshold = 1.0 - gamma_a
@@ -184,8 +186,8 @@ def estimate_exit_time(gamma_a: float, rho0, f: int, ops: SpinOperators,
     # Records are incidental here: a stride past any horizon keeps only the
     # first and the last step.
     results = _map_chunks(
-        M, workers, rho0=rho0, control=1.0,
-        T=T_cap, cfg=cfg, base_seed=base_seed, f=f, ops=ops,
+        M, workers, rho0=rho0, control=control,
+        T=T_cap, cfg=cfg, base_seed=base_seed,
         record_stride=sys.maxsize, exit_threshold=threshold)
 
     exit_times = np.concatenate([res.exit_times for res in results])
@@ -212,19 +214,19 @@ def estimate_exit_time(gamma_a: float, rho0, f: int, ops: SpinOperators,
         base_seed=base_seed, T_cap=T_cap)
 
 
-def compare_mean_vs_ode(rho0, u: float, T: float, cfg: SdeStepConfig,
+def compare_mean_vs_ode(rho0, control, T: float, cfg: SdeStepConfig,
                         M: int, dt_ode: float, base_seed: int = 0, *,
-                        f: int, ops: SpinOperators, record_stride: int = 1,
+                        record_stride: int = 1,
                         workers: int | None = None) -> float:
     """Max entrywise gap between the Monte Carlo mean state and the averaged ODE.
 
-    Valid for a fixed (state-independent) input, where the averaged
-    dynamics propagates the exact mean. The expected gap scales like
-    O(M^-1/2 + dt).
+    ``control`` is a ConstantInput: for a fixed (state-independent) input
+    the averaged dynamics propagates the exact mean. The expected gap
+    scales like O(M^-1/2 + dt).
     """
-    stats = run_ensemble(rho0, float(u), T, cfg, M, base_seed, f=f, ops=ops,
+    stats = run_ensemble(rho0, control, T, cfg, M, base_seed,
                          record_stride=record_stride, workers=workers)
-    ode = integrate_ensemble(rho0, float(u), T, dt_ode, ops)
+    ode = integrate_ensemble(rho0, control, T, dt_ode)
     idx = np.clip(np.round(stats.times / dt_ode).astype(int), 0,
                   len(ode.times) - 1)
     if np.max(np.abs(ode.times[idx] - stats.times)) > 1e-9:

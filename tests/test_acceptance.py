@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import random_density, switching_law
-from spinstab.controller import new_controller
+from spinstab.controller import ConstantInput, new_controller
 from spinstab.dynamics import (
     SdeStepConfig,
     _euler_step,
@@ -97,7 +97,8 @@ def test_criterion_04_averaged_flow_reaches_mixed_state():
         horizon, gap = None, None
         T = 20.0
         while T <= 320.0:
-            traj = integrate_ensemble(rho0, 1.0, T, 1e-2, ops)
+            traj = integrate_ensemble(rho0, ConstantInput(1.0, n, ops), T,
+                                      1e-2)
             gap = float(np.linalg.norm(np.asarray(traj.states[-1]) - target))
             if gap < 1e-6:
                 horizon = T
@@ -112,7 +113,8 @@ def test_criterion_05_lyapunov_derivative_identity():
     """dQ/dt matches -|[F_z, rho]|_F^2 to 1e-6 relative at interior points."""
     ops = make_spin_operators(1)
     dt = 5e-3
-    traj = integrate_ensemble(eigenstate(ops, 1), 1.0, 5.0, dt, ops)
+    traj = integrate_ensemble(eigenstate(ops, 1), ConstantInput(1.0, 3, ops),
+                              5.0, dt)
     q = np.array([lyapunov_Q(st) for st in traj.states])
     exact = np.array([
         -np.linalg.norm(ops.f_z @ np.asarray(st) - np.asarray(st) @ ops.f_z) ** 2
@@ -129,8 +131,8 @@ def test_criterion_05_lyapunov_derivative_identity():
 def test_criterion_06_monte_carlo_mean_matches_averaged_flow():
     """u=1, N=3, M=1000: mean state within 0.05 of the ODE, entrywise."""
     ops = make_spin_operators(1)
-    dev = compare_mean_vs_ode(eigenstate(ops, 1), 1.0, 4.0, CFG, M=1000,
-                              dt_ode=1e-3, base_seed=20, f=3, ops=ops,
+    dev = compare_mean_vs_ode(eigenstate(ops, 1), ConstantInput(1.0, 3, ops),
+                              4.0, CFG, M=1000, dt_ode=1e-3, base_seed=20,
                               record_stride=100)
     report("criterion 6 (mean-dynamics oracle)", dev < 0.05,
            f"max entrywise deviation {dev:.4f} (need < 0.05)")

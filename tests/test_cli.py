@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from spinstab.cli import (
     load_config,
     main,
 )
+from spinstab.controller import ConstantInput
 from spinstab.dynamics import integrate_ensemble
 from spinstab.quantum import (
     NumericalFailureError,
@@ -202,7 +207,8 @@ class TestEnsembleCommand:
         assert res.exit_code == 0, res.output
         _, rows = read_csv(tmp_path / "ensemble.csv")
         ops = make_spin_operators(1)
-        ode = integrate_ensemble(eigenstate(ops, 1), 1.0, 6.0, 1e-2, ops)
+        ode = integrate_ensemble(eigenstate(ops, 1),
+                                 ConstantInput(1.0, 3, ops), 6.0, 1e-2)
         want = distance_V(ode.states[-1], 3)
         assert float(rows[-1][1]) == pytest.approx(want, abs=0.08)
 
@@ -258,6 +264,21 @@ class TestOdeCommand:
         assert ((tmp_path / "b" / "ode.csv").read_bytes()
                 == (tmp_path / "a" / "ode.csv").read_bytes())
 
+    def test_bad_target_rejected_before_integrating(self, tmp_path,
+                                                    monkeypatch):
+        import spinstab.cli as cli_mod
+
+        def must_not_run(*a, **k):
+            raise AssertionError("integrated with a target outside 1..N")
+
+        monkeypatch.setattr(cli_mod, "integrate_ensemble", must_not_run)
+        out = tmp_path / "o"
+        res = RUNNER.invoke(main, ["ode", "--J", "10", "--f", "99",
+                                   "--T", "80", "-o", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "1..21, got 99" in res.output
+        assert not (out / "ode.csv").exists()
+
     def test_csv_and_final_distance(self, tmp_path):
         res = RUNNER.invoke(main, [
             "ode", "--J", "2", "--f", "3", "--initial", "1", "--T", "80",
@@ -276,7 +297,8 @@ class TestOdeCommand:
                                    "--dt-ode", "0.01", "-o", str(tmp_path)])
         assert res.exit_code == 0, res.output
         ops = make_spin_operators(1)
-        traj = integrate_ensemble(eigenstate(ops, 1), 1.0, 2.0, 0.01, ops)
+        traj = integrate_ensemble(eigenstate(ops, 1),
+                                  ConstantInput(1.0, 3, ops), 2.0, 0.01)
         mixed = np.asarray(maximally_mixed(3))
         want = [[_fmt(t), _fmt(distance_V(st, 3)), _fmt(lyapunov_Q(st)),
                  _fmt(np.linalg.norm(st - mixed))]
@@ -338,6 +360,11 @@ class TestRejectedRuns:
         (["ode", "--T", "inf"], "horizon T"),
         (["ode", "--dt-ode", "nan"], "dt_ode"),
         (["exit-time", "--gamma-a", "0.1", "--T", "inf"], "horizon T"),
+        (["simulate", "--J", "1", "--f", "3", "--T", "0.01", "--control",
+          "constant:nan"], "u"),
+        (["simulate", "--J", "1", "--f", "3", "--T", "0.01", "--control",
+          "constant:inf"], "u"),
+        (["ode", "--J", "1", "--f", "3", "--T", "0.1", "--u", "nan"], "u"),
     ], ids=lambda x: " ".join(x) if isinstance(x, list) else x)
     def test_non_finite_value_exits_2_naming_it(self, tmp_path, argv, field):
         out = tmp_path / "o"
@@ -357,6 +384,34 @@ class TestRejectedRuns:
                                    "-o", str(out)])
         assert res.exit_code == 2, res.output
         assert "horizon T = 1e+300" in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--dt", "1e-3"], ["ensemble", "--M", "2"], ["ode"],
+    ], ids=" ".join)
+    def test_horizon_too_large_for_memory_exits_2(self, tmp_path, argv):
+        # T = 1e15 needs exbibytes of records. The child process caps its own
+        # address space at 4 GiB, so the allocation fails on any machine.
+        code = ("import resource, sys\n"
+                "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+                "cap = 4 << 30\n"
+                "if hard != resource.RLIM_INFINITY:\n"
+                "    cap = min(cap, hard)\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+                "from spinstab.cli import main\n"
+                "main(sys.argv[1:])\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / "o"
+        res = subprocess.run(
+            [sys.executable, "-c", code, argv[0], "--J", "1", "--f", "3",
+             "--T", "1e15", *argv[1:], "-o", str(out)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert res.returncode == 2, res.stderr
+        assert "horizon T = 1e+15" in res.stderr
+        assert "does not fit in memory" in res.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import random_density, switching_law
-from spinstab.controller import feedback_gain, new_controller, switch_modes
+from spinstab.controller import (ConstantInput, ControllerState, feedback_gain,
+                                 new_controller, switch_modes)
 from spinstab.dynamics import SdeStepConfig, simulate_batch
 from spinstab.quantum import QuantumState, eigenstate, make_spin_operators
 
@@ -203,3 +204,40 @@ class TestNewController:
         ops = make_spin_operators(1)
         assert new_controller(0.1, 3, ops, np.ones(3)) == new_controller(
             0.1, 3, ops)
+
+
+class TestControlValues:
+    """Each control value checks its own fields when it is built."""
+
+    ops3 = make_spin_operators(1)
+
+    @pytest.mark.parametrize("args, text", [
+        ((np.nan, 3), "gamma must be finite"),
+        ((0.1, 9), r"1\.\.3, got 9"),
+    ])
+    def test_controller_state_checks_itself(self, args, text):
+        with pytest.raises(ValueError, match=text):
+            ControllerState(*args, self.ops3)
+
+    @pytest.mark.parametrize("args, text", [
+        ((np.nan, 3), "u must be finite"),
+        ((np.inf, 3), "u must be finite"),
+        ((1.0, 99), r"1\.\.3, got 99"),
+        ((1.0, 0), r"1\.\.3, got 0"),
+    ])
+    def test_constant_input_checks_itself(self, args, text):
+        with pytest.raises(ValueError, match=text):
+            ConstantInput(*args, self.ops3)
+
+    def test_constant_run_never_consults_the_switching_law(self, monkeypatch):
+        import spinstab.dynamics as dyn
+
+        def must_not_run(*a, **k):
+            raise AssertionError("switching law consulted")
+
+        monkeypatch.setattr(dyn, "switch_modes", must_not_run)
+        monkeypatch.setattr(dyn, "feedback_gain", must_not_run)
+        rec, = simulate_batch(eigenstate(self.ops3, 1),
+                              ConstantInput(0.5, 3, self.ops3), 0.01,
+                              SdeStepConfig(), 0, [0])
+        assert np.all(rec.u == 0.5) and set(rec.modes) == {"constant"}

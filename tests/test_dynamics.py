@@ -7,7 +7,7 @@ import pytest
 
 from helpers import random_density
 from spinstab import dynamics
-from spinstab.controller import feedback_gain, new_controller
+from spinstab.controller import ConstantInput, feedback_gain, new_controller
 from spinstab.dynamics import (
     SdeStepConfig,
     _euler_step,
@@ -145,7 +145,8 @@ class TestEmStep:
         cfg = SdeStepConfig(dt=1e10)
         rho0 = np.full((3, 3), 1 / 3, dtype=complex)
         with pytest.raises(NumericalFailureError) as exc:
-            simulate_batch(rho0, 1e300, 2e10, cfg, 0, [0], f=3, ops=self.ops)
+            simulate_batch(rho0, ConstantInput(1e300, 3, self.ops), 2e10, cfg,
+                           0, [0])
         assert exc.value.time == pytest.approx(cfg.dt)
 
     def test_invariants_after_random_steps(self):
@@ -237,6 +238,7 @@ class TestSimulateTrajectory:
         self.ops = make_spin_operators(1)
         self.cfg = SdeStepConfig(dt=1e-3, eta=1.0)
         self.ctrl = new_controller(0.1, 3, self.ops)
+        self.drive = ConstantInput(1.0, 3, self.ops)
 
     def test_stationary_at_target(self):
         rec = simulate_batch(eigenstate(self.ops, 3), self.ctrl, 1.0, self.cfg,
@@ -272,23 +274,25 @@ class TestSimulateTrajectory:
         assert set(rec.modes) <= {"feedback", "constant"}
 
     def test_batch_equals_singles(self):
-        batch = simulate_batch(eigenstate(self.ops, 1), self.ctrl, 1.0,
-                               self.cfg, 11, [0, 1, 2])
-        for stream in (0, 1, 2):
-            solo = simulate_batch(eigenstate(self.ops, 1), self.ctrl, 1.0,
-                                  self.cfg, 11, [stream])[0]
-            np.testing.assert_array_equal(batch[stream].V, solo.V)
-            np.testing.assert_array_equal(batch[stream].u, solo.u)
+        # The N = 4 case starts mixed, so that Tr(F_z rho) sums four nonzero
+        # terms, whose order a batch of one must share with a wider batch.
+        ops4 = make_spin_operators(1.5)
+        for rho0, ctrl in (
+                (eigenstate(self.ops, 1), self.ctrl),
+                (np.diag([1.0, 4 / 3, 5 / 3, 2.0]) / 6.0,
+                 new_controller(0.125, 4, ops4))):
+            batch = simulate_batch(rho0, ctrl, 1.0, self.cfg, 11, [0, 1, 2])
+            for stream in (0, 1, 2):
+                solo = simulate_batch(rho0, ctrl, 1.0, self.cfg, 11,
+                                      [stream])[0]
+                np.testing.assert_array_equal(batch[stream].V, solo.V)
+                np.testing.assert_array_equal(batch[stream].u, solo.u)
 
     def test_fixed_input_run_records_constant_mode(self):
-        rec = simulate_batch(eigenstate(self.ops, 1), 1.0, 0.5, self.cfg, 1,
-                             [0], f=3, ops=self.ops)[0]
+        rec = simulate_batch(eigenstate(self.ops, 1), self.drive, 0.5,
+                             self.cfg, 1, [0])[0]
         assert np.all(rec.u == 1.0)
         assert set(rec.modes) == {"constant"}
-
-    def test_fixed_input_requires_target_and_ops(self):
-        with pytest.raises(ValueError, match="fixed-input"):
-            simulate_batch(eigenstate(self.ops, 1), 1.0, 0.5, self.cfg, 1, [0])
 
     def test_empty_stream_list_rejected(self):
         with pytest.raises(ValueError, match="M must be >= 1"):
@@ -297,10 +301,9 @@ class TestSimulateTrajectory:
 
     def test_generator_streams_give_one_record_each(self):
         rho0 = eigenstate(self.ops, 1)
-        args = (rho0, 1.0, 0.01, self.cfg, 0)
-        from_gen = simulate_batch(*args, (k for k in range(3)), f=3,
-                                  ops=self.ops)
-        from_range = simulate_batch(*args, range(3), f=3, ops=self.ops)
+        args = (rho0, self.drive, 0.01, self.cfg, 0)
+        from_gen = simulate_batch(*args, (k for k in range(3)))
+        from_range = simulate_batch(*args, range(3))
         assert [r.stream for r in from_gen] == [0, 1, 2]
         for a, b in zip(from_gen, from_range):
             np.testing.assert_array_equal(a.V, b.V)
@@ -313,8 +316,8 @@ class TestSimulateTrajectory:
             cfg = SdeStepConfig(dt=dt, eta=1.0)
             worst = 0.0
             for stream in range(4):
-                rec = simulate_batch(rho0, 1.0, 2.0, cfg, 31, [stream], f=3,
-                                     ops=self.ops)[0]
+                rec = simulate_batch(rho0, self.drive, 2.0, cfg, 31,
+                                     [stream])[0]
                 worst = max(worst, float((1.0 - rec.purity).max()))
             return worst
 
@@ -327,6 +330,7 @@ class TestSimulateTrajectory:
 class TestEnsembleOde:
     def setup_method(self):
         self.ops = make_spin_operators(1)
+        self.drive = ConstantInput(1.0, 3, self.ops)
 
     def test_mixed_state_is_equilibrium(self):
         assert np.abs(sme_drift(maximally_mixed(3), 1.0, self.ops)).max() \
@@ -339,28 +343,28 @@ class TestEnsembleOde:
         assert np.abs(off).max() > 1e-3
 
     def test_constant_at_mixed_state(self):
-        traj = integrate_ensemble(maximally_mixed(3), 1.0, 1.0, 1e-2, self.ops)
+        traj = integrate_ensemble(maximally_mixed(3), self.drive, 1.0, 1e-2)
         for st in traj.states:
             np.testing.assert_allclose(np.asarray(st), np.eye(3) / 3,
                                        atol=1e-12)
 
     def test_converges_to_mixed_state(self):
-        traj = integrate_ensemble(eigenstate(self.ops, 1), 1.0, 80.0, 1e-2,
-                                  self.ops)
+        traj = integrate_ensemble(eigenstate(self.ops, 1), self.drive, 80.0,
+                                  1e-2)
         gap = np.linalg.norm(np.asarray(traj.states[-1]) - np.eye(3) / 3)
         assert gap < 1e-6
 
     def test_q_monotone_nonincreasing(self):
-        traj = integrate_ensemble(eigenstate(self.ops, 1), 1.0, 10.0, 1e-2,
-                                  self.ops)
+        traj = integrate_ensemble(eigenstate(self.ops, 1), self.drive, 10.0,
+                                  1e-2)
         q = np.array([lyapunov_Q(st) for st in traj.states])
         assert np.all(np.diff(q) <= 1e-12)
 
     def test_q_derivative_identity(self):
         """dQ/dt equals -|[F_z, rho]|_F^2 along the flow (5-point stencil)."""
         dt = 5e-3
-        traj = integrate_ensemble(eigenstate(self.ops, 1), 1.0, 5.0, dt,
-                                  self.ops)
+        traj = integrate_ensemble(eigenstate(self.ops, 1), self.drive, 5.0,
+                                  dt)
         q = np.array([lyapunov_Q(st) for st in traj.states])
         fz = self.ops.f_z
         exact = np.array([
@@ -375,14 +379,14 @@ class TestEnsembleOde:
 
     def test_bad_steps_rejected(self):
         with pytest.raises(ValueError):
-            integrate_ensemble(maximally_mixed(3), 1.0, 1.0, -1e-2, self.ops)
+            integrate_ensemble(maximally_mixed(3), self.drive, 1.0, -1e-2)
         with pytest.raises(ValueError):
-            integrate_ensemble(maximally_mixed(3), 1.0, 0.0, 1e-2, self.ops)
+            integrate_ensemble(maximally_mixed(3), self.drive, 0.0, 1e-2)
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="dt_ode must be finite"):
-                integrate_ensemble(maximally_mixed(3), 1.0, 1.0, bad, self.ops)
+                integrate_ensemble(maximally_mixed(3), self.drive, 1.0, bad)
             with pytest.raises(ValueError, match="horizon T must be finite"):
-                integrate_ensemble(maximally_mixed(3), 1.0, bad, 1e-2, self.ops)
+                integrate_ensemble(maximally_mixed(3), self.drive, bad, 1e-2)
 
     def test_states_are_one_read_only_array(self, monkeypatch):
         built = []
@@ -393,8 +397,8 @@ class TestEnsembleOde:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(dynamics, "QuantumState", counting)
-        traj = integrate_ensemble(eigenstate(self.ops, 1), 1.0, 1.0, 1e-2,
-                                  self.ops)
+        traj = integrate_ensemble(eigenstate(self.ops, 1), self.drive, 1.0,
+                                  1e-2)
         assert type(traj.states) is np.ndarray
         assert traj.states.shape == (len(traj.times), 3, 3) == (101, 3, 3)
         assert not traj.states.flags.writeable
@@ -463,6 +467,7 @@ class TestNoiseBlocks:
 
 
 _OPS3 = make_spin_operators(1)
+_DRIVE3 = ConstantInput(1.0, 3, _OPS3)
 _NOT_HERMITIAN = np.eye(3, dtype=complex) / 3
 _NOT_HERMITIAN[0, 1] = 0.1
 
@@ -481,14 +486,14 @@ BAD_RHO0 = {
 # is one fixed-input path.
 ENTRIES = {
     "simulate_trajectory": lambda rho0: simulate_batch(
-        rho0, 1.0, 0.01, SdeStepConfig(), 0, [0], f=3, ops=_OPS3),
+        rho0, _DRIVE3, 0.01, SdeStepConfig(), 0, [0]),
     "simulate_batch_mh": lambda rho0: simulate_batch(
         rho0, new_controller(0.1, 1, _OPS3), 0.01, SdeStepConfig(), 0,
         [0, 1]),
     "run_ensemble": lambda rho0: run_ensemble(
-        rho0, 1.0, 0.01, SdeStepConfig(), M=2, f=3, ops=_OPS3),
+        rho0, _DRIVE3, 0.01, SdeStepConfig(), M=2),
     "integrate_ensemble": lambda rho0: integrate_ensemble(
-        rho0, 1.0, 0.1, 1e-2, _OPS3),
+        rho0, _DRIVE3, 0.1, 1e-2),
 }
 
 

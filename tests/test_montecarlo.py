@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spinstab.controller import new_controller
+from spinstab.controller import ConstantInput, new_controller
 from spinstab.dynamics import SdeStepConfig, integrate_ensemble, simulate_batch
 from spinstab.montecarlo import (
     compare_mean_vs_ode,
@@ -22,6 +22,7 @@ from spinstab.quantum import (
 OPS3 = make_spin_operators(1)
 CFG = SdeStepConfig(dt=1e-3, eta=1.0)
 RHO1 = eigenstate(OPS3, 1)
+DRIVE3 = ConstantInput(1.0, 3, OPS3)
 
 
 class TestRunEnsemble:
@@ -47,13 +48,13 @@ class TestRunEnsemble:
 
     def test_fixed_input_mean_v_approaches_mixed_level(self):
         # the ensemble-average oracle: V of the averaged flow tends to 1 - 1/N
-        stats = run_ensemble(RHO1, 1.0, 10.0, CFG, M=400, base_seed=11,
-                             f=3, ops=OPS3, record_stride=200)
+        stats = run_ensemble(RHO1, DRIVE3, 10.0, CFG, M=400, base_seed=11,
+                             record_stride=200)
         assert stats.mean_V[-1] == pytest.approx(1 - 1 / 3, abs=0.05)
 
     def test_mean_state_valid_at_every_time(self):
-        stats = run_ensemble(RHO1, 1.0, 1.0, CFG, M=64, base_seed=2,
-                             f=3, ops=OPS3, record_stride=100)
+        stats = run_ensemble(RHO1, DRIVE3, 1.0, CFG, M=64, base_seed=2,
+                             record_stride=100)
         for i in range(len(stats.times)):
             st = QuantumState(stats.mean_state[i])
             assert isinstance(st, QuantumState)
@@ -61,19 +62,15 @@ class TestRunEnsemble:
         assert np.all((stats.conv_frac >= 0) & (stats.conv_frac <= 1))
 
     def test_q_of_mean_state_nonincreasing_under_fixed_input(self):
-        stats = run_ensemble(RHO1, 1.0, 4.0, CFG, M=300, base_seed=5,
-                             f=3, ops=OPS3, record_stride=200)
+        stats = run_ensemble(RHO1, DRIVE3, 4.0, CFG, M=300, base_seed=5,
+                             record_stride=200)
         q = np.array([lyapunov_Q(stats.mean_state[i])
                       for i in range(len(stats.times))])
         assert np.all(np.diff(q) <= 0.02)  # statistical slack
 
-    def test_requires_target_for_fixed_input(self):
-        with pytest.raises(ValueError, match="fixed-input"):
-            run_ensemble(RHO1, 1.0, 1.0, CFG, M=2, base_seed=0)
-
     def test_rejects_empty_ensemble(self):
         with pytest.raises(ValueError, match="M"):
-            run_ensemble(RHO1, 1.0, 1.0, CFG, M=0, base_seed=0, f=3, ops=OPS3)
+            run_ensemble(RHO1, DRIVE3, 1.0, CFG, M=0, base_seed=0)
 
 
 class TestExitTime:
@@ -128,6 +125,18 @@ class TestExitTime:
         slack = 2 * rep.stderr
         assert rep.mean <= rep.dynkin_bound + slack
 
+    def test_worker_count_independent(self):
+        # Two 64-member chunks. Target f = 2 lies next to the initial level,
+        # so with gamma_a = 0.05 every path exits by t = 0.7 and the test
+        # takes about a second.
+        kw = dict(M=128, base_seed=23)
+        one = estimate_exit_time(0.05, RHO1, 2, OPS3, 40.0, CFG, **kw,
+                                 workers=1)
+        two = estimate_exit_time(0.05, RHO1, 2, OPS3, 40.0, CFG, **kw,
+                                 workers=2)
+        assert one.tau.size == 128 and one.censored == two.censored == 0
+        np.testing.assert_array_equal(one.tau, two.tau)
+
     def test_censored_paths_counted_in_diagnostic(self):
         rep = estimate_exit_time(0.1, RHO1, 3, OPS3, 1.0, CFG, M=64,
                                  base_seed=21)
@@ -142,33 +151,31 @@ class TestMeanVsOde:
     def test_mixed_initial_state_stays_at_equilibrium_on_average(self):
         # the averaged flow is exactly constant at I/N; individual paths
         # still diffuse, so the Monte Carlo gap is pure O(M^-1/2) noise
-        dev = compare_mean_vs_ode(maximally_mixed(3), 1.0, 1.0, CFG, M=256,
-                                  dt_ode=1e-3, base_seed=4, f=3, ops=OPS3,
-                                  record_stride=100)
+        dev = compare_mean_vs_ode(maximally_mixed(3), DRIVE3, 1.0, CFG, M=256,
+                                  dt_ode=1e-3, base_seed=4, record_stride=100)
         assert dev < 0.06
 
     def test_zero_input_diagonal_initial_state(self):
         # diagonal rho0: the averaged flow is frozen; the Monte Carlo mean
         # agrees within statistical tolerance
         rho0 = QuantumState(np.diag([0.5, 0.3, 0.2]).astype(complex))
+        still = ConstantInput(0.0, 3, OPS3)
         assert np.abs(np.asarray(
-            integrate_ensemble(rho0, 0.0, 1.0, 1e-3, OPS3).states[-1])
+            integrate_ensemble(rho0, still, 1.0, 1e-3).states[-1])
             - np.asarray(rho0)).max() < 1e-12
-        dev = compare_mean_vs_ode(rho0, 0.0, 1.0, CFG, M=200, dt_ode=1e-3,
-                                  base_seed=6, f=3, ops=OPS3,
-                                  record_stride=100)
+        dev = compare_mean_vs_ode(rho0, still, 1.0, CFG, M=200, dt_ode=1e-3,
+                                  base_seed=6, record_stride=100)
         assert dev < 0.1
 
     def test_moderate_ensemble_tracks_ode(self):
-        dev = compare_mean_vs_ode(RHO1, 1.0, 2.0, CFG, M=300, dt_ode=1e-3,
-                                  base_seed=8, f=3, ops=OPS3,
-                                  record_stride=100)
+        dev = compare_mean_vs_ode(RHO1, DRIVE3, 2.0, CFG, M=300, dt_ode=1e-3,
+                                  base_seed=8, record_stride=100)
         assert dev < 0.1
 
     def test_grid_mismatch_rejected(self):
         with pytest.raises(ValueError, match="grid"):
-            compare_mean_vs_ode(RHO1, 1.0, 1.0, CFG, M=4, dt_ode=0.4,
-                                base_seed=0, f=3, ops=OPS3, record_stride=100)
+            compare_mean_vs_ode(RHO1, DRIVE3, 1.0, CFG, M=4, dt_ode=0.4,
+                                base_seed=0, record_stride=100)
 
 
 class TestDefaultWorkers:

@@ -4,10 +4,11 @@
 F_y as one real matmul; both rest on the state being Hermitian. These
 properties compare them with the plain commutator formulas on random
 Hermitian states, single and batched, for J in {1/2, 1, 5/2, 10} and
-every target index. ``switch_modes`` is compared with a scalar automaton
-written from the hysteresis law in the ``controller`` module docstring,
-and the mode the integrator's loop picks at t = 0 with the rule that
-docstring states for it.
+every target index. ``sme_diffusion`` is compared with its matmul-and-trace
+definition for random efficiencies eta, and a batch with its rows.
+``switch_modes`` is compared with a scalar automaton written from the
+hysteresis law in the ``controller`` module docstring, and the mode the
+integrator's loop picks at t = 0 with the rule that docstring states for it.
 The dtype rule (a real state is stepped in float64, a complex one in
 complex128, through the same kernels) is checked against the complex
 computation on the same matrix. The record grid of the stepping loop is
@@ -25,9 +26,10 @@ from hypothesis.extra.numpy import arrays
 
 from helpers import random_density
 from spinstab import dynamics
-from spinstab.controller import feedback_gain, new_controller, switch_modes
+from spinstab.controller import (ConstantInput, feedback_gain, new_controller,
+                                 switch_modes)
 from spinstab.dynamics import (SdeStepConfig, _euler_step, integrate_ensemble,
-                               simulate_batch, sme_drift)
+                               simulate_batch, sme_diffusion, sme_drift)
 from spinstab.quantum import (_clip_psd, _dag, distance_V, eigenstate,
                               make_spin_operators)
 
@@ -84,6 +86,30 @@ def test_drift_equals_dense_oracle_and_is_exactly_hermitian(case, data):
     d = sme_drift(m, u, ops)
     np.testing.assert_allclose(d, dense_drift(m, u, ops), rtol=0, atol=1e-13)
     np.testing.assert_array_equal(d, _dag(d))
+
+
+def dense_diffusion(m, ops, eta):
+    """The back-action sqrt(eta)(F_z rho + rho F_z - 2 Tr(F_z rho) rho) with
+    two matmuls and a trace."""
+    mean = np.trace(ops.f_z @ m, axis1=-2, axis2=-1).real[..., None, None]
+    return np.sqrt(eta) * (ops.f_z @ m + m @ ops.f_z - 2.0 * mean * m)
+
+
+@settings(deadline=None)
+@given(spin_states(), st.floats(0.0, 1.0, exclude_min=True,
+                                allow_subnormal=False))
+def test_diffusion_equals_dense_oracle_and_is_exactly_hermitian(case, eta):
+    ops, m, batch = case
+    d = sme_diffusion(m, ops, eta)
+    np.testing.assert_allclose(d, dense_diffusion(m, ops, eta), rtol=0,
+                               atol=1e-13)
+    np.testing.assert_array_equal(d, _dag(d))
+    np.testing.assert_allclose(np.trace(d, axis1=-2, axis2=-1), 0.0, rtol=0,
+                               atol=1e-13)
+    for k in range(1, ops.dim + 1):
+        assert not sme_diffusion(eigenstate(ops, k), ops, eta).any()
+    for i in range(batch or 0):
+        np.testing.assert_array_equal(d[i], sme_diffusion(m[i], ops, eta))
 
 
 def reference_mode(feedback: bool, v: float, gamma: float) -> bool:
@@ -215,7 +241,8 @@ def test_complex_state_is_stepped_in_complex128(J, seed):
 
     with mock.patch.object(dynamics, "_clip_psd", recording_clip_psd):
         simulate_batch(rho0, ctrl, 0.01, SdeStepConfig(), seed, [0, 1])
-        traj = integrate_ensemble(rho0, 1.0, 0.05, 1e-2, ops)
+        traj = integrate_ensemble(rho0, ConstantInput(1.0, ops.dim, ops), 0.05,
+                                  1e-2)
     assert len(projected) == 10 + 5
     assert traj.states.dtype == np.complex128
     for state in projected:
@@ -228,8 +255,8 @@ def test_complex_state_is_stepped_in_complex128(J, seed):
        st.one_of(st.integers(1, 50), st.just(sys.maxsize)))
 def test_record_grid_is_every_stride_th_step_and_the_last(n_steps, stride):
     ops, cfg = OPS[0.5], SdeStepConfig()
-    rec, = simulate_batch(eigenstate(ops, 1), 1.0, n_steps * cfg.dt, cfg, 0,
-                          [0], f=2, ops=ops, record_stride=stride)
+    rec, = simulate_batch(eigenstate(ops, 1), ConstantInput(1.0, 2, ops),
+                          n_steps * cfg.dt, cfg, 0, [0], record_stride=stride)
     ks = list(range(0, n_steps + 1, stride))
     if ks[-1] != n_steps:
         ks.append(n_steps)
