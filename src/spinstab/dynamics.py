@@ -57,6 +57,11 @@ __all__ = [
 # Convergence flag threshold on V: discriminates converged paths at figure level.
 EPS_CONV = 0.01
 
+# RK4's stability interval on the negative real axis is [-2.7853, 0]. The
+# averaged flow's stiffest mode decays at rate max(gaps_sq) / 2 (the double
+# commutator), so a larger dt_ode * max(gaps_sq) / 2 grows instead of decaying.
+_RK4_REAL_BOUND = 2.785
+
 # Steps of noise drawn per member at a time. Philox draws do not depend on
 # how they are blocked, so the block size bounds memory and changes no result.
 _NOISE_BLOCK = 512
@@ -380,14 +385,25 @@ def integrate_ensemble(rho0, control, T: float,
 
     Every grid state is projected back onto the state space and written
     into one read-only (K+1, N, N) array, float64 for a ``rho0`` with a
-    zero imaginary part and complex128 otherwise. With any nonzero u the
+    zero imaginary part and complex128 otherwise. A grid state inside the
+    state space passes ``_clip_psd``'s Cholesky certificate and is only
+    renormalized; ``eigh`` runs only for a state on or past its boundary,
+    such as the first steps from an eigenstate. With any nonzero u the
     trajectory approaches I/N as T grows. Raises ValueError for an input
-    outside its range, ``rho0`` included, or grid states too many for
-    memory, and NumericalFailureError, with the time of the failed step, if
-    the state becomes non-finite.
+    outside its range, ``rho0`` included, for a ``dt_ode`` outside RK4's
+    stability interval (dt_ode * max(gaps_sq) / 2 > 2.785, where the
+    projection would clamp a growing solution into plausible states), or
+    for grid states too many for memory, and NumericalFailureError, with
+    the time of the failed step, if the state becomes non-finite.
     """
     u, ops = control.u, control.ops
     n_steps = _step_count(T, dt_ode, "dt_ode")
+    ratio = dt_ode * ops.gaps_sq.max() / 2
+    if ratio > _RK4_REAL_BOUND:
+        raise ValueError(
+            f"dt_ode = {dt_ode:g} is too large for RK4 at N = {ops.dim}: "
+            f"dt_ode * max(gaps_sq) / 2 = {ratio:.4g} > {_RK4_REAL_BOUND}; "
+            f"take dt_ode <= {2 * _RK4_REAL_BOUND / ops.gaps_sq.max():.4g}")
     state = _checked_rho0(rho0, ops)
     with _records_fit(T, dt_ode, "dt_ode", 1):
         states = np.empty((n_steps + 1, ops.dim, ops.dim), dtype=state.dtype)

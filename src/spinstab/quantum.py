@@ -13,6 +13,12 @@ zero imaginary part stays real under the dynamics; the integrators step
 such a state as a real symmetric float64 array (see ``dynamics``). The
 array helpers here (``_dag``, ``_clip_psd``, ``distance_V``,
 ``lyapunov_Q``) take either dtype and keep it.
+
+``_clip_psd`` projects a stepped matrix back onto the state space. A single
+matrix that is already a positive definite state up to trace, which is
+almost every step of the averaged flow, is certified by one Cholesky
+factorisation and only renormalized; ``eigh`` runs for the rest and for
+every batch.
 """
 
 from dataclasses import dataclass, field
@@ -194,10 +200,25 @@ def _clip_psd(mat: np.ndarray) -> np.ndarray:
     round-off. The result has the input's dtype: a real (symmetric) input goes through
     the real eigensolver and a real reconstruction, a complex one through
     the Hermitian eigensolver.
+
+    A single (N, N) matrix is first certified by a Cholesky factorisation:
+    when it succeeds the hermitized matrix is positive definite, no
+    eigenvalue would be clipped, and the result is that matrix over its
+    trace, exactly Hermitian. Only a matrix that fails the factorisation
+    (an eigenvalue at or below zero) goes through ``eigh``. A batch always
+    goes through ``eigh``: numpy factorises a batch all or nothing, so one
+    semidefinite member would fail the whole attempt.
     """
     if not np.isfinite(mat).all():
         raise NumericalFailureError("state has non-finite entries")
     herm = 0.5 * (mat + _dag(mat))
+    if herm.ndim == 2:
+        try:
+            np.linalg.cholesky(herm)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            return herm / np.trace(herm).real
     w, v = np.linalg.eigh(herm)
     w = np.clip(w, 0.0, None)
     tr = np.sum(w, axis=-1)

@@ -307,10 +307,9 @@ class TestOdeCommand:
         assert rows == want
 
     def test_overflowing_step_exits_3(self, tmp_path):
-        # RK4 with dt_ode = 1e200 overflows to a non-finite state
+        # RK4 with u = 1e300 overflows to a non-finite state in its first step
         res = RUNNER.invoke(main, ["ode", "--J", "1", "--f", "3",
-                                   "--dt-ode", "1e200", "--T", "1e201",
-                                   "-o", str(tmp_path)])
+                                   "--u", "1e300", "-o", str(tmp_path)])
         assert res.exit_code == 3, res.output
         assert "non-finite" in res.output
 
@@ -432,9 +431,20 @@ class TestRejectedRuns:
     def test_overflow_exits_3_and_writes_nothing(self, tmp_path):
         out = tmp_path / "o"
         res = RUNNER.invoke(main, ["ode", "--J", "1", "--f", "3",
-                                   "--dt-ode", "1e200", "--T", "1e201",
-                                   "-o", str(out)])
+                                   "--u", "1e300", "-o", str(out)])
         assert res.exit_code == 3, res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--J", "1", "--f", "3", "--dt-ode", "1e200", "--T", "1e201"],
+        ["--J", "10", "--f", "11", "--T", "20", "--dt-ode", "0.015"],
+    ], ids=" ".join)
+    def test_unstable_rk4_step_exits_2_naming_dt_ode(self, tmp_path, argv):
+        # RK4 would grow the stiffest mode; the projection would hide it
+        out = tmp_path / "o"
+        res = RUNNER.invoke(main, ["ode", *argv, "-o", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "dt_ode" in res.output and "too large for RK4" in res.output
         assert not out.exists()
 
 

@@ -388,6 +388,26 @@ class TestEnsembleOde:
             with pytest.raises(ValueError, match="horizon T must be finite"):
                 integrate_ensemble(maximally_mixed(3), self.drive, bad, 1e-2)
 
+    def test_step_outside_rk4_stability_rejected(self):
+        # max(gaps_sq) / 2 = 200 at J = 10: the bound is dt_ode <= 0.013925
+        ops = make_spin_operators(10)
+        drive = ConstantInput(1.0, 11, ops)
+        with pytest.raises(ValueError,
+                           match=r"dt_ode = 0\.015 .* = 3 > 2\.785"):
+            integrate_ensemble(eigenstate(ops, 1), drive, 1.0, 0.015)
+        traj = integrate_ensemble(eigenstate(ops, 1), drive, 0.0139, 0.0139)
+        assert np.isfinite(traj.states).all()
+
+    def test_stability_bound_is_rk4s_on_the_negative_real_axis(self):
+        # RK4 multiplies a mode decaying at rate a by R(-a dt), the degree-4
+        # Taylor polynomial of exp; |R| <= 1 holds up to the bound and no
+        # further.
+        def amplification(z):
+            return abs(1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24)
+
+        bound = dynamics._RK4_REAL_BOUND
+        assert amplification(-bound) <= 1.0 < amplification(-bound - 1e-3)
+
     def test_states_are_one_read_only_array(self, monkeypatch):
         built = []
         real = dynamics.QuantumState

@@ -13,6 +13,10 @@ The dtype rule (a real state is stepped in float64, a complex one in
 complex128, through the same kernels) is checked against the complex
 computation on the same matrix. The record grid of the stepping loop is
 every ``record_stride``-th step and the last, for any step count and stride.
+The drift is checked over random inputs u: zero at every eigenstate at
+u = 0, traceless, and a batch row equal to the single call. The projection
+``_clip_psd`` is compared with its ``eigh`` oracle on full-rank,
+near-singular, rank-deficient and indefinite matrices, single and batched.
 """
 
 import sys
@@ -24,7 +28,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import random_density
+from helpers import clip_psd_eigh, random_density
 from spinstab import dynamics
 from spinstab.controller import (ConstantInput, feedback_gain, new_controller,
                                  switch_modes)
@@ -262,3 +266,107 @@ def test_record_grid_is_every_stride_th_step_and_the_last(n_steps, stride):
         ks.append(n_steps)
     np.testing.assert_array_equal(rec.times, [cfg.dt * k for k in ks])
     assert len(rec.V) == len(rec.u) == len(rec.modes) == len(ks)
+
+
+_u_values = st.floats(-5.0, 5.0, allow_subnormal=False)
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.one_of(spin_states(), real_states()), st.data())
+def test_drift_over_random_u_is_traceless_and_rowwise(case, data):
+    ops, m, batch = case
+    u = data.draw(arrays(np.float64, () if batch is None else (batch,),
+                         elements=_u_values))
+    for k in range(1, ops.dim + 1):
+        assert not sme_drift(eigenstate(ops, k), 0.0, ops).any()
+    d = sme_drift(m, u, ops)
+    assert d.dtype == m.dtype
+    np.testing.assert_allclose(np.trace(d, axis1=-2, axis2=-1), 0.0, rtol=0,
+                               atol=1e-13)
+    for i in range(batch or 0):
+        np.testing.assert_array_equal(d[i], sme_drift(m[i], u[i], ops))
+
+
+def _unitary(n, complex_, rng):
+    """A random orthogonal (real) or unitary (complex) n x n matrix."""
+    g = rng.normal(size=(n, n))
+    if complex_:
+        g = g + 1j * rng.normal(size=(n, n))
+    return np.linalg.qr(g)[0]
+
+
+@st.composite
+def projection_inputs(draw, ops=None, complex_=None):
+    """(ops, mat): a single real symmetric or complex Hermitian matrix of one
+    of four kinds. Full-rank: positive eigenvalues in [0.1, 1]. Near-singular:
+    eigenvalues log-uniform down to 10**-e, e up to 12. Rank-deficient: a
+    measurement eigenstate or a random pure state. Indefinite: eigenvalues
+    in [-1, 1] with at least one positive and one negative. ``ops`` and
+    ``complex_`` are drawn unless given."""
+    if ops is None:
+        ops = OPS[draw(st.sampled_from(sorted(OPS)))]
+    if complex_ is None:
+        complex_ = draw(st.booleans())
+    n = ops.dim
+    kind = draw(st.sampled_from(["full", "near-singular", "eigenstate",
+                                 "pure", "indefinite"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "eigenstate":
+        mat = np.zeros((n, n), dtype=complex if complex_ else float)
+        k = draw(st.integers(0, n - 1))
+        mat[k, k] = 1.0
+        return ops, mat
+    if kind == "pure":
+        psi = _unitary(n, complex_, rng)[:, 0]
+        return ops, np.outer(psi, psi.conj())
+    if kind == "full":
+        w = rng.uniform(0.1, 1.0, n)
+    elif kind == "near-singular":
+        w = 10.0 ** rng.uniform(-draw(st.floats(1.0, 12.0)), 0.0, n)
+        w[0] = 10.0 ** -draw(st.floats(1.0, 12.0))
+    else:
+        w = rng.uniform(-1.0, 1.0, n)
+        w[:2] = 0.5, -0.5
+    v = _unitary(n, complex_, rng)
+    mat = (v * w) @ _dag(v)
+    return ops, 0.5 * (mat + _dag(mat))
+
+
+@settings(deadline=None, max_examples=150)
+@given(projection_inputs())
+def test_projection_equals_the_eigh_oracle(case):
+    _, mat = case
+    out = _clip_psd(mat)
+    assert out.dtype == mat.dtype
+    np.testing.assert_allclose(out, clip_psd_eigh(mat), rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(out, _dag(out))
+    assert abs(np.trace(out) - 1.0) <= 1e-14
+    assert np.linalg.eigvalsh(out).min() >= -1e-12
+
+
+@st.composite
+def projection_batches(draw):
+    """A (B, N, N) stack, B from 1 to 4, of ``projection_inputs`` matrices
+    that share N and dtype."""
+    ops = OPS[draw(st.sampled_from(sorted(OPS)))]
+    complex_ = draw(st.booleans())
+    cases = draw(st.lists(projection_inputs(ops, complex_), min_size=1,
+                          max_size=4))
+    return np.stack([mat for _, mat in cases])
+
+
+@settings(deadline=None, max_examples=40)
+@given(projection_batches())
+def test_batched_projection_is_the_eigh_oracle_bit_for_bit(batch):
+    out = _clip_psd(batch)
+    assert out.dtype == batch.dtype
+    np.testing.assert_array_equal(out, clip_psd_eigh(batch))
+
+
+def test_rk4_run_stays_with_the_eigh_oracle_run():
+    ops = OPS[10]
+    drive = ConstantInput(1.0, 11, ops)
+    traj = integrate_ensemble(eigenstate(ops, 1), drive, 20.0, 1e-2)
+    with mock.patch.object(dynamics, "_clip_psd", clip_psd_eigh):
+        oracle = integrate_ensemble(eigenstate(ops, 1), drive, 20.0, 1e-2)
+    np.testing.assert_allclose(traj.states, oracle.states, rtol=0, atol=1e-13)
