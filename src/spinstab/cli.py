@@ -3,16 +3,19 @@
 Subcommands: ``simulate`` (closed-loop sample paths), ``ensemble``
 (Monte Carlo statistics), ``exit-time`` (first-exit estimation under the
 fixed drive) and ``ode`` (averaged dynamics). A run is configured by a
-JSON file plus flag overrides; the resolved configuration is written next
-to the outputs in canonical form so every artifact is reproducible from
-its own directory. CSV numeric fields carry 17 significant digits.
+preset, a JSON file and flag overrides, any of which may set any
+``SimConfig`` field; each subcommand takes the flags of the fields it reads
+and writes those fields, resolved, next to its outputs in canonical form
+(``config.json``), so every artifact is reproducible from its own
+directory. CSV numeric fields carry 17 significant digits.
 
 The library checks every value it is given; the commands map its errors
 to exit codes in one place. Exit codes: 0 success; 2 configuration error,
-which is any ValueError the library raises on the resolved configuration
-or a preset, config file, ``--initial`` file or control spec that cannot be
-read; 3 numerical failure (a state became non-finite). A run that exits 2
-or 3 writes no files.
+which is a flag the subcommand does not take, any ValueError the library
+raises on the resolved configuration, or a preset, config file (unknown
+key, value of the wrong type), ``--initial`` file or control spec that
+cannot be read; 3 numerical failure (a state became non-finite). A run
+that exits 2 or 3 writes no files.
 """
 
 import csv
@@ -20,6 +23,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import get_args
 
 import click
 import numpy as np
@@ -51,14 +55,7 @@ class NumericalError(click.ClickException):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Resolved experiment configuration (one flat record, JSON-serializable).
-
-    ``initial`` is a 1-based eigenstate index or a path to a ``.npy`` file
-    holding an explicit density matrix. ``control`` is ``"mh"`` for the
-    switching law or ``"constant:<value>"`` for a fixed input. ``gamma_a``
-    only matters for exit-time runs, ``dt_ode`` and ``u_ode`` only for
-    averaged-dynamics runs, which do not read ``dt`` or ``eta``.
-    """
+    """Resolved experiment configuration; ``_FLAGS`` describes each field."""
 
     J: float = 1.0
     gamma: float = 0.1
@@ -76,6 +73,25 @@ class SimConfig:
     dt_ode: float = 1e-2
     u_ode: float = 1.0
 
+
+# Every SimConfig field: (its space-separated flags, type, help text).
+_FLAGS = {
+    "J": ("--J", float, "Total angular momentum (N = 2J+1)."),
+    "gamma": ("--gamma", float, "Switching parameter of the control law."),
+    "f": ("--f", int, "Target eigenstate index (1-based)."),
+    "initial": ("--initial", str, "Initial eigenstate index or .npy file."),
+    "eta": ("--eta", float, "Detector efficiency in (0, 1]."),
+    "dt": ("--dt", float, "Euler-Maruyama step."),
+    "T": ("--T", float, "Horizon."),
+    "M": ("--M", int, "Number of trajectories."),
+    "base_seed": ("--seed", int, "Base seed; member k uses stream (seed, k)."),
+    "output": ("--output -o", str, "Output directory."),
+    "record_stride": ("--stride", int, "Record every k-th integration step."),
+    "control": ("--control", str, "'mh' or 'constant:<value>'."),
+    "gamma_a": ("--gamma-a", float, "Exit when V <= 1 - gamma_a."),
+    "dt_ode": ("--dt-ode", float, "RK4 step for the averaged dynamics."),
+    "u_ode": ("--u", float, "Fixed input for the averaged dynamics."),
+}
 
 PRESETS: dict[str, dict] = {
     # Stabilization of the 21-level system (J=10) around the middle
@@ -96,12 +112,15 @@ PRESETS: dict[str, dict] = {
                           record_stride=50),
 }
 
-_FIELD_NAMES = {fld.name for fld in fields(SimConfig)}
+# The types each field's annotation admits; load_config also takes an int
+# for a float.
+_FIELD_TYPES = {fld.name: get_args(fld.type) or (fld.type,)
+                for fld in fields(SimConfig)}
 
 
-def canonical_json(cfg: SimConfig) -> str:
+def canonical_json(values: dict) -> str:
     """Canonical serialized form (sorted keys, two-space indent, newline)."""
-    return json.dumps(asdict(cfg), sort_keys=True, indent=2) + "\n"
+    return json.dumps(values, sort_keys=True, indent=2) + "\n"
 
 
 def load_config(preset: str | None = None, config_path: str | None = None,
@@ -127,16 +146,20 @@ def load_config(preset: str | None = None, config_path: str | None = None,
         if not isinstance(data, dict):
             raise ConfigError(f"{config_path}: top level must be an object")
         for key in data:
-            if key not in _FIELD_NAMES:
+            if key not in _FIELD_TYPES:
                 raise ConfigError(f"{config_path}: unknown config key '{key}'")
         values.update(data)
     for key, val in (overrides or {}).items():
         if val is not None:
             values[key] = val
-    try:
-        return SimConfig(**values)
-    except TypeError as e:
-        raise ConfigError(str(e)) from e
+    for key, val in values.items():
+        kinds = _FIELD_TYPES[key]
+        admitted = kinds + (int,) if float in kinds else kinds
+        if isinstance(val, bool) or not isinstance(val, admitted):
+            raise ConfigError(f"config key '{key}' must be "
+                              f"{' or '.join(k.__name__ for k in kinds)}, "
+                              f"got {val!r}")
+    return SimConfig(**values)
 
 
 @contextmanager
@@ -183,47 +206,13 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _prepare_output(cfg: SimConfig) -> Path:
+def _prepare_output(cfg: SimConfig, keys) -> Path:
+    """Make the output directory and record the fields ``keys`` of ``cfg``."""
     out = Path(cfg.output)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(canonical_json(cfg))
+    (out / "config.json").write_text(
+        canonical_json({key: getattr(cfg, key) for key in keys}))
     return out
-
-
-_CONFIG_OPTIONS = [
-    click.option("--preset", type=click.Choice(sorted(PRESETS)), default=None,
-                 help="Start from a named experiment preset."),
-    click.option("--config", "config_path", type=click.Path(), default=None,
-                 help="JSON configuration file."),
-    click.option("--J", "J", type=float, default=None,
-                 help="Total angular momentum (N = 2J+1)."),
-    click.option("--gamma", type=float, default=None,
-                 help="Switching parameter of the control law."),
-    click.option("--f", "f", type=int, default=None,
-                 help="Target eigenstate index (1-based)."),
-    click.option("--initial", type=str, default=None,
-                 help="Initial eigenstate index or .npy matrix file."),
-    click.option("--eta", type=float, default=None,
-                 help="Detector efficiency in (0, 1]."),
-    click.option("--dt", type=float, default=None, help="Integrator step."),
-    click.option("--T", "T", type=float, default=None, help="Horizon."),
-    click.option("--M", "M", type=int, default=None,
-                 help="Number of trajectories."),
-    click.option("--seed", "base_seed", type=int, default=None,
-                 help="Base seed; trajectory k uses stream (seed, k)."),
-    click.option("--output", "-o", type=str, default=None,
-                 help="Output directory."),
-    click.option("--stride", "record_stride", type=int, default=None,
-                 help="Record every k-th integration step."),
-    click.option("--control", type=str, default=None,
-                 help="'mh' or 'constant:<value>'."),
-]
-
-
-def _with_config_options(fn):
-    for opt in reversed(_CONFIG_OPTIONS):
-        fn = opt(fn)
-    return fn
 
 
 @click.group()
@@ -231,8 +220,28 @@ def main():
     """Feedback stabilization experiments for spin systems."""
 
 
-@main.command()
-@_with_config_options
+def _command(name: str, reads: tuple[str, ...]):
+    """Register a subcommand that takes --preset, --config and the flags of
+    the SimConfig fields it ``reads``, in that order. The function receives
+    the flag values as ``overrides``, whose keys its config.json records."""
+    def register(fn):
+        for key in reversed(reads):
+            flags, kind, text = _FLAGS[key]
+            fn = click.option(*flags.split(), key, type=kind, help=text)(fn)
+        fn = click.option("--config", "config_path", type=click.Path(),
+                          help="JSON configuration file.")(fn)
+        fn = click.option("--preset", type=click.Choice(sorted(PRESETS)),
+                          help="Start from a named experiment preset.")(fn)
+        return main.command(name)(fn)
+    return register
+
+
+_EVERY_RUN_FIELDS = ("J", "f", "initial", "T", "output")
+_SDE_FIELDS = (*_EVERY_RUN_FIELDS, "eta", "dt", "M", "base_seed")
+_CLOSED_LOOP_FIELDS = (*_SDE_FIELDS, "gamma", "record_stride", "control")
+
+
+@_command("simulate", _CLOSED_LOOP_FIELDS)
 def simulate(preset, config_path, **overrides):
     """Simulate closed-loop sample paths; one CSV per trajectory."""
     cfg = load_config(preset, config_path, overrides)
@@ -242,7 +251,7 @@ def simulate(preset, config_path, **overrides):
             rho0, _parse_control(cfg, ops), cfg.T,
             SdeStepConfig(cfg.dt, cfg.eta), cfg.base_seed,
             list(range(cfg.M)), record_stride=cfg.record_stride)
-    out = _prepare_output(cfg)
+    out = _prepare_output(cfg, overrides)
     for rec in records:
         path = out / f"trajectory_seed{cfg.base_seed}_stream{rec.stream}.csv"
         rows = ([_fmt(t), _fmt(v), _fmt(u), _fmt(p), m]
@@ -253,8 +262,7 @@ def simulate(preset, config_path, **overrides):
                    f"converged = {rec.converged}")
 
 
-@main.command()
-@_with_config_options
+@_command("ensemble", _CLOSED_LOOP_FIELDS)
 def ensemble(preset, config_path, **overrides):
     """Monte Carlo ensemble statistics (CSV series + JSON summary)."""
     cfg = load_config(preset, config_path, overrides)
@@ -264,7 +272,7 @@ def ensemble(preset, config_path, **overrides):
             rho0, _parse_control(cfg, ops), cfg.T,
             SdeStepConfig(cfg.dt, cfg.eta), cfg.M,
             cfg.base_seed, record_stride=cfg.record_stride)
-    out = _prepare_output(cfg)
+    out = _prepare_output(cfg, overrides)
     rows = ([_fmt(t), _fmt(v), _fmt(c)]
             for t, v, c in zip(stats.times, stats.mean_V, stats.conv_frac))
     _write_csv(out / "ensemble.csv", ["t", "mean_V", "conv_frac"], rows)
@@ -276,16 +284,12 @@ def ensemble(preset, config_path, **overrides):
         "mean_V_final": float(stats.mean_V[-1]),
         "failures": [[int(i), float(t)] for i, t in stats.failures],
     }
-    (out / "summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    (out / "summary.json").write_text(canonical_json(summary))
     click.echo(f"convergence fraction at T = {cfg.T:g}: "
                f"{stats.convergence_fraction:.3f}")
 
 
-@main.command("exit-time")
-@_with_config_options
-@click.option("--gamma-a", "gamma_a", type=float, default=None,
-              help="Region parameter: exit when V <= 1 - gamma_a.")
+@_command("exit-time", (*_SDE_FIELDS, "gamma_a"))
 def exit_time(preset, config_path, **overrides):
     """Estimate first-exit times of the far region under the fixed input."""
     cfg = load_config(preset, config_path, overrides)
@@ -296,11 +300,10 @@ def exit_time(preset, config_path, **overrides):
         report = estimate_exit_time(cfg.gamma_a, rho0, cfg.f, ops, cfg.T,
                                     SdeStepConfig(cfg.dt, cfg.eta), cfg.M,
                                     cfg.base_seed)
-    out = _prepare_output(cfg)
+    out = _prepare_output(cfg, overrides)
     payload = asdict(report)
     payload["tau"] = [float(t) for t in report.tau]
-    (out / "exit_time.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    (out / "exit_time.json").write_text(canonical_json(payload))
     if report.inconclusive:
         click.echo(f"inconclusive: all {report.M} paths censored at "
                    f"T = {cfg.T:g}")
@@ -310,12 +313,7 @@ def exit_time(preset, config_path, **overrides):
                    f"diagnostic bound {report.dynkin_bound:.4g})")
 
 
-@main.command()
-@_with_config_options
-@click.option("--dt-ode", "dt_ode", type=float, default=None,
-              help="RK4 step for the averaged dynamics.")
-@click.option("--u", "u_ode", type=float, default=None,
-              help="Fixed input for the averaged dynamics.")
+@_command("ode", (*_EVERY_RUN_FIELDS, "dt_ode", "u_ode"))
 def ode(preset, config_path, **overrides):
     """Integrate the averaged dynamics and export its distance diagnostics."""
     cfg = load_config(preset, config_path, overrides)
@@ -329,8 +327,8 @@ def ode(preset, config_path, **overrides):
     rows = ([_fmt(t), _fmt(v), _fmt(lyapunov_Q(st)),
              _fmt(np.linalg.norm(st - mixed))]
             for t, v, st in zip(traj.times, V, traj.states))
-    _write_csv(_prepare_output(cfg) / "ode.csv", ["t", "V", "Q", "mm_dist"],
-               rows)
+    out = _prepare_output(cfg, overrides)
+    _write_csv(out / "ode.csv", ["t", "V", "Q", "mm_dist"], rows)
     final = np.linalg.norm(traj.states[-1] - mixed)
     click.echo(f"final |rho_bar - I/{ops.dim}|_F = {final:.6e}")
 

@@ -57,9 +57,11 @@ __all__ = [
 # Convergence flag threshold on V: discriminates converged paths at figure level.
 EPS_CONV = 0.01
 
-# RK4's stability interval on the negative real axis is [-2.7853, 0]. The
-# averaged flow's stiffest mode decays at rate max(gaps_sq) / 2 (the double
-# commutator), so a larger dt_ode * max(gaps_sq) / 2 grows instead of decaying.
+# Stability intervals on the negative real axis: [-2, 0] for explicit Euler,
+# [-2.7853, 0] for RK4. The stiffest coherence decays at rate max(gaps_sq) / 2
+# (the double commutator), so a larger dt * max(gaps_sq) / 2 grows instead of
+# decaying; see ``_check_stable``.
+_EULER_REAL_BOUND = 2.0
 _RK4_REAL_BOUND = 2.785
 
 # Steps of noise drawn per member at a time. Philox draws do not depend on
@@ -199,6 +201,20 @@ def _step_count(T: float, dt: float, dt_name: str) -> int:
     return n_steps
 
 
+def _check_stable(dt: float, dt_name: str, ops: SpinOperators, scheme: str,
+                  bound: float) -> None:
+    """The step guard of both integrators: ValueError unless
+    dt * max(gaps_sq) / 2 <= ``bound``, the end of ``scheme``'s stability
+    interval on the negative real axis. Past it the scheme grows the stiffest
+    coherence, which the projection would clamp into plausible states."""
+    ratio = dt * ops.gaps_sq.max() / 2
+    if ratio > bound:
+        raise ValueError(
+            f"{dt_name} = {dt:g} is too large for {scheme} at N = {ops.dim}: "
+            f"{dt_name} * max(gaps_sq) / 2 = {ratio:.4g} > {bound}; "
+            f"take {dt_name} <= {2 * bound / ops.gaps_sq.max():.4g}")
+
+
 @contextmanager
 def _records_fit(T: float, dt: float, dt_name: str, stride: int):
     """A failed allocation of a run's records as a ValueError naming T."""
@@ -256,15 +272,17 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
     draws its noise in blocks of ``_NOISE_BLOCK`` steps. The batch is
     stepped in the dtype that ``_checked_rho0`` picks for ``rho0``. Raises
     ValueError for an input outside its range, including a ``rho0`` that is
-    not an N x N density matrix and records too large for memory, and
-    NumericalFailureError, with the time of the failed step, if a member's
-    state becomes non-finite.
+    not an N x N density matrix, a ``dt`` outside explicit Euler's stability
+    interval (dt * max(gaps_sq) / 2 > 2) and records too large for memory,
+    and NumericalFailureError, with the time of the failed step, if a
+    member's state becomes non-finite.
     """
     f, ops = control.f, control.ops
     mh = isinstance(control, ControllerState)
     if record_stride < 1:
         raise ValueError(f"record_stride must be >= 1, got {record_stride}")
     n_steps = _step_count(T, cfg.dt, "dt")
+    _check_stable(cfg.dt, "dt", ops, "Euler-Maruyama", _EULER_REAL_BOUND)
 
     m_count = len(streams)
     if m_count < 1:
@@ -398,12 +416,7 @@ def integrate_ensemble(rho0, control, T: float,
     """
     u, ops = control.u, control.ops
     n_steps = _step_count(T, dt_ode, "dt_ode")
-    ratio = dt_ode * ops.gaps_sq.max() / 2
-    if ratio > _RK4_REAL_BOUND:
-        raise ValueError(
-            f"dt_ode = {dt_ode:g} is too large for RK4 at N = {ops.dim}: "
-            f"dt_ode * max(gaps_sq) / 2 = {ratio:.4g} > {_RK4_REAL_BOUND}; "
-            f"take dt_ode <= {2 * _RK4_REAL_BOUND / ops.gaps_sq.max():.4g}")
+    _check_stable(dt_ode, "dt_ode", ops, "RK4", _RK4_REAL_BOUND)
     state = _checked_rho0(rho0, ops)
     with _records_fit(T, dt_ode, "dt_ode", 1):
         states = np.empty((n_steps + 1, ops.dim, ops.dim), dtype=state.dtype)

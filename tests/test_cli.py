@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -42,13 +43,13 @@ def read_csv(path):
 class TestConfig:
     def test_canonical_roundtrip_is_byte_identical(self):
         cfg = SimConfig(J=1.0, gamma=0.1, f=3, T=1.0, M=2, base_seed=5)
-        text = canonical_json(cfg)
+        text = canonical_json(asdict(cfg))
         reparsed = SimConfig(**json.loads(text))
-        assert canonical_json(reparsed) == text
+        assert canonical_json(asdict(reparsed)) == text
 
     def test_floats_roundtrip_at_full_precision(self):
         cfg = SimConfig(dt=1.0 / 3.0, T=np.nextafter(2.0, 3.0))
-        reparsed = SimConfig(**json.loads(canonical_json(cfg)))
+        reparsed = SimConfig(**json.loads(canonical_json(asdict(cfg))))
         assert reparsed.dt == cfg.dt
         assert reparsed.T == cfg.T
 
@@ -83,6 +84,44 @@ class TestConfig:
         cfg_file.write_text('{\n  "gamma": 0.1,\n}\n')
         with pytest.raises(Exception, match="line 3"):
             load_config(None, str(cfg_file), {})
+
+    @pytest.mark.parametrize("text", [
+        '{"M": "5"}', '{"record_stride": 1.5}', '{"f": 2.0}', '{"J": true}',
+    ])
+    def test_value_of_the_wrong_type_exits_2_naming_the_key(self, tmp_path,
+                                                           text):
+        key, = json.loads(text)
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(text)
+        out = tmp_path / "o"
+        res = RUNNER.invoke(main, ["simulate", "--config", str(cfg_file),
+                                   "--T", "0.01", "-o", str(out)])
+        assert res.exit_code == 2, res.output
+        assert f"config key '{key}' must be" in res.output
+        assert not out.exists()
+
+    def test_int_for_a_float_and_null_gamma_a_are_accepted(self, tmp_path):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text('{"T": 2, "gamma_a": null, "initial": "1"}')
+        cfg = load_config(None, str(cfg_file), {})
+        assert (cfg.T, cfg.gamma_a, cfg.initial) == (2, None, "1")
+
+    @pytest.mark.parametrize("write, text", [
+        (None, "cannot read config file"),
+        (lambda p: p.mkdir(), "cannot read config file"),
+        (lambda p: p.write_text("[1, 2]"), "top level must be an object"),
+    ], ids=["missing", "directory", "array"])
+    def test_unreadable_or_non_object_config_exits_2(self, tmp_path, write,
+                                                     text):
+        cfg_file = tmp_path / "c.json"
+        if write is not None:
+            write(cfg_file)
+        out = tmp_path / "o"
+        res = RUNNER.invoke(main, ["ode", "--config", str(cfg_file),
+                                   "-o", str(out)])
+        assert res.exit_code == 2, res.output
+        assert text in res.output
+        assert not out.exists()
 
 
 class TestSimulateCommand:
@@ -141,15 +180,6 @@ class TestSimulateCommand:
             assert float(row[3]) == p
         cfg = json.loads((tmp_path / "config.json").read_text())
         assert cfg["base_seed"] == 12 and cfg["M"] == 2
-
-    def test_config_file_provenance_is_canonical(self, tmp_path):
-        out = tmp_path / "run"
-        res = RUNNER.invoke(main, ["simulate", "--J", "1", "--gamma", "0.1",
-                                   "--f", "3", "--T", "0.05", "-o", str(out)])
-        assert res.exit_code == 0, res.output
-        text = (out / "config.json").read_text()
-        cfg = SimConfig(**json.loads(text))
-        assert canonical_json(cfg) == text
 
     def test_matrix_file_initial_state(self, tmp_path):
         mat = np.diag([0.2, 0.3, 0.5]).astype(complex)
@@ -229,7 +259,7 @@ class TestEnsembleCommand:
 class TestExitTimeCommand:
     def test_report_schema(self, tmp_path):
         res = RUNNER.invoke(main, [
-            "exit-time", "--J", "1", "--gamma", "0.1", "--f", "3",
+            "exit-time", "--J", "1", "--f", "3",
             "--gamma-a", "0.1", "--T", "30", "--M", "16", "--seed", "5",
             "-o", str(tmp_path)])
         assert res.exit_code == 0, res.output
@@ -247,6 +277,16 @@ class TestExitTimeCommand:
             assert res.exit_code == 2
             assert "gamma_a" in res.output
 
+    def test_all_censored_run_is_inconclusive(self, tmp_path):
+        res = RUNNER.invoke(main, [
+            "exit-time", "--J", "1", "--f", "3", "--gamma-a", "0.1",
+            "--T", "0.01", "--M", "2", "-o", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert "inconclusive: all 2 paths censored" in res.output
+        report = json.loads((tmp_path / "exit_time.json").read_text())
+        assert report["inconclusive"] is True and report["mean"] is None
+        assert report["censored"] == 2 and report["tau"] == []
+
     def test_missing_gamma_a_exits_2(self, tmp_path):
         res = RUNNER.invoke(main, ["exit-time", "--J", "1", "--f", "3",
                                    "-o", str(tmp_path)])
@@ -254,16 +294,6 @@ class TestExitTimeCommand:
 
 
 class TestOdeCommand:
-    def test_step_settings_it_does_not_use_are_not_checked(self, tmp_path):
-        argv = ["ode", "--J", "1", "--f", "3", "--T", "0.5"]
-        plain = RUNNER.invoke(main, [*argv, "-o", str(tmp_path / "a")])
-        odd = RUNNER.invoke(main, [*argv, "--dt", "0", "--eta", "5",
-                                   "-o", str(tmp_path / "b")])
-        assert plain.exit_code == 0, plain.output
-        assert odd.exit_code == 0, odd.output
-        assert ((tmp_path / "b" / "ode.csv").read_bytes()
-                == (tmp_path / "a" / "ode.csv").read_bytes())
-
     def test_bad_target_rejected_before_integrating(self, tmp_path,
                                                     monkeypatch):
         import spinstab.cli as cli_mod
@@ -446,6 +476,94 @@ class TestRejectedRuns:
         assert res.exit_code == 2, res.output
         assert "dt_ode" in res.output and "too large for RK4" in res.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--J", "10", "--f", "11", "--dt", "0.5", "--T", "50"],
+        ["ensemble", "--J", "10", "--f", "11", "--dt", "0.011", "--T", "1"],
+        ["exit-time", "--J", "1", "--f", "3", "--gamma-a", "0.1", "--dt",
+         "1.5", "--T", "3"],
+    ], ids=" ".join)
+    def test_unstable_euler_step_exits_2_naming_dt(self, tmp_path, argv):
+        # Euler would grow the stiffest coherence; the projection would
+        # clamp it into plausible CSVs
+        out = tmp_path / "o"
+        res = RUNNER.invoke(main, [*argv, "-o", str(out)])
+        assert res.exit_code == 2, res.output
+        assert f"dt = {argv[argv.index('--dt') + 1]}" in res.output
+        assert "too large for Euler-Maruyama" in res.output
+        assert not out.exists()
+
+
+_READS = {
+    "simulate": ["J", "f", "initial", "T", "output", "eta", "dt", "M",
+                 "base_seed", "gamma", "record_stride", "control"],
+    "exit-time": ["J", "f", "initial", "T", "output", "eta", "dt", "M",
+                  "base_seed", "gamma_a"],
+    "ode": ["J", "f", "initial", "T", "output", "dt_ode", "u_ode"],
+}
+_READS["ensemble"] = _READS["simulate"]
+
+
+class TestFlags:
+    """Each subcommand takes the flags of the SimConfig fields it reads, and
+    its config.json records exactly those fields."""
+
+    @pytest.mark.parametrize("argv", [
+        ["exit-time", "--gamma", "0.1"],
+        ["exit-time", "--stride", "2"],
+        ["exit-time", "--control", "constant:5"],
+        ["ode", "--gamma", "0.1"],
+        ["ode", "--eta", "0.3"],
+        ["ode", "--dt", "0.5"],
+        ["ode", "--M", "2"],
+        ["ode", "--seed", "3"],
+        ["ode", "--stride", "2"],
+        ["ode", "--control", "constant:9"],
+    ], ids=" ".join)
+    def test_flag_the_command_does_not_read_exits_2(self, tmp_path, argv):
+        # a run that would otherwise succeed
+        extra = ["--gamma-a", "0.1"] if argv[0] == "exit-time" else []
+        out = tmp_path / "o"
+        res = RUNNER.invoke(main, [argv[0], "--J", "1", "--f", "3", "--T",
+                                   "0.05", *extra, *argv[1:], "-o", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "No such option" in res.output and argv[1] in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--M", "2", "--stride", "10", "--seed", "4"],
+        ["ensemble", "--M", "2", "--control", "constant:1"],
+        ["exit-time", "--gamma-a", "0.1", "--M", "2", "--dt", "2e-3"],
+        ["ode", "--dt-ode", "0.02", "--u", "0.5"],
+    ], ids=lambda argv: argv[0])
+    def test_config_json_holds_the_fields_read_and_reloads(self, tmp_path,
+                                                           argv):
+        out = tmp_path / "o"
+        res = RUNNER.invoke(main, [*argv, "--J", "1", "--f", "3",
+                                   "--T", "0.05", "-o", str(out)])
+        assert res.exit_code == 0, res.output
+        text = (out / "config.json").read_text()
+        assert sorted(json.loads(text)) == sorted(_READS[argv[0]])
+        rerun = RUNNER.invoke(main, [argv[0], "--config",
+                                     str(out / "config.json")])
+        assert rerun.exit_code == 0, rerun.output
+        assert (out / "config.json").read_text() == text
+
+    def test_presets_and_config_files_serve_every_command(self, tmp_path):
+        # acceptance-n3 sets gamma, record_stride and control, which
+        # exit-time does not read; so does a config.json from simulate
+        res = RUNNER.invoke(main, ["exit-time", "--preset", "acceptance-n3",
+                                   "--gamma-a", "0.1", "--T", "0.05", "--M",
+                                   "2", "-o", str(tmp_path / "a")])
+        assert res.exit_code == 0, res.output
+        res = RUNNER.invoke(main, ["simulate", "--J", "1", "--f", "3",
+                                   "--T", "0.05", "-o", str(tmp_path / "s")])
+        assert res.exit_code == 0, res.output
+        res = RUNNER.invoke(main, ["exit-time", "--config",
+                                   str(tmp_path / "s" / "config.json"),
+                                   "--gamma-a", "0.1", "-o",
+                                   str(tmp_path / "e")])
+        assert res.exit_code == 0, res.output
 
 
 class TestPresets:

@@ -140,13 +140,14 @@ class TestEmStep:
                         self.cfg, self.ops)
 
     def test_batched_loop_raises_with_failure_time(self):
-        # A valid pure state and a drive so large that the first step
+        # A valid pure state, a step inside Euler's stability bound (ratio
+        # 0.2 at N = 21) and a drive so large that the first step
         # overflows: the loop stops at that step's time.
-        cfg = SdeStepConfig(dt=1e10)
-        rho0 = np.full((3, 3), 1 / 3, dtype=complex)
+        cfg = SdeStepConfig(dt=1e-3)
+        ops10 = make_spin_operators(10)
         with pytest.raises(NumericalFailureError) as exc:
-            simulate_batch(rho0, ConstantInput(1e300, 3, self.ops), 2e10, cfg,
-                           0, [0])
+            simulate_batch(eigenstate(ops10, 11),
+                           ConstantInput(1e308, 11, ops10), 0.003, cfg, 0, [0])
         assert exc.value.time == pytest.approx(cfg.dt)
 
     def test_invariants_after_random_steps(self):
@@ -536,3 +537,30 @@ class TestStepConfig:
         for dt in (np.nan, np.inf):
             with pytest.raises(ValueError, match="dt must be finite"):
                 SdeStepConfig(dt=dt)
+
+
+_RHO3 = eigenstate(_OPS3, 1)
+# One step of dt from eigenstate 1 under u = 1, through each integrator.
+_ONE_STEP = {
+    "simulate_batch": lambda dt: simulate_batch(
+        _RHO3, _DRIVE3, dt, SdeStepConfig(dt=dt), 0, [0]),
+    "run_ensemble": lambda dt: run_ensemble(
+        _RHO3, _DRIVE3, dt, SdeStepConfig(dt=dt), M=2),
+    "estimate_exit_time": lambda dt: estimate_exit_time(
+        0.1, _RHO3, 3, _OPS3, dt, SdeStepConfig(dt=dt), M=2),
+    "integrate_ensemble": lambda dt: integrate_ensemble(
+        _RHO3, _DRIVE3, dt, dt),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ONE_STEP))
+def test_step_past_the_stability_bound_rejected(entry):
+    """dt * max(gaps_sq) / 2 may reach 2 for Euler and 2.785 for RK4, the
+    ends of their stability intervals; at N = 3, max(gaps_sq) = 4."""
+    rk4 = entry == "integrate_ensemble"
+    bound, name = (2.785, "dt_ode") if rk4 else (2.0, "dt")
+    _ONE_STEP[entry](bound / 2)
+    with pytest.raises(ValueError, match=(
+            f"{name} = {bound / 2 * 1.0001:g} is too large for "
+            f"{'RK4' if rk4 else 'Euler-Maruyama'} at N = 3")):
+        _ONE_STEP[entry](bound / 2 * 1.0001)

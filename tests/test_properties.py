@@ -17,6 +17,8 @@ The drift is checked over random inputs u: zero at every eigenstate at
 u = 0, traceless, and a batch row equal to the single call. The projection
 ``_clip_psd`` is compared with its ``eigh`` oracle on full-rank,
 near-singular, rank-deficient and indefinite matrices, single and batched.
+In feedback mode V is a supermartingale: at an interior state the Euler
+step's mean change of V over +dW and -dW is -u^2 dt.
 """
 
 import sys
@@ -28,10 +30,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import clip_psd_eigh, random_density
+from helpers import clip_psd_eigh, random_density, switching_law
 from spinstab import dynamics
-from spinstab.controller import (ConstantInput, feedback_gain, new_controller,
-                                 switch_modes)
+from spinstab.controller import (ConstantInput, ControllerState,
+                                 feedback_gain, new_controller, switch_modes)
 from spinstab.dynamics import (SdeStepConfig, _euler_step, integrate_ensemble,
                                simulate_batch, sme_diffusion, sme_drift)
 from spinstab.quantum import (_clip_psd, _dag, distance_V, eigenstate,
@@ -266,6 +268,46 @@ def test_record_grid_is_every_stride_th_step_and_the_last(n_steps, stride):
         ks.append(n_steps)
     np.testing.assert_array_equal(rec.times, [cfg.dt * k for k in ks])
     assert len(rec.V) == len(rec.u) == len(rec.modes) == len(ks)
+
+
+_MART_CFG = SdeStepConfig(dt=1e-4)
+
+
+@st.composite
+def feedback_steps(draw):
+    """(ops, rho, ctrl, dw): an interior state in the feedback region
+    V <= 1 - gamma of a switching law with gamma in (0, 1/N), mixed from a
+    random state and the target eigenstate, and a Wiener increment for
+    which both Euler steps, with dw and -dw, stay positive definite."""
+    ops, m, _ = draw(spin_states(batched=False))
+    f = draw(st.integers(1, ops.dim))
+    w = draw(st.floats(0.0, 0.99))
+    rho = (1.0 - w) * m + w * np.asarray(eigenstate(ops, f))
+    rho = 0.5 * (rho + _dag(rho))
+    ctrl = ControllerState(draw(st.floats(1e-3, 0.999)) / ops.dim, f, ops)
+    assume(distance_V(rho, f) <= 1.0 - ctrl.gamma)
+    dw = draw(st.floats(0.01, 3.0)) * np.sqrt(_MART_CFG.dt)
+    drift = sme_drift(rho, feedback_gain(rho, f, ops), ops) * _MART_CFG.dt
+    kick = sme_diffusion(rho, ops, _MART_CFG.eta) * dw
+    for step in (drift + kick, drift - kick):
+        assume(np.linalg.eigvalsh(rho + step).min() > 0.0)
+    return ops, rho, ctrl, dw
+
+
+@settings(deadline=None)
+@given(feedback_steps())
+def test_v_is_a_supermartingale_in_feedback_mode(case):
+    """The Euler increment is linear in dW and the double commutator's
+    (f, f) entry is zero, so at an interior state, where the projection only
+    renormalizes, the mean of Delta V over +dW and -dW is -u^2 dt for the
+    feedback gain u: V decreases on average at the rate u^2."""
+    ops, rho, ctrl, dw = case
+    feedback, u = switching_law(False, rho, ctrl)
+    assert feedback
+    v0 = distance_V(rho, ctrl.f)
+    dv = [distance_V(_euler_step(rho, u, s * dw, _MART_CFG, ops), ctrl.f) - v0
+          for s in (1.0, -1.0)]
+    assert abs(0.5 * (dv[0] + dv[1]) + u**2 * _MART_CFG.dt) <= 2e-15
 
 
 _u_values = st.floats(-5.0, 5.0, allow_subnormal=False)
