@@ -12,14 +12,16 @@ directory. CSV numeric fields carry 17 significant digits.
 The library checks every value it is given; the commands map its errors
 to exit codes in one place. Exit codes: 0 success; 2 configuration error,
 which is a flag the subcommand does not take, any ValueError the library
-raises on the resolved configuration, or a preset, config file (unknown
-key, value of the wrong type), ``--initial`` file or control spec that
-cannot be read; 3 numerical failure (a state became non-finite). A run
-that exits 2 or 3 writes no files.
+raises on the resolved configuration, an allocation that does not fit in
+memory, or a preset, config file (unknown key, value of the wrong type),
+``--initial`` file or control spec that cannot be read; 3 numerical
+failure (a state became non-finite). A run that exits 2 or 3 writes no
+files; a library warning reaches stderr as one ``warning:`` line.
 """
 
 import csv
 import json
+import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -34,7 +36,6 @@ from .dynamics import (EPS_CONV, SdeStepConfig, integrate_ensemble,
 from .montecarlo import estimate_exit_time, run_ensemble
 from .quantum import (
     NumericalFailureError,
-    QuantumState,
     distance_V,
     eigenstate,
     lyapunov_Q,
@@ -164,25 +165,31 @@ def load_config(preset: str | None = None, config_path: str | None = None,
 
 @contextmanager
 def _library_errors():
-    """Map a library ValueError to exit 2 and a NumericalFailureError to exit 3."""
-    try:
-        yield
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-    except NumericalFailureError as e:
-        raise NumericalError(str(e)) from e
+    """Map a library ValueError or failed allocation to exit 2 and a
+    NumericalFailureError to exit 3; echo its warnings once it succeeds."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        try:
+            yield
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
+        except MemoryError as e:
+            raise ConfigError(f"does not fit in memory: {e}") from e
+        except NumericalFailureError as e:
+            raise NumericalError(str(e)) from e
+    for w in caught:
+        click.echo(f"warning: {w.message}", err=True)
 
 
 def _resolve(cfg: SimConfig):
-    """Build (ops, rho0); the constructors check the values."""
+    """Build (ops, rho0); the library checks the values."""
     ops = make_spin_operators(cfg.J)
-    if isinstance(cfg.initial, int) or (isinstance(cfg.initial, str)
-                                        and cfg.initial.lstrip("-").isdigit()):
+    if str(cfg.initial).lstrip("-").isdigit():
         return ops, eigenstate(ops, int(cfg.initial))
-    path = Path(str(cfg.initial))
-    if not path.exists():
-        raise ConfigError(f"initial: no such matrix file '{path}'")
-    return ops, QuantumState(np.load(path))
+    try:
+        return ops, np.load(cfg.initial)
+    except (OSError, EOFError) as e:
+        raise ConfigError(f"initial: cannot read '{cfg.initial}': {e}") from e
 
 
 def _parse_control(cfg: SimConfig, ops):

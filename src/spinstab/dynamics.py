@@ -237,6 +237,21 @@ def _philox_rng(base_seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _control_step(control, feedback, v, rho):
+    """(feedback, u) of ``control`` at states ``rho`` with distances ``v``:
+    the loop's one evaluation of the control per step. Under a
+    ControllerState ``switch_modes`` updates the mode flags and u is
+    ``feedback_gain`` in feedback mode, 1 in constant mode; as the loop
+    starts every member in the constant mode, its first step, at t = 0,
+    selects feedback exactly when V(rho0) <= 1 - gamma. Under a
+    ConstantInput the flags come back unchanged and u is the fixed input."""
+    if isinstance(control, ControllerState):
+        feedback = switch_modes(feedback, v, control.gamma)
+        return feedback, np.where(
+            feedback, feedback_gain(rho, control.f, control.ops), 1.0)
+    return feedback, np.full(np.shape(v), control.u)
+
+
 @dataclass
 class _BatchResult:
     """Raw per-member series produced by the batched stepping loop."""
@@ -247,8 +262,7 @@ class _BatchResult:
     purity: np.ndarray           # (R, M)
     modes: np.ndarray            # (R, M) uint8, 1 = feedback branch
     state_sum: np.ndarray | None  # (R, N, N) sum over members
-    first_below: np.ndarray      # (M,) first time V < EPS_CONV, NaN if never
-    exit_times: np.ndarray       # (M,) first time V <= exit_threshold
+    first_below: np.ndarray      # (M,) first time V <= level, NaN if never
 
 
 # A step that overflows is caught by _clip_psd, so numpy need not warn first.
@@ -261,24 +275,22 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
 
     ``streams`` is a sequence of noise stream indices, one per member.
     ``control`` is a ControllerState (the switching law) or a ConstantInput
-    (a fixed input); the target index and operators are taken from it.
-    Under the switching law each member carries its own mode flag. Every
-    member starts in the constant mode, so the first ``switch_modes``
-    call, at t = 0, decides the mode: feedback exactly when
-    V(rho0) <= 1 - gamma, constant in the band and above it. Step k of the
-    ``_step_count`` steps is recorded when ``k % record_stride == 0`` and at
-    the last step. With an ``exit_threshold`` the loop, and the records,
-    stop once every member has reached V <= exit_threshold. Each member
-    draws its noise in blocks of ``_NOISE_BLOCK`` steps. The batch is
-    stepped in the dtype that ``_checked_rho0`` picks for ``rho0``. Raises
-    ValueError for an input outside its range, including a ``rho0`` that is
-    not an N x N density matrix, a ``dt`` outside explicit Euler's stability
-    interval (dt * max(gaps_sq) / 2 > 2) and records too large for memory,
-    and NumericalFailureError, with the time of the failed step, if a
-    member's state becomes non-finite.
+    (a fixed input); the target index and operators are taken from it, and
+    ``_control_step`` turns it into each step's modes and inputs. Step k of
+    the ``_step_count`` steps is recorded when ``k % record_stride == 0``
+    and at the last step. Each member keeps one clock, ``first_below``: the
+    first step time at which V <= ``exit_threshold``, or V <= EPS_CONV
+    without one. With an ``exit_threshold`` the loop, and the records, stop
+    once every member's clock is set. Each member draws its noise in blocks
+    of ``_NOISE_BLOCK`` steps. The batch is stepped in the dtype that
+    ``_checked_rho0`` picks for ``rho0``. Raises ValueError for an input
+    outside its range, including a ``rho0`` that is not an N x N density
+    matrix, a ``dt`` outside explicit Euler's stability interval
+    (dt * max(gaps_sq) / 2 > 2) and records too large for memory, and
+    NumericalFailureError, with the time of the failed step, if a member's
+    state becomes non-finite.
     """
     f, ops = control.f, control.ops
-    mh = isinstance(control, ControllerState)
     if record_stride < 1:
         raise ValueError(f"record_stride must be >= 1, got {record_stride}")
     n_steps = _step_count(T, cfg.dt, "dt")
@@ -291,8 +303,9 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
 
     state = np.tile(rho0, (m_count, 1, 1))
     modes = np.zeros(m_count, dtype=bool)
+    # V != EPS_CONV (1 - rho_ff is exact and 1 - 0.01 no double), so <= is <.
+    level = EPS_CONV if exit_threshold is None else exit_threshold
     first_below = np.full(m_count, np.nan)
-    exit_times = np.full(m_count, np.nan)
 
     # steps 0, s, 2s, ... and the last: ceil(n_steps / s) + 1 records
     n_rec = -(-n_steps // record_stride) + 1
@@ -308,27 +321,15 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
     gens = [_philox_rng(base_seed, s) for s in streams]
     sqrt_dt = np.sqrt(cfg.dt)
     noise = np.empty((m_count, min(_NOISE_BLOCK, n_steps)))
-    block_start = block_fill = 0
 
     rec_i = 0
-    k = 0
-    while True:
+    for k in range(n_steps + 1):
         t = k * cfg.dt
         v = distance_V(state, f)
 
-        newly_below = np.isnan(first_below) & (v < EPS_CONV)
-        if newly_below.any():
-            first_below[newly_below] = t
-        if exit_threshold is not None:
-            newly_out = np.isnan(exit_times) & (v <= exit_threshold)
-            if newly_out.any():
-                exit_times[newly_out] = t
+        first_below[np.isnan(first_below) & (v <= level)] = t
 
-        if mh:
-            modes = switch_modes(modes, v, control.gamma)
-            u_vec = np.where(modes, feedback_gain(state, f, ops), 1.0)
-        else:
-            u_vec = np.full(m_count, control.u)
+        modes, u_vec = _control_step(control, modes, v, state)
 
         if k % record_stride == 0 or k == n_steps:
             rec_t[rec_i] = t
@@ -340,29 +341,26 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
                 rec_sum[rec_i] = state.sum(axis=0)
             rec_i += 1
 
-        if k == n_steps:
-            break
-        if exit_threshold is not None and not np.isnan(exit_times).any():
+        if k == n_steps or (exit_threshold is not None
+                            and not np.isnan(first_below).any()):
             break
 
-        if k - block_start >= block_fill:
-            block_start = k
-            block_fill = min(_NOISE_BLOCK, n_steps - k)
+        if k % _NOISE_BLOCK == 0:
+            fill = min(_NOISE_BLOCK, n_steps - k)
             for j, g in enumerate(gens):
-                noise[j, :block_fill] = g.normal(0.0, sqrt_dt, block_fill)
-        dw = noise[:, k - block_start]
+                noise[j, :fill] = g.normal(0.0, sqrt_dt, fill)
+        dw = noise[:, k % _NOISE_BLOCK]
 
         try:
             state = _euler_step(state, u_vec, dw[:, None, None], cfg, ops)
         except NumericalFailureError as e:
             raise _failed_at(e, t + cfg.dt) from e
-        k += 1
 
     return _BatchResult(
         times=rec_t[:rec_i], V=rec_V[:rec_i], u=rec_u[:rec_i],
         purity=rec_purity[:rec_i], modes=rec_modes[:rec_i],
         state_sum=rec_sum[:rec_i] if accumulate_sum else None,
-        first_below=first_below, exit_times=exit_times)
+        first_below=first_below)
 
 
 def simulate_batch(rho0, control, T: float, cfg: SdeStepConfig,

@@ -81,8 +81,8 @@ class ExitTimeReport:
     The diagnostic bound is T0 / (1 - p_hat) with T0 = ``dynkin_t0`` the
     median observed exit time and p_hat the fraction of all paths still
     inside after T0 (censored paths count as still inside).
-    ``inconclusive`` is set when no path exited, in which case no mean is
-    fabricated.
+    ``inconclusive`` is set when no path exited, in which case the mean, the
+    standard error and the diagnostic are None.
     """
 
     gamma_a: float
@@ -190,27 +190,22 @@ def estimate_exit_time(gamma_a: float, rho0, f: int, ops: SpinOperators,
         T=T_cap, cfg=cfg, base_seed=base_seed,
         record_stride=sys.maxsize, exit_threshold=threshold)
 
-    exit_times = np.concatenate([res.exit_times for res in results])
+    exit_times = np.concatenate([res.first_below for res in results])
     tau = np.sort(exit_times[~np.isnan(exit_times)])
     censored = int(np.isnan(exit_times).sum())
 
-    if tau.size == 0:
-        return ExitTimeReport(
-            gamma_a=gamma_a, threshold=threshold, tau=tau, censored=censored,
-            M=M, mean=None, stderr=None, dynkin_t0=None, dynkin_p_hat=None,
-            dynkin_bound=None, inconclusive=True, base_seed=base_seed,
-            T_cap=T_cap)
-
-    mean = float(tau.mean())
-    stderr = float(tau.std(ddof=1) / np.sqrt(tau.size)) if tau.size > 1 else None
-    t0 = float(np.median(tau))
-    still_inside = int((tau > t0).sum()) + censored
-    # At most half of tau lies above its median, so p_hat < 1.
-    p_hat = still_inside / M
+    mean = stderr = t0 = p_hat = bound = None
+    if tau.size:
+        mean = float(tau.mean())
+        stderr = float(tau.std(ddof=1) / np.sqrt(tau.size)) if tau.size > 1 else None
+        t0 = float(np.median(tau))
+        # At most half of tau lies above its median, so p_hat < 1.
+        p_hat = (int((tau > t0).sum()) + censored) / M
+        bound = float(t0 / (1.0 - p_hat))
     return ExitTimeReport(
         gamma_a=gamma_a, threshold=threshold, tau=tau, censored=censored,
         M=M, mean=mean, stderr=stderr, dynkin_t0=t0, dynkin_p_hat=p_hat,
-        dynkin_bound=float(t0 / (1.0 - p_hat)), inconclusive=False,
+        dynkin_bound=bound, inconclusive=tau.size == 0,
         base_seed=base_seed, T_cap=T_cap)
 
 

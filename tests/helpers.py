@@ -1,11 +1,9 @@
-"""Helpers shared by the tests: random states, the projection by
-eigendecomposition alone, and one evaluation of the switching law as the
-integrator's loop makes it."""
+"""Helpers shared by the tests: random states and the projection by
+eigendecomposition alone."""
 
 import numpy as np
 
-from spinstab.controller import feedback_gain, switch_modes
-from spinstab.quantum import _dag, distance_V
+from spinstab.quantum import _dag
 
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -29,12 +27,3 @@ def clip_psd_eigh(mat: np.ndarray) -> np.ndarray:
     out = (v * (w / tr[..., None])[..., None, :]) @ _dag(v)
     return 0.5 * (out + _dag(out))
 
-
-def switching_law(feedback, rho, ctrl):
-    """(feedback, u) after one evaluation of the switching law ``ctrl`` at
-    ``rho``, made as ``dynamics._integrate_batch`` makes it on every step:
-    ``switch_modes`` updates the mode flag(s) from V(rho), then u is
-    ``feedback_gain`` in feedback mode and 1 in constant mode."""
-    feedback = switch_modes(feedback, distance_V(rho, ctrl.f), ctrl.gamma)
-    return feedback, np.where(feedback, feedback_gain(rho, ctrl.f, ctrl.ops),
-                              1.0)

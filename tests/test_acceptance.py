@@ -10,10 +10,11 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import random_density, switching_law
+from helpers import random_density
 from spinstab.controller import ConstantInput, new_controller
 from spinstab.dynamics import (
     SdeStepConfig,
+    _control_step,
     _euler_step,
     integrate_ensemble,
     simulate_batch,
@@ -192,7 +193,8 @@ def test_criterion_08_exact_equilibrium_at_target():
         feedback = False  # every trajectory starts in the constant mode
         worst = 0.0
         for _ in range(1000):
-            feedback, u = switching_law(feedback, rho, ctrl)
+            feedback, u = _control_step(ctrl, feedback, distance_V(rho, f),
+                                        rho)
             assert u == 0.0
             assert feedback
             rho = _euler_step(rho, u, rng.normal(0, np.sqrt(CFG.dt)), CFG, ops)
@@ -247,7 +249,7 @@ def test_criterion_10_hysteresis_branch_table():
     for i, (v, want_mode, want_u) in enumerate(table):
         rho = state_with_v(v)
         assert distance_V(rho, 3) == pytest.approx(v, abs=1e-12)
-        feedback, u = switching_law(feedback, rho, ctrl)
+        feedback, u = _control_step(ctrl, feedback, distance_V(rho, 3), rho)
         if feedback != want_mode or u != want_u:
             ok = False
             mode = "feedback" if feedback else "constant"

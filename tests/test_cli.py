@@ -14,6 +14,7 @@ from click.testing import CliRunner
 
 from spinstab.cli import (
     PRESETS,
+    ConfigError,
     SimConfig,
     _fmt,
     canonical_json,
@@ -32,6 +33,27 @@ from spinstab.quantum import (
 )
 
 RUNNER = CliRunner()
+
+
+def run_spinstab(argv, cap=None):
+    """``spinstab argv`` in a child process, as a console run sees it: no
+    pytest warning filters. With ``cap`` the child limits its own address
+    space to that many bytes, so a large allocation fails on any machine."""
+    code = ("import resource, sys\n"
+            f"cap = {cap!r}\n"
+            "if cap is not None:\n"
+            "    _, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+            "    if hard != resource.RLIM_INFINITY:\n"
+            "        cap = min(cap, hard)\n"
+            "    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+            "from spinstab.cli import main\n"
+            "main(sys.argv[1:])\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 def read_csv(path):
@@ -199,6 +221,16 @@ class TestSimulateCommand:
         assert res.exit_code == 2, res.output
         assert "non-finite" in res.output
 
+    def test_empty_matrix_file_exits_2(self, tmp_path):
+        npy = tmp_path / "empty.npy"
+        npy.write_bytes(b"")
+        res = RUNNER.invoke(main, ["simulate", "--J", "1", "--f", "3",
+                                   "--initial", str(npy), "--T", "0.05",
+                                   "-o", str(tmp_path / "o")])
+        assert res.exit_code == 2, res.output
+        assert "initial: cannot read" in res.output
+        assert not (tmp_path / "o").exists()
+
     def test_missing_matrix_file_exits_2(self, tmp_path):
         res = RUNNER.invoke(main, ["simulate", "--J", "1", "--gamma", "0.1",
                                    "--f", "3", "--initial", "nope.npy",
@@ -287,6 +319,21 @@ class TestExitTimeCommand:
         assert report["inconclusive"] is True and report["mean"] is None
         assert report["censored"] == 2 and report["tau"] == []
 
+    def test_single_exit_report(self, tmp_path):
+        # one path: no standard error, and the bound is the one exit time
+        res = RUNNER.invoke(main, [
+            "exit-time", "--J", "1", "--f", "3", "--gamma-a", "0.1",
+            "--T", "5", "--M", "1", "-o", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        report = json.loads((tmp_path / "exit_time.json").read_text())
+        tau = 0.9420000000000001
+        assert report["tau"] == [tau] and report["censored"] == 0
+        assert report["inconclusive"] is False
+        assert report["mean"] == report["dynkin_t0"] == tau
+        assert report["stderr"] is None
+        assert report["dynkin_p_hat"] == 0.0
+        assert report["dynkin_bound"] == report["mean"]
+
     def test_missing_gamma_a_exits_2(self, tmp_path):
         res = RUNNER.invoke(main, ["exit-time", "--J", "1", "--f", "3",
                                    "-o", str(tmp_path)])
@@ -364,6 +411,8 @@ class TestRejectedRuns:
         ["simulate", "--M", "0"],
         ["simulate", "--stride", "0"],
         ["simulate", "--initial", "9"],
+        ["simulate", "--initial", "."],
+        ["simulate", "--initial", ""],
         ["simulate", "--J", "0.3"],
         ["simulate", "--eta", "2"],
         ["simulate", "--control", "constant:abc"],
@@ -419,28 +468,23 @@ class TestRejectedRuns:
         ["simulate", "--dt", "1e-3"], ["ensemble", "--M", "2"], ["ode"],
     ], ids=" ".join)
     def test_horizon_too_large_for_memory_exits_2(self, tmp_path, argv):
-        # T = 1e15 needs exbibytes of records. The child process caps its own
-        # address space at 4 GiB, so the allocation fails on any machine.
-        code = ("import resource, sys\n"
-                "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
-                "cap = 4 << 30\n"
-                "if hard != resource.RLIM_INFINITY:\n"
-                "    cap = min(cap, hard)\n"
-                "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
-                "from spinstab.cli import main\n"
-                "main(sys.argv[1:])\n")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        # T = 1e15 needs exbibytes of records
         out = tmp_path / "o"
-        res = subprocess.run(
-            [sys.executable, "-c", code, argv[0], "--J", "1", "--f", "3",
-             "--T", "1e15", *argv[1:], "-o", str(out)],
-            capture_output=True, text=True, env=env, timeout=120)
+        res = run_spinstab([argv[0], "--J", "1", "--f", "3", "--T", "1e15",
+                            *argv[1:], "-o", str(out)], cap=4 << 30)
         assert res.returncode == 2, res.stderr
         assert "horizon T = 1e+15" in res.stderr
         assert "does not fit in memory" in res.stderr
+        assert not out.exists()
+
+    def test_operators_too_large_for_memory_exits_2(self, tmp_path):
+        # at J = 1e4 F_y alone is 20001 x 20001 complex, 5.96 GiB
+        out = tmp_path / "o"
+        res = run_spinstab(["ode", "--J", "1e4", "--f", "3", "--T", "0.01",
+                            "-o", str(out)], cap=4 << 30)
+        assert res.returncode == 2, res.stderr
+        assert "does not fit in memory: Unable to allocate" in res.stderr
+        assert "Traceback" not in res.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -575,3 +619,27 @@ class TestPresets:
     def test_unknown_preset_rejected(self):
         res = RUNNER.invoke(main, ["simulate", "--preset", "fig9"])
         assert res.exit_code == 2
+
+    def test_load_config_names_an_unknown_preset(self):
+        # click's Choice stops this at the CLI, but load_config is public
+        with pytest.raises(ConfigError, match="unknown preset 'fig9'"):
+            load_config("fig9")
+
+
+class TestWarnings:
+    def test_gamma_outside_the_guarantee_warns_in_one_line(self, tmp_path):
+        res = run_spinstab(["simulate", "--preset", "fig2", "--T", "0.01",
+                            "-o", str(tmp_path / "o")])
+        assert res.returncode == 0, res.stderr
+        assert res.stderr.splitlines() == [
+            "warning: gamma = 0.4 >= 1/N = 0.047619: outside the "
+            "switching-parameter range with a convergence guarantee"]
+
+    def test_refused_run_prints_only_its_error(self, tmp_path):
+        # gamma = 0.1 >= 1/21 warns, but the run is refused for its dt
+        res = run_spinstab(["ensemble", "--J", "10", "--f", "11", "--dt",
+                            "0.011", "--T", "1", "-o", str(tmp_path / "o")])
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("Error: dt = 0.011 is too large")
+        assert "warning" not in res.stderr.lower()
+        assert not (tmp_path / "o").exists()

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from helpers import random_density, switching_law
+from helpers import random_density
 from spinstab.controller import (ConstantInput, ControllerState, feedback_gain,
                                  new_controller, switch_modes)
-from spinstab.dynamics import SdeStepConfig, simulate_batch
-from spinstab.quantum import QuantumState, eigenstate, make_spin_operators
+from spinstab.dynamics import SdeStepConfig, _control_step, simulate_batch
+from spinstab.quantum import (QuantumState, distance_V, eigenstate,
+                              make_spin_operators)
 
 
 def diag_state(n, f, v):
@@ -82,19 +83,23 @@ class TestSwitchLaw:
         self.ctrl = new_controller(self.gamma, 3, self.ops)
 
     def test_at_target_feedback_and_zero_input(self):
-        feedback, u = switching_law(False, eigenstate(self.ops, 3), self.ctrl)
+        target = eigenstate(self.ops, 3)
+        feedback, u = _control_step(self.ctrl, False, distance_V(target, 3),
+                                    target)
         assert feedback
         assert u == 0.0
 
     def test_far_region_constant_drive(self):
-        feedback, u = switching_law(True, eigenstate(self.ops, 1), self.ctrl)
+        far = eigenstate(self.ops, 1)
+        feedback, u = _control_step(self.ctrl, True, distance_V(far, 3), far)
         assert not feedback
         assert u == 1.0
 
     def test_band_keeps_previous_mode(self):
         inside = diag_state(3, 3, 0.85)  # strictly inside (0.8, 0.9)
         for mode in (True, False):
-            feedback, u = switching_law(mode, inside, self.ctrl)
+            feedback, u = _control_step(self.ctrl, mode,
+                                        distance_V(inside, 3), inside)
             assert feedback == mode
             assert u == (0.0 if mode else 1.0)
 
@@ -105,16 +110,16 @@ class TestSwitchLaw:
         low = diag_state(3, 3, 1 - gamma)        # V = 0.75
         high = diag_state(3, 3, 1 - gamma / 2)   # V = 0.875
         for mode in (True, False):
-            feedback, _ = switching_law(mode, low, ctrl)
+            feedback, _ = _control_step(ctrl, mode, distance_V(low, 3), low)
             assert feedback
-            feedback, _ = switching_law(mode, high, ctrl)
+            feedback, _ = _control_step(ctrl, mode, distance_V(high, 3), high)
             assert not feedback
 
     def test_determinism(self):
         rng = np.random.default_rng(3)
         rho = random_density(3, rng)
-        out1 = switching_law(False, rho, self.ctrl)
-        out2 = switching_law(False, rho, self.ctrl)
+        out1 = _control_step(self.ctrl, False, distance_V(rho, 3), rho)
+        out2 = _control_step(self.ctrl, False, distance_V(rho, 3), rho)
         assert out1[0] == out2[0]
         assert out1[1] == out2[1]
 
@@ -135,7 +140,8 @@ class TestSwitchLaw:
         feedback = False
         for v, want_mode, want_feedback in seq:
             rho = diag_state(3, 3, v)
-            feedback, u = switching_law(feedback, rho, self.ctrl)
+            feedback, u = _control_step(self.ctrl, feedback,
+                                        distance_V(rho, 3), rho)
             assert feedback == want_mode, f"at V={v}"
             # scripted states are diagonal, so the feedback gain is 0
             assert u == (0.0 if want_feedback else 1.0), f"at V={v}"

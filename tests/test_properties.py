@@ -30,12 +30,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import clip_psd_eigh, random_density, switching_law
+from helpers import clip_psd_eigh, random_density
 from spinstab import dynamics
 from spinstab.controller import (ConstantInput, ControllerState,
                                  feedback_gain, new_controller, switch_modes)
-from spinstab.dynamics import (SdeStepConfig, _euler_step, integrate_ensemble,
-                               simulate_batch, sme_diffusion, sme_drift)
+from spinstab.dynamics import (SdeStepConfig, _control_step, _euler_step,
+                               integrate_ensemble, simulate_batch,
+                               sme_diffusion, sme_drift)
 from spinstab.quantum import (_clip_psd, _dag, distance_V, eigenstate,
                               make_spin_operators)
 
@@ -302,9 +303,9 @@ def test_v_is_a_supermartingale_in_feedback_mode(case):
     renormalizes, the mean of Delta V over +dW and -dW is -u^2 dt for the
     feedback gain u: V decreases on average at the rate u^2."""
     ops, rho, ctrl, dw = case
-    feedback, u = switching_law(False, rho, ctrl)
-    assert feedback
     v0 = distance_V(rho, ctrl.f)
+    feedback, u = _control_step(ctrl, False, v0, rho)
+    assert feedback
     dv = [distance_V(_euler_step(rho, u, s * dw, _MART_CFG, ops), ctrl.f) - v0
           for s in (1.0, -1.0)]
     assert abs(0.5 * (dv[0] + dv[1]) + u**2 * _MART_CFG.dt) <= 2e-15

@@ -241,3 +241,20 @@ class TestQuantumStateValidation:
         st = maximally_mixed(2)
         with pytest.raises(ValueError):
             np.asarray(st)[0, 0] = 5.0
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match="square matrix"):
+            QuantumState(np.zeros(shape))
+
+    def test_rejects_one_by_one(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            QuantumState(np.ones((1, 1)))
+
+    def test_asarray_with_a_dtype_converts_a_copy(self):
+        st = maximally_mixed(2)
+        low = np.asarray(st, dtype=np.complex64)
+        assert low.dtype == np.complex64
+        assert np.array_equal(low, np.eye(2) / 2)
+        low[0, 0] = 5.0
+        assert np.asarray(st)[0, 0] == 0.5
