@@ -190,6 +190,9 @@ def _resolve(cfg: SimConfig):
         return ops, np.load(cfg.initial)
     except (OSError, EOFError) as e:
         raise ConfigError(f"initial: cannot read '{cfg.initial}': {e}") from e
+    except ValueError as e:
+        raise ConfigError(f"initial: '{cfg.initial}' is not a .npy file "
+                          "of numbers") from e
 
 
 def _parse_control(cfg: SimConfig, ops):
@@ -320,6 +323,10 @@ def exit_time(preset, config_path, **overrides):
                    f"diagnostic bound {report.dynkin_bound:.4g})")
 
 
+# Grid states per lyapunov_Q call in ``ode``.
+_Q_ROWS = 256
+
+
 @_command("ode", (*_EVERY_RUN_FIELDS, "dt_ode", "u_ode"))
 def ode(preset, config_path, **overrides):
     """Integrate the averaged dynamics and export its distance diagnostics."""
@@ -330,10 +337,12 @@ def ode(preset, config_path, **overrides):
         traj = integrate_ensemble(rho0, control, cfg.T, cfg.dt_ode)
         V = distance_V(traj.states, cfg.f)
     mixed = np.asarray(maximally_mixed(ops.dim))
-    # Per row: a whole-array Q costs memory, a batched norm the last bits.
-    rows = ([_fmt(t), _fmt(v), _fmt(lyapunov_Q(st)),
-             _fmt(np.linalg.norm(st - mixed))]
-            for t, v, st in zip(traj.times, V, traj.states))
+    # Q in fixed blocks of rows, equal to the per-row value bit for bit and
+    # bounded in memory; the norm per row, as a batched one moves last bits.
+    Q = np.concatenate([lyapunov_Q(traj.states[i:i + _Q_ROWS])
+                        for i in range(0, len(traj.states), _Q_ROWS)])
+    rows = ([_fmt(t), _fmt(v), _fmt(q), _fmt(np.linalg.norm(st - mixed))]
+            for t, v, q, st in zip(traj.times, V, Q, traj.states))
     out = _prepare_output(cfg, overrides)
     _write_csv(out / "ode.csv", ["t", "V", "Q", "mm_dist"], rows)
     final = np.linalg.norm(traj.states[-1] - mixed)

@@ -12,7 +12,15 @@ Two integrators live here:
 
 * a classical fixed-step RK4 integrator for the averaged (ensemble)
   dynamics under a constant input, which is the same drift with the noise
-  term dropped.
+  term dropped. That flow is linear, d vec(rho)/dt = L vec(rho), so RK4 is
+  one matrix, R(hL) = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24. It is
+  built once per run from ``sme_drift`` and kept by its band: L moves an
+  entry of the state one step along its row or column, so R moves it at
+  most four, and every step costs O(N^2). The step is guarded in two
+  stages: dt_ode * max(gaps_sq) / 2 stays inside RK4's interval on the
+  negative real axis, and then |R(dt_ode lambda)| <= 1 over the spectrum
+  of L, read from a region that holds it or, when that test fails,
+  from the eigenvalues themselves.
 
 Trajectories are deterministic functions of their inputs: the Wiener
 increments come from a counter-based generator keyed by
@@ -36,6 +44,7 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,6 +72,10 @@ EPS_CONV = 0.01
 # decaying; see ``_check_stable``.
 _EULER_REAL_BOUND = 2.0
 _RK4_REAL_BOUND = 2.785
+
+# Round-off allowed above 1 in RK4's gain |R| over the averaged flow's
+# spectrum (see ``_check_rotation``); the trace mode's is exactly 1.
+_RK4_GAIN_ROUNDOFF = 1e-12
 
 # Steps of noise drawn per member at a time. Philox draws do not depend on
 # how they are blocked, so the block size bounds memory and changes no result.
@@ -393,41 +406,191 @@ def simulate_batch(rho0, control, T: float, cfg: SdeStepConfig,
     return records
 
 
-# A step that overflows is caught by _clip_psd, so numpy need not warn first.
+class _Band(NamedTuple):
+    """A real linear map on the real symmetric, or antisymmetric, N x N
+    matrices that moves each entry at most ``reach`` steps along rows and
+    columns, stored by its band.
+
+    B and gaps_sq are real, so L maps each of these blocks to itself: the
+    symmetric one holds a real state and the real part of a complex one,
+    the antisymmetric one the imaginary part. A block's coordinates are a
+    matrix's entries on and above (symmetric) or above (antisymmetric) the
+    diagonal, and coordinates x stand for the matrix ``sign * x[scatter]``.
+    Coordinate p of the image is ``coef[p] @ X.flat[cols[p]]``, over the
+    coordinates within Manhattan distance ``reach`` of p (a slot past the
+    block's edge reads entry 0 with coefficient 0).
+    """
+
+    cols: np.ndarray
+    coef: np.ndarray
+    scatter: np.ndarray
+    sign: np.ndarray | float
+
+
+def _block_flow(u, ops: SpinOperators, anti: bool):
+    """L under the constant input u on a batch of real symmetric or
+    antisymmetric matrices, from ``sme_drift``, so the drift keeps one
+    definition; an antisymmetric A enters it as the Hermitian matrix iA."""
+    if anti:
+        return lambda p: sme_drift(1j * p, u, ops).imag
+    return lambda p: sme_drift(p, u, ops)
+
+
+def _band(apply, n: int, reach: int, anti: bool) -> _Band:
+    """Read the linear map ``apply`` on one block, which moves each entry
+    at most ``reach`` steps, off its images of 2 reach (reach + 1) + 1
+    probe matrices.
+
+    A coordinate (k, l) has the colour (k + (2 reach + 1) l) mod
+    (2 reach (reach + 1) + 1), which sets coordinates of one colour more
+    than 2 reach apart, and a colour's probe is the sum of its coordinates'
+    basis matrices. For coordinates p and q, q is no farther from p than
+    its transpose is, so coordinate p of a probe's image reads the map's
+    coefficient of the probe's one coordinate within reach of p.
+    """
+    m = 2 * reach * (reach + 1) + 1
+    iu, ju = np.triu_indices(n, int(anti))
+    scatter = np.zeros((n, n), dtype=np.intp)
+    scatter[iu, ju] = scatter[ju, iu] = np.arange(iu.size)
+    i, j = np.indices((n, n))
+    sign = np.sign(j - i).astype(float) if anti else 1.0
+    colour = (np.minimum(i, j) + (2 * reach + 1) * np.maximum(i, j)) % m
+    images = apply(sign * (colour == np.arange(m)[:, None, None]))
+    di, dj = np.array([(a, b) for a in range(-reach, reach + 1)
+                       for b in range(-reach, reach + 1)
+                       if abs(a) + abs(b) <= reach]).T
+    si, sj = iu[:, None] + di, ju[:, None] + dj
+    inside = (si >= 0) & (sj < n) & (si + int(anti) <= sj)
+    si, sj = si * inside, sj * inside
+    coef = np.where(inside, images[colour[si, sj], iu[:, None], ju[:, None]],
+                    0.0)
+    return _Band(si * n + sj, coef, scatter, sign)
+
+
+def _rk4_bands(u, dt_ode: float, ops: SpinOperators,
+               complex_: bool) -> list[_Band]:
+    """R(dt_ode L) = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, one classical
+    RK4 step of the averaged flow, by Horner's rule on the symmetric block,
+    and for a ``complex_`` run on the antisymmetric one too. L moves an
+    entry one step (B is tridiagonal, gaps_sq acts entrywise), so R moves
+    it four."""
+    def rk4(flow):
+        def step(p):
+            r = p
+            for k in (4, 3, 2, 1):
+                r = p + (dt_ode / k) * flow(r)
+            return r
+        return step
+
+    return [_band(rk4(_block_flow(u, ops, anti)), ops.dim, 4, anti)
+            for anti in ((False, True) if complex_ else (False,))]
+
+
+def _rk4_step(state: np.ndarray, bands: list[_Band]) -> np.ndarray:
+    """One RK4 step of the averaged flow from ``state``: the real part, and
+    the imaginary part of a complex state, through their blocks' bands,
+    back as a matrix of ``state``'s dtype."""
+    flat = state.ravel()
+    parts = [b.sign * np.einsum("pk,pk->p", b.coef, part(flat).take(b.cols))
+             .take(b.scatter) for part, b in zip((np.real, np.imag), bands)]
+    return parts[0] if len(parts) == 1 else parts[0] + 1j * parts[1]
+
+
+def _block(band: _Band) -> np.ndarray:
+    """The dense matrix of ``band`` in its block's coordinates."""
+    rows = np.arange(len(band.cols))[:, None]
+    out = np.zeros((len(rows), len(rows)))
+    np.add.at(out, (rows, band.scatter.ravel()[band.cols]), band.coef)
+    return out
+
+
+def _rk4_gain(z):
+    """|R(z)|: the factor by which one RK4 step of size dt multiplies a mode
+    e^(lambda t), for z = dt lambda."""
+    return np.abs(1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4))))
+
+
+def _check_rotation(u, dt_ode: float, ops: SpinOperators,
+                    complex_: bool) -> None:
+    """RK4's step guard against the rotation: ValueError unless
+    |R(dt_ode lambda)| <= 1, up to round-off, at every eigenvalue lambda of
+    L on the real symmetric matrices, and for a ``complex_`` run on the
+    antisymmetric ones too.
+
+    Two stages. -1/2 ad(F_z)^2 is self-adjoint with spectrum
+    [-max(gaps_sq) / 2, 0] and -iu ad(F_y) skew-adjoint with spectrum in
+    i[-2J|u|, 2J|u|], so the numerical range of L, and with it the
+    spectrum, lies in the rectangle with those sides. The sum of ad(F_k)^2
+    over x, y, z is the Casimir of the rotations acting by commutators, at
+    most 2J(2J+1), so also Im^2 <= u^2 (2J(2J+1) + 2 Re) there, which cuts
+    the rectangle's corner at the stiff end. |R| is largest on the boundary
+    of that region times dt_ode, and R(conj z) = conj R(z): when |R| <= 1
+    on samples of its upper half the step is accepted, with no eigensolve.
+    Otherwise the eigenvalues of L's dense blocks decide, which costs
+    O(N^6) time and O(N^4) memory. L is not normal, so this bounds the
+    growth of R^k as k grows, not the transient growth of its first powers.
+    """
+    a = dt_ode * ops.gaps_sq.max() / 2
+    b = 2 * ops.J * abs(u) * dt_ode
+    s = np.linspace(0.0, 1.0, 1025)
+    casimir = 2 * ops.J * (2 * ops.J + 1)
+    y = np.minimum(b, abs(u) * dt_ode * np.sqrt(casimir - 2 * a * s / dt_ode))
+    edge = np.concatenate([-a * s + 1j * y, -a + 1j * y[-1] * s, 1j * b * s])
+    if _rk4_gain(edge).max() <= 1.0 + _RK4_GAIN_ROUNDOFF:
+        return
+    gain = max(_rk4_gain(dt_ode * np.linalg.eigvals(_block(_band(
+        _block_flow(u, ops, anti), ops.dim, 1, anti)))).max()
+        for anti in ((False, True) if complex_ else (False,)))
+    if gain > 1.0 + _RK4_GAIN_ROUNDOFF:
+        raise ValueError(
+            f"u = {u:g} is too large for RK4 at dt_ode = {dt_ode:g} and "
+            f"N = {ops.dim}: a mode of the averaged flow grows by "
+            f"|R(dt_ode * lambda)| = {gain:.4g} per step; take a smaller "
+            f"dt_ode or |u|")
+
+
+# A map or step that overflows is caught below, so numpy need not warn first.
 @np.errstate(over="ignore", invalid="ignore")
 def integrate_ensemble(rho0, control, T: float,
                        dt_ode: float) -> OdeTrajectory:
     """Integrate the averaged dynamics under a ConstantInput's u by RK4.
 
-    Every grid state is projected back onto the state space and written
-    into one read-only (K+1, N, N) array, float64 for a ``rho0`` with a
-    zero imaginary part and complex128 otherwise. A grid state inside the
-    state space passes ``_clip_psd``'s Cholesky certificate and is only
+    Under a constant u the averaged flow is linear, so classical RK4 is one
+    matrix, R(dt_ode L), built once from ``sme_drift`` and kept by its band
+    (see ``_rk4_bands``): a step reads each entry on and above the diagonal
+    from the at most 41 such entries within Manhattan distance 4. Every
+    grid state is projected back onto the state space and written into one
+    read-only (K+1, N, N) array, float64 for a ``rho0`` with a zero
+    imaginary part and complex128 otherwise. A grid state inside the state
+    space passes ``_clip_psd``'s Cholesky certificate and is only
     renormalized; ``eigh`` runs only for a state on or past its boundary,
     such as the first steps from an eigenstate. With any nonzero u the
-    trajectory approaches I/N as T grows. Raises ValueError for an input
-    outside its range, ``rho0`` included, for a ``dt_ode`` outside RK4's
-    stability interval (dt_ode * max(gaps_sq) / 2 > 2.785, where the
+    trajectory approaches I/N as T grows.
+
+    Raises ValueError for an input outside its range, ``rho0`` included,
+    for a ``dt_ode`` outside RK4's stability interval on the negative real
+    axis (dt_ode * max(gaps_sq) / 2 > 2.785), for a u whose rotation
+    RK4 grows at that ``dt_ode`` (``_check_rotation``) (in both cases the
     projection would clamp a growing solution into plausible states), or
     for grid states too many for memory, and NumericalFailureError, with
-    the time of the failed step, if the state becomes non-finite.
+    the time of the failed step, if the map or a state becomes non-finite.
     """
     u, ops = control.u, control.ops
     n_steps = _step_count(T, dt_ode, "dt_ode")
     _check_stable(dt_ode, "dt_ode", ops, "RK4", _RK4_REAL_BOUND)
     state = _checked_rho0(rho0, ops)
+    complex_ = np.iscomplexobj(state)
+    bands = _rk4_bands(u, dt_ode, ops, complex_)
+    if not all(np.isfinite(b.coef).all() for b in bands):
+        raise _failed_at(NumericalFailureError(
+            "RK4 step overflows: its map has non-finite entries"), dt_ode)
+    _check_rotation(u, dt_ode, ops, complex_)
     with _records_fit(T, dt_ode, "dt_ode", 1):
         states = np.empty((n_steps + 1, ops.dim, ops.dim), dtype=state.dtype)
     states[0] = state
-    half = 0.5 * dt_ode
     for k in range(n_steps):
-        k1 = sme_drift(state, u, ops)
-        k2 = sme_drift(state + half * k1, u, ops)
-        k3 = sme_drift(state + half * k2, u, ops)
-        k4 = sme_drift(state + dt_ode * k3, u, ops)
-        state = state + (dt_ode / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         try:
-            state = _clip_psd(state)
+            state = _clip_psd(_rk4_step(state, bands))
         except NumericalFailureError as e:
             raise _failed_at(e, k * dt_ode + dt_ode) from e
         states[k + 1] = state

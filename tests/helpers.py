@@ -1,8 +1,9 @@
-"""Helpers shared by the tests: random states and the projection by
-eigendecomposition alone."""
+"""Helpers shared by the tests: random states, the projection by
+eigendecomposition alone and the four-stage RK4 step."""
 
 import numpy as np
 
+from spinstab.dynamics import sme_drift
 from spinstab.quantum import _dag
 
 
@@ -27,3 +28,12 @@ def clip_psd_eigh(mat: np.ndarray) -> np.ndarray:
     out = (v * (w / tr[..., None])[..., None, :]) @ _dag(v)
     return 0.5 * (out + _dag(out))
 
+
+def rk4_step(rho, u, dt: float, ops) -> np.ndarray:
+    """Oracle for ``dynamics._rk4_step``: one classical four-stage RK4 step
+    of ``sme_drift`` under the constant input u, without projection."""
+    k1 = sme_drift(rho, u, ops)
+    k2 = sme_drift(rho + 0.5 * dt * k1, u, ops)
+    k3 = sme_drift(rho + 0.5 * dt * k2, u, ops)
+    k4 = sme_drift(rho + dt * k3, u, ops)
+    return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

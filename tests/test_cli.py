@@ -521,6 +521,39 @@ class TestRejectedRuns:
         assert "dt_ode" in res.output and "too large for RK4" in res.output
         assert not out.exists()
 
+    def test_rotation_that_rk4_grows_exits_2_naming_u_and_dt_ode(self,
+                                                                 tmp_path):
+        # RK4 at dt_ode = 0.01 grows the u = 100 rotation by 6593 per step;
+        # the projection would clamp it to a final distance of 0.951
+        out = tmp_path / "o"
+        res = RUNNER.invoke(main, ["ode", "--J", "10", "--f", "11",
+                                   "--T", "20", "--u", "100", "-o", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "u = 100 is too large for RK4 at dt_ode = 0.01" in res.output
+        assert not out.exists()
+
+    def test_rotation_inside_rk4s_spectrum_runs(self, tmp_path):
+        res = RUNNER.invoke(main, ["ode", "--J", "10", "--f", "11",
+                                   "--T", "20", "--u", "10",
+                                   "-o", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+
+    @pytest.mark.parametrize("content", ["text", "objects"])
+    def test_initial_file_of_no_numbers_exits_2(self, tmp_path, content):
+        npy = tmp_path / "t.npy"
+        if content == "text":
+            npy.write_text("0.5 0 0\n0 0.5 0\n0 0 0\n")
+        else:
+            np.save(npy, np.array([{"rho": 1}, None], dtype=object))
+        out = tmp_path / "o"
+        res = RUNNER.invoke(main, ["simulate", "--J", "1", "--f", "3",
+                                   "--T", "0.01", "--initial", str(npy),
+                                   "-o", str(out)])
+        assert res.exit_code == 2, res.output
+        assert f"initial: '{npy}' is not a .npy file of numbers" in res.output
+        assert "allow_pickle" not in res.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "--J", "10", "--f", "11", "--dt", "0.5", "--T", "50"],
         ["ensemble", "--J", "10", "--f", "11", "--dt", "0.011", "--T", "1"],

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import random_density
+from helpers import random_density, rk4_step
 from spinstab import dynamics
 from spinstab.controller import ConstantInput, feedback_gain, new_controller
 from spinstab.dynamics import (
@@ -397,6 +397,51 @@ class TestEnsembleOde:
                            match=r"dt_ode = 0\.015 .* = 3 > 2\.785"):
             integrate_ensemble(eigenstate(ops, 1), drive, 1.0, 0.015)
         traj = integrate_ensemble(eigenstate(ops, 1), drive, 0.0139, 0.0139)
+        assert np.isfinite(traj.states).all()
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_rotation_that_rk4_grows_rejected(self, complex_):
+        # at J = 10 and dt_ode = 0.01 RK4 multiplies a mode by 47.1 per step
+        # under u = 30; under u = 10 its gain is 1 up to round-off
+        ops = make_spin_operators(10)
+        rho0 = (random_density(ops.dim, np.random.default_rng(3)) if complex_
+                else eigenstate(ops, 1))
+        with pytest.raises(ValueError, match=(
+                r"u = 30 is too large for RK4 at dt_ode = 0\.01 and N = 21: "
+                r".* = 47\.12 per step")):
+            integrate_ensemble(rho0, ConstantInput(30.0, 11, ops), 1.0, 1e-2)
+        traj = integrate_ensemble(rho0, ConstantInput(10.0, 11, ops), 0.1,
+                                  1e-2)
+        assert np.isfinite(traj.states).all()
+
+    @pytest.mark.parametrize("J", [10, 20])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_banded_map_step_is_one_four_stage_rk4_step(self, J, complex_):
+        # at N = 21 and 41 the band (Manhattan distance 4) is narrower than
+        # the matrix, so a probe colour read twice would show here
+        ops = make_spin_operators(J)
+        rho = random_density(ops.dim, np.random.default_rng(7))
+        if not complex_:
+            rho = np.ascontiguousarray(rho.real)
+        dt = 2.0 / ops.gaps_sq.max()
+        out = dynamics._rk4_step(
+            rho, dynamics._rk4_bands(-1.7, dt, ops, complex_))
+        np.testing.assert_allclose(out, rk4_step(rho, -1.7, dt, ops),
+                                   rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("u", [1.0, 10.0])
+    def test_rotation_inside_the_enclosure_needs_no_eigensolve(self, u,
+                                                              monkeypatch):
+        # at J = 10, dt_ode = 0.01 |R| <= 1 on the region that holds the
+        # spectrum of dt_ode L, so no eigenvalue is computed; at u = 10 the
+        # rectangle alone reads 1.20 at its corner
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("eigvals ran")
+
+        ops = make_spin_operators(10)
+        monkeypatch.setattr(dynamics.np.linalg, "eigvals", must_not_run)
+        traj = integrate_ensemble(eigenstate(ops, 1),
+                                  ConstantInput(u, 11, ops), 0.1, 1e-2)
         assert np.isfinite(traj.states).all()
 
     def test_stability_bound_is_rk4s_on_the_negative_real_axis(self):

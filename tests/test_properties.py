@@ -18,7 +18,9 @@ u = 0, traceless, and a batch row equal to the single call. The projection
 ``_clip_psd`` is compared with its ``eigh`` oracle on full-rank,
 near-singular, rank-deficient and indefinite matrices, single and batched.
 In feedback mode V is a supermartingale: at an interior state the Euler
-step's mean change of V over +dW and -dW is -u^2 dt.
+step's mean change of V over +dW and -dW is -u^2 dt. One step of the
+averaged flow's precomputed, banded RK4 map equals one four-stage RK4 step
+of ``sme_drift``, for real and complex states and random inputs u,.
 """
 
 import sys
@@ -30,7 +32,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import clip_psd_eigh, random_density
+from helpers import clip_psd_eigh, random_density, rk4_step
 from spinstab import dynamics
 from spinstab.controller import (ConstantInput, ControllerState,
                                  feedback_gain, new_controller, switch_modes)
@@ -413,3 +415,57 @@ def test_rk4_run_stays_with_the_eigh_oracle_run():
     with mock.patch.object(dynamics, "_clip_psd", clip_psd_eigh):
         oracle = integrate_ensemble(eigenstate(ops, 1), drive, 20.0, 1e-2)
     np.testing.assert_allclose(traj.states, oracle.states, rtol=0, atol=1e-13)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([0.5, 1, 1.5, 2, 2.5]), st.booleans(),
+       st.floats(-4.0, 4.0, allow_subnormal=False),
+       st.floats(1e-4, 0.05), st.integers(0, 2**32 - 1))
+def test_rk4_map_step_is_one_four_stage_rk4_step(J, complex_, u, dt, seed):
+    ops = make_spin_operators(J)
+    rho = random_density(ops.dim, np.random.default_rng(seed))
+    if not complex_:
+        rho = np.ascontiguousarray(rho.real)
+    out = dynamics._rk4_step(rho, dynamics._rk4_bands(u, dt, ops, complex_))
+    assert out.dtype == rho.dtype
+    np.testing.assert_allclose(out, rk4_step(rho, u, dt, ops), rtol=0,
+                               atol=1e-14)
+
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from([0.5, 1, 1.5, 2, 3, 4]), st.booleans(),
+       st.floats(-50.0, 50.0, allow_subnormal=False))
+def test_averaged_flow_spectrum_lies_in_the_guards_region(J, anti, u):
+    # Re in [-max(gaps_sq) / 2, 0], |Im| <= 2J|u| and
+    # Im^2 <= u^2 (2J(2J+1) + 2 Re), up to round-off
+    ops = make_spin_operators(J)
+    flow = dynamics._block_flow(u, ops, anti)
+    lam = np.linalg.eigvals(dynamics._block(dynamics._band(flow, ops.dim, 1,
+                                                           anti)))
+    tol = 1e-9 * (ops.gaps_sq.max() + 2 * J * abs(u))
+    assert (lam.real <= tol).all()
+    assert (lam.real >= -ops.gaps_sq.max() / 2 - tol).all()
+    assert (abs(lam.imag) <= 2 * J * abs(u) + tol).all()
+    bound = u * u * (2 * J * (2 * J + 1) + 2 * lam.real)
+    assert (lam.imag ** 2 <= bound + tol * (1 + 4 * J * abs(u))).all()
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from([0.5, 1, 1.5, 2, 3, 4]),
+       st.floats(-60.0, 60.0, allow_subnormal=False), st.floats(0.05, 1.0))
+def test_rotation_guard_skips_the_eigensolve_only_for_stable_steps(J, u,
+                                                                   frac):
+    ops = make_spin_operators(J)
+    dt = frac * 2 * dynamics._RK4_REAL_BOUND / ops.gaps_sq.max()
+    flow = dynamics._block_flow(u, ops, False)
+    lam = np.linalg.eigvals(dynamics._block(dynamics._band(flow, ops.dim, 1,
+                                                           False)))
+    with mock.patch.object(dynamics.np.linalg, "eigvals",
+                           side_effect=LookupError):
+        try:
+            dynamics._check_rotation(u, dt, ops, False)
+        except LookupError:
+            return
+    gain = dynamics._rk4_gain(dt * lam).max()
+    assert gain <= 1 + dynamics._RK4_GAIN_ROUNDOFF
