@@ -274,7 +274,7 @@ class _BatchResult:
     u: np.ndarray                # (R, M)
     purity: np.ndarray           # (R, M)
     modes: np.ndarray            # (R, M) uint8, 1 = feedback branch
-    state_sum: np.ndarray | None  # (R, N, N) sum over members
+    state_sum: np.ndarray | None  # (R, C, N, N) sums of C member runs
     first_below: np.ndarray      # (M,) first time V <= level, NaN if never
 
 
@@ -282,7 +282,7 @@ class _BatchResult:
 @np.errstate(over="ignore", invalid="ignore")
 def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
                      base_seed: int, streams, *, record_stride: int = 1,
-                     accumulate_sum: bool = False,
+                     sum_chunk: int | None = None,
                      exit_threshold: float | None = None) -> _BatchResult:
     """Step a batch of trajectories that share rho0 and the control.
 
@@ -291,17 +291,26 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
     (a fixed input); the target index and operators are taken from it, and
     ``_control_step`` turns it into each step's modes and inputs. Step k of
     the ``_step_count`` steps is recorded when ``k % record_stride == 0``
-    and at the last step. Each member keeps one clock, ``first_below``: the
-    first step time at which V <= ``exit_threshold``, or V <= EPS_CONV
-    without one. With an ``exit_threshold`` the loop, and the records, stop
-    once every member's clock is set. Each member draws its noise in blocks
-    of ``_NOISE_BLOCK`` steps. The batch is stepped in the dtype that
-    ``_checked_rho0`` picks for ``rho0``. Raises ValueError for an input
-    outside its range, including a ``rho0`` that is not an N x N density
-    matrix, a ``dt`` outside explicit Euler's stability interval
-    (dt * max(gaps_sq) / 2 > 2) and records too large for memory, and
-    NumericalFailureError, with the time of the failed step, if a member's
-    state becomes non-finite.
+    and at the last step. With ``sum_chunk``, each record also holds the
+    state sum of every run of ``sum_chunk`` consecutive members, the first
+    run starting at member 0, in the order a batch of that run alone sums
+    them. Each member keeps one clock, ``first_below``: the first step time
+    at which V <= ``exit_threshold``, or V <= EPS_CONV without one.
+
+    With an ``exit_threshold`` a member has exited once its clock is set:
+    it leaves the batch at that step and draws no more noise, and its later
+    records, the last one included, hold its values at its exit step. The
+    loop, and the records, stop once every member has exited. Such a run
+    keeps no state sums. A member's path does not depend on which members
+    share its batch, so a dropped member changes no other member's numbers.
+
+    Each member draws its noise in blocks of ``_NOISE_BLOCK`` steps. The
+    batch is stepped in the dtype that ``_checked_rho0`` picks for
+    ``rho0``. Raises ValueError for an input outside its range, including
+    a ``rho0`` that is not an N x N density matrix, a ``dt`` outside
+    explicit Euler's stability interval (dt * max(gaps_sq) / 2 > 2) and
+    records too large for memory, and NumericalFailureError, with the time
+    of the failed step, if a member's state becomes non-finite.
     """
     f, ops = control.f, control.ops
     if record_stride < 1:
@@ -319,6 +328,9 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
     # V != EPS_CONV (1 - rho_ff is exact and 1 - 0.01 no double), so <= is <.
     level = EPS_CONV if exit_threshold is None else exit_threshold
     first_below = np.full(m_count, np.nan)
+    # Batch positions of the members still stepped.
+    live = np.arange(m_count)
+    exiting = exit_threshold is not None
 
     # steps 0, s, 2s, ... and the last: ceil(n_steps / s) + 1 records
     n_rec = -(-n_steps // record_stride) + 1
@@ -328,8 +340,14 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
         rec_u = np.zeros((n_rec, m_count))
         rec_purity = np.zeros((n_rec, m_count))
         rec_modes = np.zeros((n_rec, m_count), dtype=np.uint8)
-        rec_sum = (np.zeros((n_rec, *rho0.shape), dtype=complex)
-                   if accumulate_sum else None)
+        rec_sum = (np.zeros((n_rec, -(-m_count // sum_chunk), *rho0.shape),
+                            dtype=complex) if sum_chunk else None)
+
+    def record(rows, members, v, u, rho, modes):
+        rec_V[rows, members] = v
+        rec_u[rows, members] = u
+        rec_purity[rows, members] = np.sum(np.abs(rho) ** 2, axis=(-2, -1))
+        rec_modes[rows, members] = modes
 
     gens = [_philox_rng(base_seed, s) for s in streams]
     sqrt_dt = np.sqrt(cfg.dt)
@@ -340,29 +358,36 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
         t = k * cfg.dt
         v = distance_V(state, f)
 
-        first_below[np.isnan(first_below) & (v <= level)] = t
+        below = np.isnan(first_below[live]) & (v <= level)
+        first_below[live[below]] = t
 
         modes, u_vec = _control_step(control, modes, v, state)
 
-        if k % record_stride == 0 or k == n_steps:
+        last = k == n_steps or (exiting and below.all())
+        if k % record_stride == 0 or last:
             rec_t[rec_i] = t
-            rec_V[rec_i] = v
-            rec_u[rec_i] = u_vec
-            rec_purity[rec_i] = np.sum(np.abs(state) ** 2, axis=(-2, -1))
-            rec_modes[rec_i] = modes
-            if accumulate_sum:
-                rec_sum[rec_i] = state.sum(axis=0)
+            record(rec_i, live, v, u_vec, state, modes)
+            if sum_chunk:
+                for c, lo in enumerate(range(0, m_count, sum_chunk)):
+                    rec_sum[rec_i, c] = state[lo:lo + sum_chunk].sum(axis=0)
             rec_i += 1
-
-        if k == n_steps or (exit_threshold is not None
-                            and not np.isnan(first_below).any()):
+        if last:
             break
+
+        # Members whose clock is now set leave the batch; their later
+        # records keep their values at this step.
+        if exiting and below.any():
+            record(slice(rec_i, None), live[below], v[below], u_vec[below],
+                   state[below], modes[below])
+            stay = ~below
+            live, state, modes, u_vec = (live[stay], state[stay], modes[stay],
+                                         u_vec[stay])
 
         if k % _NOISE_BLOCK == 0:
             fill = min(_NOISE_BLOCK, n_steps - k)
-            for j, g in enumerate(gens):
-                noise[j, :fill] = g.normal(0.0, sqrt_dt, fill)
-        dw = noise[:, k % _NOISE_BLOCK]
+            for j in live:
+                noise[j, :fill] = gens[j].normal(0.0, sqrt_dt, fill)
+        dw = noise[live, k % _NOISE_BLOCK]
 
         try:
             state = _euler_step(state, u_vec, dw[:, None, None], cfg, ops)
@@ -372,7 +397,7 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
     return _BatchResult(
         times=rec_t[:rec_i], V=rec_V[:rec_i], u=rec_u[:rec_i],
         purity=rec_purity[:rec_i], modes=rec_modes[:rec_i],
-        state_sum=rec_sum[:rec_i] if accumulate_sum else None,
+        state_sum=rec_sum[:rec_i] if sum_chunk else None,
         first_below=first_below)
 
 

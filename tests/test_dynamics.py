@@ -532,6 +532,51 @@ class TestNoiseBlocks:
             np.testing.assert_array_equal(got, want)
 
 
+class TestExitDrops:
+    """With an exit threshold a member leaves the batch at its exit step;
+    no other member's numbers, and none of its own, change. Target f = 2
+    lies next to the initial level, so every path exits by t = 0.7."""
+
+    THRESHOLD = 0.95
+
+    @staticmethod
+    def run(streams, stride):
+        ops = make_spin_operators(1)
+        return dynamics._integrate_batch(
+            eigenstate(ops, 1), ConstantInput(1.0, 2, ops), 5.0,
+            SdeStepConfig(), 41, streams, record_stride=stride,
+            exit_threshold=TestExitDrops.THRESHOLD)
+
+    @pytest.fixture(scope="class")
+    def singles(self):
+        """Each of the 64 members alone, every step recorded; such a run
+        stops at its one member's exit step."""
+        return [self.run([j], 1) for j in range(64)]
+
+    @pytest.mark.parametrize("stride", [1, 7, sys.maxsize])
+    def test_batch_members_match_their_one_member_runs(self, singles,
+                                                       stride):
+        batch = self.run(range(64), stride)
+        assert not np.isnan(batch.first_below).any()
+        series = ("V", "u", "purity", "modes")
+        steps = np.round(batch.times / SdeStepConfig().dt).astype(int)
+        for j, one in enumerate(singles):
+            # bit for bit, as the same stream stepped alone
+            assert batch.first_below[j] == one.first_below[0]
+            assert one.times[-1] == one.first_below[0]
+            exit_step = len(one.times) - 1
+            for name in series:
+                got = getattr(batch, name)[:, j]
+                want = getattr(one, name)[:, 0]
+                before = steps < exit_step
+                # recorded steps before the exit read the member's path...
+                np.testing.assert_array_equal(got[before],
+                                              want[steps[before]])
+                # ...and every record from the exit step on, the last one
+                # included, its values at the exit step
+                np.testing.assert_array_equal(got[~before], want[-1])
+
+
 _OPS3 = make_spin_operators(1)
 _DRIVE3 = ConstantInput(1.0, 3, _OPS3)
 _NOT_HERMITIAN = np.eye(3, dtype=complex) / 3

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from spinstab import montecarlo
 from spinstab.controller import ConstantInput, new_controller
 from spinstab.dynamics import SdeStepConfig, integrate_ensemble, simulate_batch
 from spinstab.montecarlo import (
@@ -176,6 +177,99 @@ class TestMeanVsOde:
         with pytest.raises(ValueError, match="grid"):
             compare_mean_vs_ode(RHO1, DRIVE3, 1.0, CFG, M=4, dt_ode=0.4,
                                 base_seed=0, record_stride=100)
+
+
+class _InProcessPool:
+    """Stand-in for ProcessPoolExecutor that maps in this process and
+    records each pool's ``max_workers``, so no worker is started."""
+
+    max_workers: list = []
+
+    def __init__(self, max_workers):
+        self.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+class TestTasks:
+    """How members are grouped into the tasks that one batch steps."""
+
+    @pytest.fixture
+    def tasks(self, monkeypatch):
+        """The streams of each task run, in order; pools run in process."""
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _InProcessPool)
+        monkeypatch.setattr(_InProcessPool, "max_workers", [])
+        seen = []
+        run = montecarlo._run_chunk
+
+        def recording(task):
+            seen.append(task["streams"])
+            return run(task)
+
+        monkeypatch.setattr(montecarlo, "_run_chunk", recording)
+        return seen
+
+    def test_pool_is_capped_at_the_task_count(self, tasks):
+        ctrl = new_controller(0.1, 3, OPS3)
+        kw = dict(M=128, base_seed=3, record_stride=100)
+        many = run_ensemble(RHO1, ctrl, 0.01, CFG, **kw, workers=64)
+        # two chunks: one task, and one process, per chunk
+        assert _InProcessPool.max_workers == [2]
+        assert tasks == [range(0, 64), range(64, 128)]
+        one = run_ensemble(RHO1, ctrl, 0.01, CFG, **kw, workers=1)
+        np.testing.assert_array_equal(many.mean_state, one.mean_state)
+
+    @pytest.mark.parametrize("M, workers", [(1000, 1), (1000, 2), (150, 1),
+                                            (150, 2), (64, 2)])
+    def test_tasks_are_whole_chunks_up_to_the_stepping_width(self, tasks, M,
+                                                             workers):
+        estimate_exit_time(0.1, RHO1, 3, OPS3, 2 * CFG.dt, CFG, M=M,
+                           workers=workers)
+        n_chunks = -(-M // 64)
+        assert [m for t in tasks for m in t] == list(range(M))
+        assert len(tasks) == max(-(-n_chunks // 4), min(workers, n_chunks))
+        for t in tasks:
+            assert t.start % 64 == 0
+            assert len(t) <= montecarlo._task_members(3) == 256
+        pools = ([min(workers, len(tasks))] if len(tasks) > 1 and workers > 1
+                 else [])
+        assert _InProcessPool.max_workers == pools
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        """Statistics stepped one chunk per batch, in process."""
+        with pytest.MonkeyPatch.context() as mp:
+            return _width_outputs(mp, 64, 1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("width", [64, 128, 256])
+    def test_statistics_do_not_depend_on_width_or_workers(
+            self, monkeypatch, reference, width, workers):
+        for got, want in zip(_width_outputs(monkeypatch, width, workers),
+                             reference, strict=True):
+            np.testing.assert_array_equal(got, want)
+
+
+def _width_outputs(monkeypatch, width, workers):
+    """run_ensemble's statistics and estimate_exit_time's tau at N = 3 for
+    M = 150 (two full chunks and one of 22 members), stepped at ``width``
+    members per batch on ``workers``."""
+    monkeypatch.setattr(montecarlo, "_TASK_ENTRIES", width * 9)
+    assert montecarlo._task_members(3) == width
+    stats = run_ensemble(RHO1, new_controller(0.1, 3, OPS3), 0.5, CFG, M=150,
+                         base_seed=3, record_stride=100, workers=workers)
+    rep = estimate_exit_time(0.05, RHO1, 2, OPS3, 40.0, CFG, M=150,
+                             base_seed=23, workers=workers)
+    assert rep.censored == 0
+    return [stats.mean_state, stats.mean_V, stats.conv_frac, stats.final_V,
+            rep.tau]
 
 
 class TestDefaultWorkers:
