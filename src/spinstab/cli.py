@@ -31,8 +31,11 @@ import click
 import numpy as np
 
 from .controller import ConstantInput, new_controller
-from .dynamics import (EPS_CONV, SdeStepConfig, integrate_ensemble,
+from .dynamics import (EPS_CONV, SdeStepConfig, _records_fit, _rk4_blocks,
                        simulate_batch)
+# ``ode`` steps through ``_rk4_blocks``; ``integrate_ensemble`` stays a
+# module attribute because bench/tracing.py wraps it under this name.
+from .dynamics import integrate_ensemble  # noqa: F401
 from .montecarlo import estimate_exit_time, run_ensemble
 from .quantum import (
     NumericalFailureError,
@@ -323,10 +326,6 @@ def exit_time(preset, config_path, **overrides):
                    f"diagnostic bound {report.dynkin_bound:.4g})")
 
 
-# Grid states per lyapunov_Q call in ``ode``.
-_Q_ROWS = 256
-
-
 @_command("ode", (*_EVERY_RUN_FIELDS, "dt_ode", "u_ode"))
 def ode(preset, config_path, **overrides):
     """Integrate the averaged dynamics and export its distance diagnostics."""
@@ -334,19 +333,24 @@ def ode(preset, config_path, **overrides):
     with _library_errors():
         ops, rho0 = _resolve(cfg)
         control = ConstantInput(cfg.u_ode, cfg.f, ops)
-        traj = integrate_ensemble(rho0, control, cfg.T, cfg.dt_ode)
-        V = distance_V(traj.states, cfg.f)
-    mixed = np.asarray(maximally_mixed(ops.dim))
-    # Q in fixed blocks of rows, equal to the per-row value bit for bit and
-    # bounded in memory; the norm per row, as a batched one moves last bits.
-    Q = np.concatenate([lyapunov_Q(traj.states[i:i + _Q_ROWS])
-                        for i in range(0, len(traj.states), _Q_ROWS)])
-    rows = ([_fmt(t), _fmt(v), _fmt(q), _fmt(np.linalg.norm(st - mixed))]
-            for t, v, q, st in zip(traj.times, V, Q, traj.states))
+        n_states, blocks = _rk4_blocks(rho0, control, cfg.T, cfg.dt_ode)
+        with _records_fit(cfg.T, cfg.dt_ode, "dt_ode", 1):
+            V, Q, dist = np.empty((3, n_states))
+        mixed = np.asarray(maximally_mixed(ops.dim))
+        # Each block is reduced before the next overwrites it. The norm is
+        # taken per row, as a batched one moves last bits.
+        lo = 0
+        for block in blocks:
+            hi = lo + len(block)
+            V[lo:hi] = distance_V(block, cfg.f)
+            Q[lo:hi] = lyapunov_Q(block)
+            dist[lo:hi] = [np.linalg.norm(st - mixed) for st in block]
+            lo = hi
+    rows = ([_fmt(t), _fmt(v), _fmt(q), _fmt(d)] for t, v, q, d
+            in zip(np.arange(n_states) * cfg.dt_ode, V, Q, dist))
     out = _prepare_output(cfg, overrides)
     _write_csv(out / "ode.csv", ["t", "V", "Q", "mm_dist"], rows)
-    final = np.linalg.norm(traj.states[-1] - mixed)
-    click.echo(f"final |rho_bar - I/{ops.dim}|_F = {final:.6e}")
+    click.echo(f"final |rho_bar - I/{ops.dim}|_F = {dist[-1]:.6e}")
 
 
 if __name__ == "__main__":

@@ -20,7 +20,11 @@ Two integrators live here:
   stages: dt_ode * max(gaps_sq) / 2 stays inside RK4's interval on the
   negative real axis, and then |R(dt_ode lambda)| <= 1 over the spectrum
   of L, read from a region that holds it or, when that test fails,
-  from the eigenvalues themselves.
+  from the eigenvalues themselves. The guards run before the first step;
+  the grid states are then stepped in blocks of 256 into one reused
+  buffer, so a consumer that reduces each block, as ``spinstab ode``
+  does, holds one block at a time however long the horizon, while
+  ``integrate_ensemble`` copies every block into one (K+1, N, N) array.
 
 Trajectories are deterministic functions of their inputs: the Wiener
 increments come from a counter-based generator keyed by
@@ -574,8 +578,59 @@ def _check_rotation(u, dt_ode: float, ops: SpinOperators,
             f"dt_ode or |u|")
 
 
-# A map or step that overflows is caught below, so numpy need not warn first.
+# Grid states per block of the averaged flow (``_rk4_blocks``). A consumer
+# reduces each block before the next is stepped into the same buffer, so a
+# run's working memory does not grow with T.
+_RK4_BLOCK = 256
+
+
+# A map that overflows is caught below, so numpy need not warn first.
 @np.errstate(over="ignore", invalid="ignore")
+def _rk4_blocks(rho0, control, T: float, dt_ode: float):
+    """(K + 1, blocks): the number of grid states of the averaged dynamics
+    under a ConstantInput's u, and a generator of those states in order,
+    in blocks of at most ``_RK4_BLOCK``.
+
+    Every guard runs before this returns, so a rejected run steps nothing:
+    the step count, RK4's stability interval, ``rho0``, the map's
+    finiteness and the rotation (see ``integrate_ensemble`` for what each
+    raises). Each block is a (<= _RK4_BLOCK, N, N) view of one buffer that
+    the next block overwrites, in the dtype ``_checked_rho0`` picks. The
+    generator raises NumericalFailureError, with the time of the failed
+    step, if a state becomes non-finite. numpy's error state is set around
+    each block's steps only, so the caller's holds between blocks.
+    """
+    u, ops = control.u, control.ops
+    n_steps = _step_count(T, dt_ode, "dt_ode")
+    _check_stable(dt_ode, "dt_ode", ops, "RK4", _RK4_REAL_BOUND)
+    rho = _checked_rho0(rho0, ops)
+    complex_ = np.iscomplexobj(rho)
+    bands = _rk4_bands(u, dt_ode, ops, complex_)
+    if not all(np.isfinite(b.coef).all() for b in bands):
+        raise _failed_at(NumericalFailureError(
+            "RK4 step overflows: its map has non-finite entries"), dt_ode)
+    _check_rotation(u, dt_ode, ops, complex_)
+
+    def blocks(rho):
+        buf = np.empty((min(_RK4_BLOCK, n_steps + 1), *rho.shape), rho.dtype)
+        buf[0] = rho
+        for lo in range(0, n_steps + 1, len(buf)):
+            hi = min(lo + len(buf), n_steps + 1)
+            # A step that overflows is caught by _clip_psd, so numpy need
+            # not warn first.
+            with np.errstate(over="ignore", invalid="ignore"):
+                # step k takes grid state k to grid state k + 1
+                for k in range(max(lo - 1, 0), hi - 1):
+                    try:
+                        rho = _clip_psd(_rk4_step(rho, bands))
+                    except NumericalFailureError as e:
+                        raise _failed_at(e, k * dt_ode + dt_ode) from e
+                    buf[k + 1 - lo] = rho
+            yield buf[:hi - lo]
+
+    return n_steps + 1, blocks(rho)
+
+
 def integrate_ensemble(rho0, control, T: float,
                        dt_ode: float) -> OdeTrajectory:
     """Integrate the averaged dynamics under a ConstantInput's u by RK4.
@@ -584,13 +639,14 @@ def integrate_ensemble(rho0, control, T: float,
     matrix, R(dt_ode L), built once from ``sme_drift`` and kept by its band
     (see ``_rk4_bands``): a step reads each entry on and above the diagonal
     from the at most 41 such entries within Manhattan distance 4. Every
-    grid state is projected back onto the state space and written into one
-    read-only (K+1, N, N) array, float64 for a ``rho0`` with a zero
-    imaginary part and complex128 otherwise. A grid state inside the state
-    space passes ``_clip_psd``'s Cholesky certificate and is only
-    renormalized; ``eigh`` runs only for a state on or past its boundary,
-    such as the first steps from an eigenstate. With any nonzero u the
-    trajectory approaches I/N as T grows.
+    grid state is projected back onto the state space. The states are
+    stepped in blocks (``_rk4_blocks``) and copied into one read-only
+    (K+1, N, N) array, float64 for a ``rho0`` with a zero imaginary part
+    and complex128 otherwise. A grid state inside the state space passes
+    ``_clip_psd``'s Cholesky certificate and is only renormalized; ``eigh``
+    runs only for a state on or past its boundary, such as the first steps
+    from an eigenstate. With any nonzero u the trajectory approaches I/N as
+    T grows.
 
     Raises ValueError for an input outside its range, ``rho0`` included,
     for a ``dt_ode`` outside RK4's stability interval on the negative real
@@ -600,24 +656,14 @@ def integrate_ensemble(rho0, control, T: float,
     for grid states too many for memory, and NumericalFailureError, with
     the time of the failed step, if the map or a state becomes non-finite.
     """
-    u, ops = control.u, control.ops
-    n_steps = _step_count(T, dt_ode, "dt_ode")
-    _check_stable(dt_ode, "dt_ode", ops, "RK4", _RK4_REAL_BOUND)
-    state = _checked_rho0(rho0, ops)
-    complex_ = np.iscomplexobj(state)
-    bands = _rk4_bands(u, dt_ode, ops, complex_)
-    if not all(np.isfinite(b.coef).all() for b in bands):
-        raise _failed_at(NumericalFailureError(
-            "RK4 step overflows: its map has non-finite entries"), dt_ode)
-    _check_rotation(u, dt_ode, ops, complex_)
+    n_states, blocks = _rk4_blocks(rho0, control, T, dt_ode)
+    first = next(blocks)
     with _records_fit(T, dt_ode, "dt_ode", 1):
-        states = np.empty((n_steps + 1, ops.dim, ops.dim), dtype=state.dtype)
-    states[0] = state
-    for k in range(n_steps):
-        try:
-            state = _clip_psd(_rk4_step(state, bands))
-        except NumericalFailureError as e:
-            raise _failed_at(e, k * dt_ode + dt_ode) from e
-        states[k + 1] = state
+        states = np.empty((n_states, *first.shape[1:]), dtype=first.dtype)
+    states[:len(first)] = first
+    lo = len(first)
+    for block in blocks:
+        states[lo:lo + len(block)] = block
+        lo += len(block)
     states.setflags(write=False)
-    return OdeTrajectory(times=np.arange(n_steps + 1) * dt_ode, states=states)
+    return OdeTrajectory(times=np.arange(n_states) * dt_ode, states=states)

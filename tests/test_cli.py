@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from helpers import random_density
+from spinstab import dynamics
 from spinstab.cli import (
     PRESETS,
     ConfigError,
@@ -48,12 +50,35 @@ def run_spinstab(argv, cap=None):
             "    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
             "from spinstab.cli import main\n"
             "main(sys.argv[1:])\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", code, *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=_child_env(),
+                          timeout=120)
+
+
+def _child_env():
+    """The environment of a child ``spinstab`` run: one BLAS thread, and
+    this checkout's ``src`` first on the import path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                PYTHONPATH=os.pathsep.join(
+                    filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def spinstab_max_rss_mib(argv):
+    """Peak resident memory in MiB of ``spinstab argv`` run to its end in a
+    fresh child process, as the child reads it from its own getrusage
+    (ru_maxrss, KiB on Linux)."""
+    code = ("import resource, sys\n"
+            "from spinstab.cli import main\n"
+            "try:\n"
+            "    main(sys.argv[1:])\n"
+            "finally:\n"
+            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    res = subprocess.run([sys.executable, "-c", code, *argv],
+                         capture_output=True, text=True, env=_child_env(),
+                         timeout=120)
+    assert res.returncode == 0, res.stderr
+    return int(res.stdout.split()[-1]) / 1024
 
 
 def read_csv(path):
@@ -356,6 +381,21 @@ class TestOdeCommand:
         assert "1..21, got 99" in res.output
         assert not (out / "ode.csv").exists()
 
+    def test_bad_target_rejected_before_stepping(self, tmp_path,
+                                                 monkeypatch):
+        import spinstab.cli as cli_mod
+
+        def must_not_run(*a, **k):
+            raise AssertionError("stepped with a target outside 1..N")
+
+        monkeypatch.setattr(cli_mod, "_rk4_blocks", must_not_run)
+        out = tmp_path / "o"
+        res = RUNNER.invoke(main, ["ode", "--J", "10", "--f", "99",
+                                   "--T", "80", "-o", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "1..21, got 99" in res.output
+        assert not out.exists()
+
     def test_csv_and_final_distance(self, tmp_path):
         res = RUNNER.invoke(main, [
             "ode", "--J", "2", "--f", "3", "--initial", "1", "--T", "80",
@@ -382,6 +422,78 @@ class TestOdeCommand:
                 for t, st in zip(traj.times, traj.states)]
         _, rows = read_csv(tmp_path / "ode.csv")
         assert rows == want
+
+    @pytest.mark.parametrize("T, n_rows, complex_", [
+        ("2.54", 255, False), ("2.55", 256, False), ("2.56", 257, False),
+        ("5.12", 513, False), ("2.56", 257, True)])
+    def test_columns_are_the_library_diagnostics_across_block_edges(
+            self, tmp_path, T, n_rows, complex_):
+        # ode reduces the states in blocks of 256; each row must still equal
+        # the per-row diagnostics of integrate_ensemble's states, bit for bit
+        ops = make_spin_operators(1)
+        rho0, initial = eigenstate(ops, 1), "1"
+        if complex_:
+            rho0 = random_density(3, np.random.default_rng(5))
+            initial = str(tmp_path / "rho0.npy")
+            np.save(initial, rho0)
+        res = RUNNER.invoke(main, ["ode", "--J", "1", "--f", "3",
+                                   "--initial", initial, "--T", T,
+                                   "--dt-ode", "0.01",
+                                   "-o", str(tmp_path / "o")])
+        assert res.exit_code == 0, res.output
+        traj = integrate_ensemble(rho0, ConstantInput(1.0, 3, ops), float(T),
+                                  0.01)
+        assert traj.states.dtype == (complex if complex_ else float)
+        mixed = np.asarray(maximally_mixed(3))
+        want = [[_fmt(t), _fmt(distance_V(st, 3)), _fmt(lyapunov_Q(st)),
+                 _fmt(np.linalg.norm(st - mixed))]
+                for t, st in zip(traj.times, traj.states)]
+        _, rows = read_csv(tmp_path / "o" / "ode.csv")
+        assert len(rows) == n_rows
+        assert rows == want
+
+    def test_failure_after_the_first_block_exits_3_with_its_step_time(
+            self, tmp_path, monkeypatch):
+        # the 300th projection, at step 300 (t = 3), fails: after a whole
+        # 256-state block has been reduced
+        real = dynamics._clip_psd
+
+        def fail_at_call(n):
+            calls = []
+
+            def clip(mat):
+                calls.append(1)
+                if len(calls) == n:
+                    raise NumericalFailureError("state has non-finite entries")
+                return real(mat)
+            return clip
+
+        ops = make_spin_operators(1)
+        monkeypatch.setattr(dynamics, "_clip_psd", fail_at_call(300))
+        with pytest.raises(NumericalFailureError) as err:
+            integrate_ensemble(eigenstate(ops, 1), ConstantInput(1.0, 3, ops),
+                               5.0, 0.01)
+        assert err.value.time == 299 * 0.01 + 0.01
+        monkeypatch.setattr(dynamics, "_clip_psd", fail_at_call(300))
+        out = tmp_path / "o"
+        res = RUNNER.invoke(main, ["ode", "--J", "1", "--f", "3", "--T", "5",
+                                   "--dt-ode", "0.01", "-o", str(out)])
+        assert res.exit_code == 3, res.output
+        assert str(err.value) in res.output
+        assert "at t = 3" in res.output
+        assert not out.exists()
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="ru_maxrss is in KiB on Linux only")
+    def test_peak_memory_does_not_grow_with_the_horizon(self, tmp_path):
+        # T = 200 holds 20001 grid states of 21 x 21, 70 MB as one array;
+        # in blocks, only its 24 B per row of V, Q and mm_dist remain
+        argv = ["ode", "--J", "10", "--f", "11"]
+        short = spinstab_max_rss_mib([*argv, "--T", "8",
+                                      "-o", str(tmp_path / "a")])
+        long = spinstab_max_rss_mib([*argv, "--T", "200",
+                                     "-o", str(tmp_path / "b")])
+        assert long - short < 8, (short, long)
 
     def test_overflowing_step_exits_3(self, tmp_path):
         # RK4 with u = 1e300 overflows to a non-finite state in its first step

@@ -473,6 +473,37 @@ class TestEnsembleOde:
         # one QuantumState for the check of rho0, none per RK4 step
         assert len(built) == 1
 
+    def test_blocks_hold_the_states_256_at_a_time(self):
+        n_states, blocks = dynamics._rk4_blocks(
+            eigenstate(self.ops, 1), self.drive, 5.12, 1e-2)
+        got = [block.copy() for block in blocks]
+        assert n_states == 513
+        assert [len(b) for b in got] == [256, 256, 1]
+        # the reference: one projected step after another, in one loop
+        bands = dynamics._rk4_bands(1.0, 1e-2, self.ops, False)
+        want = [np.asarray(eigenstate(self.ops, 1)).real]
+        for _ in range(512):
+            want.append(dynamics._clip_psd(dynamics._rk4_step(want[-1],
+                                                              bands)))
+        np.testing.assert_array_equal(np.concatenate(got), want)
+        traj = integrate_ensemble(eigenstate(self.ops, 1), self.drive, 5.12,
+                                  1e-2)
+        np.testing.assert_array_equal(traj.states, want)
+
+    def test_numpy_error_state_is_the_callers_between_blocks(self):
+        # the steps ignore overflow, which _clip_psd reports; a consumer
+        # reducing a block must see its own error state, not theirs
+        with np.errstate(all="print"):
+            before = np.geterr()
+            _, blocks = dynamics._rk4_blocks(
+                eigenstate(self.ops, 1), self.drive, 5.12, 1e-2)
+            seen = [np.geterr()]
+            for _ in blocks:
+                seen.append(np.geterr())
+            seen.append(np.geterr())
+        assert len(seen) == 5
+        assert all(s == before for s in seen), seen
+
 
 class TestStepCount:
     """``_step_count`` is where both integrators turn (T, dt) into steps."""
