@@ -334,7 +334,7 @@ def ode(preset, config_path, **overrides):
         ops, rho0 = _resolve(cfg)
         control = ConstantInput(cfg.u_ode, cfg.f, ops)
         n_states, blocks = _rk4_blocks(rho0, control, cfg.T, cfg.dt_ode)
-        with _records_fit(cfg.T, cfg.dt_ode, "dt_ode", 1):
+        with _records_fit(cfg.T, cfg.dt_ode, "dt_ode", n_states):
             V, Q, dist = np.empty((3, n_states))
         mixed = np.asarray(maximally_mixed(ops.dim))
         # Each block is reduced before the next overwrites it. The norm is

@@ -19,8 +19,9 @@ Two integrators live here:
   most four, and every step costs O(N^2). The step is guarded in two
   stages: dt_ode * max(gaps_sq) / 2 stays inside RK4's interval on the
   negative real axis, and then |R(dt_ode lambda)| <= 1 over the spectrum
-  of L, read from a region that holds it or, when that test fails,
-  from the eigenvalues themselves. The guards run before the first step;
+  of L, read from a region that holds it or, when that test fails, from
+  the eigenvalues of L's blocks by spherical-tensor rank, in O(N^4) time
+  and O(N^2) memory. The guards run before the first step;
   the grid states are then stepped in blocks of 256 into one reused
   buffer, so a consumer that reduces each block, as ``spinstab ode``
   does, holds one block at a time however long the horizon, while
@@ -54,7 +55,8 @@ import numpy as np
 
 from .controller import ControllerState, feedback_gain, switch_modes
 from .quantum import (NumericalFailureError, QuantumState, SpinOperators,
-                      _check_dim, _clip_psd, _dag, distance_V)
+                      _check_dim, _clip_psd, _dag, distance_V,
+                      make_spin_operators)
 
 __all__ = [
     "SdeStepConfig",
@@ -233,13 +235,14 @@ def _check_stable(dt: float, dt_name: str, ops: SpinOperators, scheme: str,
 
 
 @contextmanager
-def _records_fit(T: float, dt: float, dt_name: str, stride: int):
-    """A failed allocation of a run's records as a ValueError naming T."""
+def _records_fit(T: float, dt: float, dt_name: str, n_records: int):
+    """A failed allocation of a run's ``n_records`` records as a ValueError
+    naming T."""
     try:
         yield
     except MemoryError as e:
-        raise ValueError(f"horizon T = {T:g} at {dt_name} = {dt:g} with "
-                         f"record stride {stride} does not fit in memory: "
+        raise ValueError(f"horizon T = {T:g} at {dt_name} = {dt:g} "
+                         f"({n_records:g} records) does not fit in memory: "
                          f"{e}") from e
 
 
@@ -338,7 +341,7 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
 
     # steps 0, s, 2s, ... and the last: ceil(n_steps / s) + 1 records
     n_rec = -(-n_steps // record_stride) + 1
-    with _records_fit(T, cfg.dt, "dt", record_stride):
+    with _records_fit(T, cfg.dt, "dt", n_rec):
         rec_t = np.zeros(n_rec)
         rec_V = np.zeros((n_rec, m_count))
         rec_u = np.zeros((n_rec, m_count))
@@ -525,26 +528,28 @@ def _rk4_step(state: np.ndarray, bands: list[_Band]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else parts[0] + 1j * parts[1]
 
 
-def _block(band: _Band) -> np.ndarray:
-    """The dense matrix of ``band`` in its block's coordinates."""
-    rows = np.arange(len(band.cols))[:, None]
-    out = np.zeros((len(rows), len(rows)))
-    np.add.at(out, (rows, band.scatter.ravel()[band.cols]), band.coef)
-    return out
-
-
 def _rk4_gain(z):
     """|R(z)|: the factor by which one RK4 step of size dt multiplies a mode
     e^(lambda t), for z = dt lambda."""
     return np.abs(1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4))))
 
 
-def _check_rotation(u, dt_ode: float, ops: SpinOperators,
-                    complex_: bool) -> None:
+def _flow_spectrum(u, ops: SpinOperators) -> np.ndarray:
+    """The eigenvalues of L under the constant input u, block by
+    spherical-tensor rank: ad(F_y) and ad(F_z) preserve the rank, so on
+    rank k = 1..2J, L acts as the real tridiagonal (2k+1) x (2k+1) matrix
+    u B_k - 1/2 diag(q^2), q = -k..k, with B_k = -i F_y of spin k, and on
+    rank 0, the trace, as 0. The ranks hold the real symmetric and the
+    antisymmetric matrices alike. O(N^4) time and O(N^2) memory."""
+    return np.concatenate([[0.0], *(
+        np.linalg.eigvals(u * rank.b_y - 0.5 * np.diag(rank.lambdas ** 2))
+        for rank in map(make_spin_operators, range(1, round(2 * ops.J) + 1)))])
+
+
+def _check_rotation(u, dt_ode: float, ops: SpinOperators) -> None:
     """RK4's step guard against the rotation: ValueError unless
     |R(dt_ode lambda)| <= 1, up to round-off, at every eigenvalue lambda of
-    L on the real symmetric matrices, and for a ``complex_`` run on the
-    antisymmetric ones too.
+    L.
 
     Two stages. -1/2 ad(F_z)^2 is self-adjoint with spectrum
     [-max(gaps_sq) / 2, 0] and -iu ad(F_y) skew-adjoint with spectrum in
@@ -555,9 +560,9 @@ def _check_rotation(u, dt_ode: float, ops: SpinOperators,
     the rectangle's corner at the stiff end. |R| is largest on the boundary
     of that region times dt_ode, and R(conj z) = conj R(z): when |R| <= 1
     on samples of its upper half the step is accepted, with no eigensolve.
-    Otherwise the eigenvalues of L's dense blocks decide, which costs
-    O(N^6) time and O(N^4) memory. L is not normal, so this bounds the
-    growth of R^k as k grows, not the transient growth of its first powers.
+    Otherwise the eigenvalues themselves decide (``_flow_spectrum``). L is
+    not normal, so this bounds the growth of R^k as k grows, not the
+    transient growth of its first powers.
     """
     a = dt_ode * ops.gaps_sq.max() / 2
     b = 2 * ops.J * abs(u) * dt_ode
@@ -567,9 +572,7 @@ def _check_rotation(u, dt_ode: float, ops: SpinOperators,
     edge = np.concatenate([-a * s + 1j * y, -a + 1j * y[-1] * s, 1j * b * s])
     if _rk4_gain(edge).max() <= 1.0 + _RK4_GAIN_ROUNDOFF:
         return
-    gain = max(_rk4_gain(dt_ode * np.linalg.eigvals(_block(_band(
-        _block_flow(u, ops, anti), ops.dim, 1, anti)))).max()
-        for anti in ((False, True) if complex_ else (False,)))
+    gain = _rk4_gain(dt_ode * _flow_spectrum(u, ops)).max()
     if gain > 1.0 + _RK4_GAIN_ROUNDOFF:
         raise ValueError(
             f"u = {u:g} is too large for RK4 at dt_ode = {dt_ode:g} and "
@@ -604,12 +607,11 @@ def _rk4_blocks(rho0, control, T: float, dt_ode: float):
     n_steps = _step_count(T, dt_ode, "dt_ode")
     _check_stable(dt_ode, "dt_ode", ops, "RK4", _RK4_REAL_BOUND)
     rho = _checked_rho0(rho0, ops)
-    complex_ = np.iscomplexobj(rho)
-    bands = _rk4_bands(u, dt_ode, ops, complex_)
+    bands = _rk4_bands(u, dt_ode, ops, np.iscomplexobj(rho))
     if not all(np.isfinite(b.coef).all() for b in bands):
         raise _failed_at(NumericalFailureError(
             "RK4 step overflows: its map has non-finite entries"), dt_ode)
-    _check_rotation(u, dt_ode, ops, complex_)
+    _check_rotation(u, dt_ode, ops)
 
     def blocks(rho):
         buf = np.empty((min(_RK4_BLOCK, n_steps + 1), *rho.shape), rho.dtype)
@@ -651,14 +653,15 @@ def integrate_ensemble(rho0, control, T: float,
     Raises ValueError for an input outside its range, ``rho0`` included,
     for a ``dt_ode`` outside RK4's stability interval on the negative real
     axis (dt_ode * max(gaps_sq) / 2 > 2.785), for a u whose rotation
-    RK4 grows at that ``dt_ode`` (``_check_rotation``) (in both cases the
-    projection would clamp a growing solution into plausible states), or
-    for grid states too many for memory, and NumericalFailureError, with
-    the time of the failed step, if the map or a state becomes non-finite.
+    RK4 grows at that ``dt_ode`` (``_check_rotation``, at most O(N^4) time
+    and O(N^2) memory) (in both cases the projection would clamp a growing
+    solution into plausible states), or for grid states too many for
+    memory, and NumericalFailureError, with the time of the failed step, if
+    the map or a state becomes non-finite.
     """
     n_states, blocks = _rk4_blocks(rho0, control, T, dt_ode)
     first = next(blocks)
-    with _records_fit(T, dt_ode, "dt_ode", 1):
+    with _records_fit(T, dt_ode, "dt_ode", n_states):
         states = np.empty((n_states, *first.shape[1:]), dtype=first.dtype)
     states[:len(first)] = first
     lo = len(first)

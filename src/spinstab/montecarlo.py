@@ -18,12 +18,12 @@ worker count.
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .controller import ConstantInput
-from .dynamics import (EPS_CONV, SdeStepConfig, _BatchResult, _checked_rho0,
+from .dynamics import (EPS_CONV, SdeStepConfig, _checked_rho0,
                        _integrate_batch, integrate_ensemble)
 from .quantum import SpinOperators, _clip_psd, distance_V
 
@@ -135,21 +135,8 @@ def _run_chunk(batch_kwargs: dict):
     return _integrate_batch(**batch_kwargs)
 
 
-def _split(res: _BatchResult) -> list[_BatchResult]:
-    """A task's result as the results of its chunks, in member order."""
-    chunks = []
-    for c, lo in enumerate(range(0, len(res.first_below), _CHUNK)):
-        cols = slice(lo, lo + _CHUNK)
-        chunks.append(replace(
-            res, V=res.V[:, cols], u=res.u[:, cols],
-            purity=res.purity[:, cols], modes=res.modes[:, cols],
-            state_sum=None if res.state_sum is None else res.state_sum[:, c],
-            first_below=res.first_below[cols]))
-    return chunks
-
-
-def _map_chunks(M: int, workers: int | None, **batch_kwargs) -> list:
-    """Integrate members 0..M-1; the results come one per chunk, in chunk
+def _map_tasks(M: int, workers: int | None, **batch_kwargs) -> list:
+    """Integrate members 0..M-1; the results come one per task, in member
     order.
 
     The chunks are grouped into contiguous tasks of at most
@@ -169,11 +156,9 @@ def _map_chunks(M: int, workers: int | None, **batch_kwargs) -> list:
     tasks = [dict(batch_kwargs, streams=range(lo, min(hi, M)))
              for lo, hi in zip(edges, edges[1:])]
     if workers <= 1 or n_tasks <= 1:
-        results = [_run_chunk(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, n_tasks)) as pool:
-            results = list(pool.map(_run_chunk, tasks))
-    return [chunk for res in results for chunk in _split(res)]
+        return [_run_chunk(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=min(workers, n_tasks)) as pool:
+        return list(pool.map(_run_chunk, tasks))
 
 
 def run_ensemble(rho0, control, T: float, cfg: SdeStepConfig, M: int = 100,
@@ -186,20 +171,23 @@ def run_ensemble(rho0, control, T: float, cfg: SdeStepConfig, M: int = 100,
     for an input outside its range and NumericalFailureError if any
     member's state becomes non-finite.
     """
-    results = _map_chunks(
+    results = _map_tasks(
         M, workers, rho0=rho0, control=control,
         T=T, cfg=cfg, base_seed=base_seed,
         record_stride=record_stride, sum_chunk=_CHUNK)
 
     times = results[0].times
     n_rec = len(times)
-    state_sum = np.zeros_like(results[0].state_sum)
+    state_sum = np.zeros_like(results[0].state_sum[:, 0])
     v_sum = np.zeros(n_rec)
     below_count = np.zeros(n_rec)
+    # Chunk by chunk, in chunk order, so no sum depends on the tasks.
     for res in results:
-        state_sum += res.state_sum
-        v_sum += np.sum(res.V, axis=1)
-        below_count += np.sum(res.V < EPS_CONV, axis=1)
+        for c, lo in enumerate(range(0, res.V.shape[1], _CHUNK)):
+            v = res.V[:, lo:lo + _CHUNK]
+            state_sum += res.state_sum[:, c]
+            v_sum += np.sum(v, axis=1)
+            below_count += np.sum(v < EPS_CONV, axis=1)
 
     mean_V = v_sum / M
     conv_frac = below_count / M
@@ -240,7 +228,7 @@ def estimate_exit_time(gamma_a: float, rho0, f: int, ops: SpinOperators,
 
     # Records are incidental here: a stride past any horizon keeps only the
     # first and the last step.
-    results = _map_chunks(
+    results = _map_tasks(
         M, workers, rho0=rho0, control=control,
         T=T_cap, cfg=cfg, base_seed=base_seed,
         record_stride=sys.maxsize, exit_threshold=threshold)

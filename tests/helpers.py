@@ -1,9 +1,10 @@
 """Helpers shared by the tests: random states, the projection by
-eigendecomposition alone and the four-stage RK4 step."""
+eigendecomposition alone, the four-stage RK4 step and the averaged flow's
+dense blocks."""
 
 import numpy as np
 
-from spinstab.dynamics import sme_drift
+from spinstab.dynamics import _band, _block_flow, sme_drift
 from spinstab.quantum import _dag
 
 
@@ -37,3 +38,15 @@ def rk4_step(rho, u, dt: float, ops) -> np.ndarray:
     k3 = sme_drift(rho + 0.5 * dt * k2, u, ops)
     k4 = sme_drift(rho + dt * k3, u, ops)
     return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def flow_block(u, ops, anti: bool) -> np.ndarray:
+    """Oracle for the spectrum of the averaged flow's generator L under the
+    constant input u: its dense matrix on the real symmetric, or
+    antisymmetric, N x N matrices, in that block's coordinates, read off
+    the reach-1 band. N(N +- 1)/2 square, so O(N^6) to diagonalize."""
+    band = _band(_block_flow(u, ops, anti), ops.dim, 1, anti)
+    rows = np.arange(len(band.cols))[:, None]
+    out = np.zeros((len(rows), len(rows)))
+    np.add.at(out, (rows, band.scatter.ravel()[band.cols]), band.coef)
+    return out

@@ -587,6 +587,7 @@ class TestRejectedRuns:
         assert res.returncode == 2, res.stderr
         assert "horizon T = 1e+15" in res.stderr
         assert "does not fit in memory" in res.stderr
+        assert "stride" not in res.stderr
         assert not out.exists()
 
     def test_operators_too_large_for_memory_exits_2(self, tmp_path):

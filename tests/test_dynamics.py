@@ -1,6 +1,7 @@
 """Tests for the SDE/ODE integrators, drift/diffusion terms and records."""
 
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -443,6 +444,32 @@ class TestEnsembleOde:
         traj = integrate_ensemble(eigenstate(ops, 1),
                                   ConstantInput(u, 11, ops), 0.1, 1e-2)
         assert np.isfinite(traj.states).all()
+
+    def test_exact_stage_decides_at_the_regions_edge(self, monkeypatch):
+        # at J = 10 and dt_ode = 0.01 the region alone reads |R| = 1.08
+        # under u = 14.3, so the rank blocks' eigenvalues decide: |R| = 1
+        # there, and 1.029 under u = 14.4
+        ops = make_spin_operators(10)
+        spectrum = mock.Mock(wraps=dynamics._flow_spectrum)
+        monkeypatch.setattr(dynamics, "_flow_spectrum", spectrum)
+        traj = integrate_ensemble(eigenstate(ops, 1),
+                                  ConstantInput(14.3, 11, ops), 0.1, 1e-2)
+        assert np.isfinite(traj.states).all()
+        spectrum.assert_called_once()
+        with pytest.raises(ValueError, match=(
+                r"u = 14\.4 is too large .* = 1\.029 per step")):
+            integrate_ensemble(eigenstate(ops, 1),
+                               ConstantInput(14.4, 11, ops), 0.1, 1e-2)
+
+    def test_exact_stage_at_large_n(self):
+        # N = 64: the dense blocks would be 2,080 square; the 63 rank
+        # blocks are at most 127 square
+        ops = make_spin_operators(31.5)
+        with pytest.raises(ValueError, match=(
+                r"u = 60 is too large for RK4 at dt_ode = 0\.001 and "
+                r"N = 64: .* = 5\.675 per step")):
+            integrate_ensemble(eigenstate(ops, 1),
+                               ConstantInput(60.0, 1, ops), 1.0, 1e-3)
 
     def test_stability_bound_is_rk4s_on_the_negative_real_axis(self):
         # RK4 multiplies a mode decaying at rate a by R(-a dt), the degree-4

@@ -20,7 +20,9 @@ near-singular, rank-deficient and indefinite matrices, single and batched.
 In feedback mode V is a supermartingale: at an interior state the Euler
 step's mean change of V over +dW and -dW is -u^2 dt. One step of the
 averaged flow's precomputed, banded RK4 map equals one four-stage RK4 step
-of ``sme_drift``, for real and complex states and random inputs u,.
+of ``sme_drift``, for real and complex states and random inputs u. The
+spectrum the rotation guard reads from L's blocks by spherical-tensor rank
+is the spectrum of L's dense symmetric and antisymmetric blocks.
 """
 
 import sys
@@ -32,7 +34,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import clip_psd_eigh, random_density, rk4_step
+from helpers import clip_psd_eigh, flow_block, random_density, rk4_step
 from spinstab import dynamics
 from spinstab.controller import (ConstantInput, ControllerState,
                                  feedback_gain, new_controller, switch_modes)
@@ -440,9 +442,7 @@ def test_averaged_flow_spectrum_lies_in_the_guards_region(J, anti, u):
     # Re in [-max(gaps_sq) / 2, 0], |Im| <= 2J|u| and
     # Im^2 <= u^2 (2J(2J+1) + 2 Re), up to round-off
     ops = make_spin_operators(J)
-    flow = dynamics._block_flow(u, ops, anti)
-    lam = np.linalg.eigvals(dynamics._block(dynamics._band(flow, ops.dim, 1,
-                                                           anti)))
+    lam = np.linalg.eigvals(flow_block(u, ops, anti))
     tol = 1e-9 * (ops.gaps_sq.max() + 2 * J * abs(u))
     assert (lam.real <= tol).all()
     assert (lam.real >= -ops.gaps_sq.max() / 2 - tol).all()
@@ -458,14 +458,29 @@ def test_rotation_guard_skips_the_eigensolve_only_for_stable_steps(J, u,
                                                                    frac):
     ops = make_spin_operators(J)
     dt = frac * 2 * dynamics._RK4_REAL_BOUND / ops.gaps_sq.max()
-    flow = dynamics._block_flow(u, ops, False)
-    lam = np.linalg.eigvals(dynamics._block(dynamics._band(flow, ops.dim, 1,
-                                                           False)))
+    lam = np.linalg.eigvals(flow_block(u, ops, False))
     with mock.patch.object(dynamics.np.linalg, "eigvals",
                            side_effect=LookupError):
         try:
-            dynamics._check_rotation(u, dt, ops, False)
+            dynamics._check_rotation(u, dt, ops)
         except LookupError:
             return
     gain = dynamics._rk4_gain(dt * lam).max()
     assert gain <= 1 + dynamics._RK4_GAIN_ROUNDOFF
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from([0.5, 1, 1.5, 2, 2.5, 3, 3.5, 4]),
+       st.floats(-50.0, 50.0, allow_subnormal=False))
+def test_rank_block_spectrum_is_the_dense_blocks_spectrum(J, u):
+    # every eigenvalue of one list is matched to a distinct one of the
+    # other, nearest first, within round-off of the spectrum's scale
+    ops = make_spin_operators(J)
+    dense = list(np.concatenate([np.linalg.eigvals(flow_block(u, ops, anti))
+                                 for anti in (False, True)]))
+    ranks = dynamics._flow_spectrum(u, ops)
+    assert len(ranks) == len(dense) == ops.dim ** 2
+    tol = 1e-9 * (ops.gaps_sq.max() + 2 * J * abs(u))
+    for lam in ranks:
+        k = int(np.argmin(np.abs(np.array(dense) - lam)))
+        assert abs(dense.pop(k) - lam) <= tol
