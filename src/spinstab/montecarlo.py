@@ -16,7 +16,6 @@ worker count.
 """
 
 import os
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -71,7 +70,8 @@ class EnsembleStats:
     value at the horizon, and ``final_V`` holds each member's V there,
     members 0..M-1 in order. ``failures`` is always empty: a member whose
     state becomes non-finite stops the whole run with
-    NumericalFailureError. It is kept because ``summary.json`` writes it.
+    NumericalFailureError. It is kept because the benchmark's ensemble
+    check (``bench/workloads.py``) reads it.
     """
 
     times: np.ndarray
@@ -149,6 +149,8 @@ def _map_tasks(M: int, workers: int | None, **batch_kwargs) -> list:
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
     workers = default_workers() if workers is None else workers
+    if not (isinstance(workers, (int, np.integer)) and workers >= 1):
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     n_chunks = -(-M // _CHUNK)
     per_task = _task_members(batch_kwargs["control"].ops.dim) // _CHUNK
     n_tasks = max(-(-n_chunks // per_task), min(workers, n_chunks))
@@ -212,9 +214,11 @@ def estimate_exit_time(gamma_a: float, rho0, f: int, ops: SpinOperators,
     censored: they are excluded from the sample mean but counted as "still
     inside" by the stopping-time diagnostic, whose horizon T0
     (``dynkin_t0``) is the median observed exit time. Estimates describe
-    the given initial state only, not the worst case over the region.
-    Raises ValueError for an input outside its range and
-    NumericalFailureError if any member's state becomes non-finite.
+    the given initial state only, not the worst case over the region. The
+    members are stepped as an exit-time run, which keeps each member's exit
+    time and nothing else and stops each member at its exit step. Raises
+    ValueError for an input outside its range and NumericalFailureError if
+    any member's state becomes non-finite.
     """
     control = ConstantInput(1.0, f, ops)
     if not 0.0 < gamma_a < 1.0:
@@ -226,12 +230,9 @@ def estimate_exit_time(gamma_a: float, rho0, f: int, ops: SpinOperators,
         raise ValueError(
             f"initial state must satisfy V > {threshold:g}, got V = {v0:g}")
 
-    # Records are incidental here: a stride past any horizon keeps only the
-    # first and the last step.
     results = _map_tasks(
         M, workers, rho0=rho0, control=control,
-        T=T_cap, cfg=cfg, base_seed=base_seed,
-        record_stride=sys.maxsize, exit_threshold=threshold)
+        T=T_cap, cfg=cfg, base_seed=base_seed, exit_threshold=threshold)
 
     exit_times = np.concatenate([res.first_below for res in results])
     tau = np.sort(exit_times[~np.isnan(exit_times)])

@@ -366,21 +366,6 @@ class TestExitTimeCommand:
 
 
 class TestOdeCommand:
-    def test_bad_target_rejected_before_integrating(self, tmp_path,
-                                                    monkeypatch):
-        import spinstab.cli as cli_mod
-
-        def must_not_run(*a, **k):
-            raise AssertionError("integrated with a target outside 1..N")
-
-        monkeypatch.setattr(cli_mod, "integrate_ensemble", must_not_run)
-        out = tmp_path / "o"
-        res = RUNNER.invoke(main, ["ode", "--J", "10", "--f", "99",
-                                   "--T", "80", "-o", str(out)])
-        assert res.exit_code == 2, res.output
-        assert "1..21, got 99" in res.output
-        assert not (out / "ode.csv").exists()
-
     def test_bad_target_rejected_before_stepping(self, tmp_path,
                                                  monkeypatch):
         import spinstab.cli as cli_mod

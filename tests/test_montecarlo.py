@@ -284,3 +284,8 @@ class TestDefaultWorkers:
             monkeypatch.setenv("SPINSTAB_WORKERS", bad)
             with pytest.raises(ValueError, match="SPINSTAB_WORKERS"):
                 default_workers()
+
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, "2"])
+    def test_malformed_argument_rejected(self, bad):
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            run_ensemble(RHO1, DRIVE3, 0.01, CFG, M=2, workers=bad)
