@@ -7,7 +7,9 @@ preset, a JSON file and flag overrides, any of which may set any
 ``SimConfig`` field; each subcommand takes the flags of the fields it reads
 and writes those fields, resolved, next to its outputs in canonical form
 (``config.json``), so every artifact is reproducible from its own
-directory. CSV numeric fields carry 17 significant digits.
+directory. One writer, ``_write_csv``, exports every CSV: numbers carry 17
+significant digits (``_FLOAT``), mode labels are written as they are, and
+the rows are streamed from whole columns, without per-value Python calls.
 
 The library checks every value it is given; the commands map its errors
 to exit codes in one place. Exit codes: 0 success; 2 configuration error,
@@ -19,7 +21,6 @@ failure (a state became non-finite). A run that exits 2 or 3 writes no
 files; a library warning reaches stderr as one ``warning:`` line.
 """
 
-import csv
 import json
 import warnings
 from contextlib import contextmanager
@@ -202,21 +203,44 @@ def _parse_control(cfg: SimConfig, ops):
     """Turn the control spec into a ControllerState or a ConstantInput."""
     if cfg.control == "mh":
         return new_controller(cfg.gamma, cfg.f, ops)
-    if cfg.control.startswith("constant:"):
-        return ConstantInput(float(cfg.control.split(":", 1)[1]), cfg.f, ops)
+    kind, _, value = cfg.control.partition(":")
+    if kind == "constant":
+        try:
+            u = float(value)
+        except ValueError:
+            pass
+        else:
+            return ConstantInput(u, cfg.f, ops)
     raise ConfigError(
         f"control: expected 'mh' or 'constant:<value>', got '{cfg.control}'")
 
 
-def _fmt(x) -> str:
-    return f"{x:.17g}"
+# The number format of every CSV field: 17 significant digits read back as
+# the same double.
+_FLOAT = "{:.17g}"
+_fmt = _FLOAT.format
+
+# Rows that _write_csv turns into Python values at a time, so that its
+# memory does not grow with the file.
+_CSV_ROWS = 1024
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Write equal-length 1-D arrays as the columns under ``header``.
+
+    A number column is formatted by ``_FLOAT``, a column of words (the mode
+    labels) as it is; no field needs quoting. Each row is one format of one
+    template, the rows are streamed ``_CSV_ROWS`` at a time, and lines end
+    in CRLF, so the bytes are those of ``csv.writer`` writing ``_fmt``
+    fields.
+    """
+    template = ",".join("{}" if col.dtype.kind == "U" else _FLOAT
+                        for col in columns) + "\r\n"
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, len(columns[0]), _CSV_ROWS):
+            rows = (col[lo:lo + _CSV_ROWS].tolist() for col in columns)
+            fh.writelines(map(template.format, *rows))
 
 
 def _prepare_output(cfg: SimConfig, keys) -> Path:
@@ -267,10 +291,8 @@ def simulate(preset, config_path, **overrides):
     out = _prepare_output(cfg, overrides)
     for rec in records:
         path = out / f"trajectory_seed{cfg.base_seed}_stream{rec.stream}.csv"
-        rows = ([_fmt(t), _fmt(v), _fmt(u), _fmt(p), m]
-                for t, v, u, p, m in zip(rec.times, rec.V, rec.u,
-                                         rec.purity, rec.modes))
-        _write_csv(path, ["t", "V", "u", "purity", "mode"], rows)
+        _write_csv(path, ["t", "V", "u", "purity", "mode"],
+                   [rec.times, rec.V, rec.u, rec.purity, rec.modes])
         click.echo(f"{path}: final V = {rec.V[-1]:.3e} "
                    f"converged = {rec.converged}")
 
@@ -286,9 +308,8 @@ def ensemble(preset, config_path, **overrides):
             SdeStepConfig(cfg.dt, cfg.eta), cfg.M,
             cfg.base_seed, record_stride=cfg.record_stride)
     out = _prepare_output(cfg, overrides)
-    rows = ([_fmt(t), _fmt(v), _fmt(c)]
-            for t, v, c in zip(stats.times, stats.mean_V, stats.conv_frac))
-    _write_csv(out / "ensemble.csv", ["t", "mean_V", "conv_frac"], rows)
+    _write_csv(out / "ensemble.csv", ["t", "mean_V", "conv_frac"],
+               [stats.times, stats.mean_V, stats.conv_frac])
     summary = {
         "convergence_fraction": stats.convergence_fraction,
         "M": stats.M,
@@ -337,19 +358,27 @@ def ode(preset, config_path, **overrides):
         with _records_fit(cfg.T, cfg.dt_ode, "dt_ode", n_states):
             V, Q, dist = np.empty((3, n_states))
         mixed = np.asarray(maximally_mixed(ops.dim))
-        # Each block is reduced before the next overwrites it. The norm is
-        # taken per row, as a batched one moves last bits.
+        # mm_dist is np.linalg.norm(st - mixed) in norm's own operations:
+        # st - mixed is complex, and its square is the ddot of the raveled
+        # real part plus that of the imaginary part, here on one reused
+        # difference. It stays per row, as a batched sum moves last bits;
+        # the square root is exact, so it is taken once at the end.
+        diff = np.empty_like(mixed)
+        re, im = diff.ravel().real, diff.ravel().imag
+        # Each block is reduced before the next overwrites it.
         lo = 0
         for block in blocks:
             hi = lo + len(block)
             V[lo:hi] = distance_V(block, cfg.f)
             Q[lo:hi] = lyapunov_Q(block)
-            dist[lo:hi] = [np.linalg.norm(st - mixed) for st in block]
+            for i, st in enumerate(block, lo):
+                np.subtract(st, mixed, out=diff)
+                dist[i] = re.dot(re) + im.dot(im)
             lo = hi
-    rows = ([_fmt(t), _fmt(v), _fmt(q), _fmt(d)] for t, v, q, d
-            in zip(np.arange(n_states) * cfg.dt_ode, V, Q, dist))
+        np.sqrt(dist, out=dist)
     out = _prepare_output(cfg, overrides)
-    _write_csv(out / "ode.csv", ["t", "V", "Q", "mm_dist"], rows)
+    _write_csv(out / "ode.csv", ["t", "V", "Q", "mm_dist"],
+               [np.arange(n_states) * cfg.dt_ode, V, Q, dist])
     click.echo(f"final |rho_bar - I/{ops.dim}|_F = {dist[-1]:.6e}")
 
 

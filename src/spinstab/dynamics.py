@@ -220,6 +220,17 @@ def _step_count(T: float, dt: float, dt_name: str) -> int:
     return n_steps
 
 
+def _integer(value, name: str, minimum: int | None = None) -> int:
+    """``value`` as an int. Raises ValueError naming ``name`` unless it is
+    an integer (a numpy integer counts, a bool does not) and, with a
+    ``minimum``, at least that."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
 def _check_stable(dt: float, dt_name: str, ops: SpinOperators, scheme: str,
                   bound: float) -> None:
     """The step guard of both integrators: ValueError unless
@@ -316,6 +327,8 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
     Each member draws its noise in blocks of ``_NOISE_BLOCK`` steps. The
     batch is stepped in the dtype that ``_checked_rho0`` picks for
     ``rho0``. Raises ValueError for an input outside its range, including
+    a ``record_stride`` that is not an integer >= 1, a ``base_seed`` or
+    stream that is not an integer (a negative one is taken mod 2**64),
     a ``rho0`` that is not an N x N density matrix, a ``dt`` outside
     explicit Euler's stability interval (dt * max(gaps_sq) / 2 > 2) and
     records too large for memory, and NumericalFailureError, with the time
@@ -323,8 +336,10 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
     """
     f, ops = control.f, control.ops
     exiting = exit_threshold is not None
-    if not exiting and record_stride < 1:
-        raise ValueError(f"record_stride must be >= 1, got {record_stride}")
+    if not exiting:
+        record_stride = _integer(record_stride, "record_stride", 1)
+    base_seed = _integer(base_seed, "base_seed")
+    streams = [_integer(s, "stream") for s in streams]
     n_steps = _step_count(T, cfg.dt, "dt")
     _check_stable(cfg.dt, "dt", ops, "Euler-Maruyama", _EULER_REAL_BOUND)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controller import ConstantInput
-from .dynamics import (EPS_CONV, SdeStepConfig, _checked_rho0,
+from .dynamics import (EPS_CONV, SdeStepConfig, _checked_rho0, _integer,
                        _integrate_batch, integrate_ensemble)
 from .quantum import SpinOperators, _clip_psd, distance_V
 
@@ -144,13 +144,12 @@ def _map_tasks(M: int, workers: int | None, **batch_kwargs) -> list:
     there are chunks to go round; the pool starts no more processes than
     there are tasks. ``batch_kwargs`` are the arguments of
     ``_integrate_batch`` except ``streams``, which each task gets as its
-    slice of 0..M-1.
+    slice of 0..M-1. Raises ValueError unless ``M`` and ``workers`` are
+    integers >= 1.
     """
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
-    workers = default_workers() if workers is None else workers
-    if not (isinstance(workers, (int, np.integer)) and workers >= 1):
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    M = _integer(M, "M", 1)
+    workers = _integer(default_workers() if workers is None else workers,
+                       "workers", 1)
     n_chunks = -(-M // _CHUNK)
     per_task = _task_members(batch_kwargs["control"].ops.dim) // _CHUNK
     n_tasks = max(-(-n_chunks // per_task), min(workers, n_chunks))

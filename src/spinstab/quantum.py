@@ -218,7 +218,7 @@ def _clip_psd(mat: np.ndarray) -> np.ndarray:
         except np.linalg.LinAlgError:
             pass
         else:
-            return herm / np.trace(herm).real
+            return herm / herm.trace().real
     w, v = np.linalg.eigh(herm)
     w = np.clip(w, 0.0, None)
     tr = np.sum(w, axis=-1)

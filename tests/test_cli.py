@@ -19,6 +19,7 @@ from spinstab.cli import (
     ConfigError,
     SimConfig,
     _fmt,
+    _write_csv,
     canonical_json,
     load_config,
     main,
@@ -85,6 +86,27 @@ def read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+class TestCsvWriter:
+    def test_bytes_equal_csv_writer_of_formatted_fields(self, tmp_path):
+        # the oracle: csv.writer over _fmt-formatted numbers and the words
+        # as they are
+        nums = np.array([-0.0, 5e-324, 1e300, 0.1, 1.0, -2.5, -1e-300,
+                         np.inf, -np.inf, np.nan, 1 / 3, 123456789.125])
+        cols = [nums, nums[::-1].copy(), -nums,
+                np.where(np.arange(len(nums)) % 3 == 0, "feedback",
+                         "constant")]
+        header = ["t", "V", "u", "mode"]
+        _write_csv(tmp_path / "got.csv", header, cols)
+        with (tmp_path / "want.csv").open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows([_fmt(a), _fmt(b), _fmt(c), m]
+                             for a, b, c, m in zip(*cols))
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert got.split(b"\r\n")[1] == b"-0,123456789.125,0,feedback"
 
 
 class TestConfig:
@@ -311,6 +333,18 @@ class TestEnsembleCommand:
         res = RUNNER.invoke(main, ["ensemble", "--J", "1", "--control",
                                    "ramp", "-o", str(tmp_path)])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("spec", ["constant:abc", "constant:", "constant"])
+    def test_control_value_that_is_no_number_exits_2_naming_control(
+            self, tmp_path, spec):
+        out = tmp_path / "o"
+        res = RUNNER.invoke(main, ["simulate", "--J", "1", "--f", "3",
+                                   "--T", "0.01", "--control", spec,
+                                   "-o", str(out)])
+        assert res.exit_code == 2, res.output
+        assert (f"control: expected 'mh' or 'constant:<value>', got '{spec}'"
+                in res.output)
+        assert not out.exists()
 
 
 class TestExitTimeCommand:

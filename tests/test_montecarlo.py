@@ -289,3 +289,43 @@ class TestDefaultWorkers:
     def test_malformed_argument_rejected(self, bad):
         with pytest.raises(ValueError, match="workers must be an integer"):
             run_ensemble(RHO1, DRIVE3, 0.01, CFG, M=2, workers=bad)
+
+
+class TestIntegerArguments:
+    """Each integer run parameter must be an integer in its range; a float,
+    even an integral one, or a bool is rejected by name rather than run as
+    some other integer."""
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda: run_ensemble(RHO1, DRIVE3, 0.01, CFG, M=2.5), "M"),
+        (lambda: run_ensemble(RHO1, DRIVE3, 0.01, CFG, M=True), "M"),
+        (lambda: estimate_exit_time(0.1, RHO1, 3, OPS3, 0.01, CFG, M=2.5),
+         "M"),
+        (lambda: simulate_batch(RHO1, DRIVE3, 0.01, CFG, 0, [0],
+                                record_stride=2.5), "record_stride"),
+        (lambda: simulate_batch(RHO1, DRIVE3, 0.01, CFG, 0, [0],
+                                record_stride=True), "record_stride"),
+        (lambda: run_ensemble(RHO1, DRIVE3, 0.01, CFG, M=2, base_seed=2.5),
+         "base_seed"),
+        (lambda: run_ensemble(RHO1, DRIVE3, 0.01, CFG, M=2, base_seed=2.0),
+         "base_seed"),
+        (lambda: simulate_batch(RHO1, DRIVE3, 0.01, CFG, 0, [0, 0.5]),
+         "stream"),
+        (lambda: run_ensemble(RHO1, DRIVE3, 0.01, CFG, M=2, workers=True),
+         "workers"),
+    ], ids=["run_ensemble M=2.5", "run_ensemble M=True",
+            "estimate_exit_time M=2.5", "simulate_batch record_stride=2.5",
+            "simulate_batch record_stride=True", "run_ensemble base_seed=2.5",
+            "run_ensemble base_seed=2.0", "simulate_batch stream 0.5",
+            "run_ensemble workers=True"])
+    def test_non_integer_rejected_naming_it(self, call, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            call()
+
+    def test_numpy_and_negative_integers_keep_their_streams(self):
+        ctrl = new_controller(0.1, 3, OPS3)
+        want = run_ensemble(RHO1, ctrl, 0.3, CFG, M=3, base_seed=2**64 - 1)
+        for seed in (-1, np.int64(-1)):
+            got = run_ensemble(RHO1, ctrl, 0.3, CFG, M=np.int64(3),
+                               base_seed=seed, record_stride=np.int32(1))
+            np.testing.assert_array_equal(got.final_V, want.final_V)
