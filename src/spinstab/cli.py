@@ -118,7 +118,7 @@ PRESETS: dict[str, dict] = {
 }
 
 # The types each field's annotation admits; load_config also takes an int
-# for a float.
+# for a float, and converts it.
 _FIELD_TYPES = {fld.name: get_args(fld.type) or (fld.type,)
                 for fld in fields(SimConfig)}
 
@@ -164,6 +164,12 @@ def load_config(preset: str | None = None, config_path: str | None = None,
             raise ConfigError(f"config key '{key}' must be "
                               f"{' or '.join(k.__name__ for k in kinds)}, "
                               f"got {val!r}")
+        if float in kinds and isinstance(val, int):
+            try:
+                values[key] = float(val)
+            except OverflowError:
+                raise ConfigError(f"config key '{key}' must be float, got "
+                                  "an integer too large for one") from None
     return SimConfig(**values)
 
 
@@ -362,8 +368,11 @@ def ode(preset, config_path, **overrides):
         # st - mixed is complex, and its square is the ddot of the raveled
         # real part plus that of the imaginary part, here on one reused
         # difference. It stays per row, as a batched sum moves last bits;
-        # the square root is exact, so it is taken once at the end.
-        diff = np.empty_like(mixed)
+        # the square root is exact, so it is taken once at the end. A real
+        # run subtracts into the real part only and skips the imaginary
+        # part's ddot, which adds 0.0; the real part keeps its stride of
+        # two, since ddot at unit stride sums in another order.
+        diff = np.zeros_like(mixed)
         re, im = diff.ravel().real, diff.ravel().imag
         # Each block is reduced before the next overwrites it.
         lo = 0
@@ -371,9 +380,14 @@ def ode(preset, config_path, **overrides):
             hi = lo + len(block)
             V[lo:hi] = distance_V(block, cfg.f)
             Q[lo:hi] = lyapunov_Q(block)
-            for i, st in enumerate(block, lo):
-                np.subtract(st, mixed, out=diff)
-                dist[i] = re.dot(re) + im.dot(im)
+            if np.iscomplexobj(block):
+                for i, st in enumerate(block, lo):
+                    np.subtract(st, mixed, out=diff)
+                    dist[i] = re.dot(re) + im.dot(im)
+            else:
+                for i, st in enumerate(block, lo):
+                    np.subtract(st, mixed.real, out=diff.real)
+                    dist[i] = re.dot(re)
             lo = hi
         np.sqrt(dist, out=dist)
     out = _prepare_output(cfg, overrides)

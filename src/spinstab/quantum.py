@@ -15,12 +15,14 @@ array helpers here (``_dag``, ``_clip_psd``, ``distance_V``,
 ``lyapunov_Q``) take either dtype and keep it.
 
 ``_clip_psd`` projects a stepped matrix back onto the state space. A single
-matrix that is already a positive definite state up to trace, which is
-almost every step of the averaged flow, is certified by one Cholesky
-factorisation and only renormalized; ``eigh`` runs for the rest and for
-every batch.
+matrix that is already a positive definite state up to trace is certified
+by one Cholesky factorisation and only renormalized; ``eigh`` runs for the
+rest and for every batch. The averaged flow certifies a window of its
+states with one batched factorisation (``dynamics._certified``), to the
+same bits, and calls ``_clip_psd`` only for a window that fails.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,11 +132,13 @@ class SpinOperators:
 def make_spin_operators(J) -> SpinOperators:
     """Build the angular momentum operators for total momentum J.
 
-    J must be a positive integer or half-integer. The y-operator is the
-    tridiagonal matrix with super/subdiagonal magnitudes
+    J must be a finite, positive integer or half-integer. The y-operator
+    is the tridiagonal matrix with super/subdiagonal magnitudes
     c_k = sqrt((N-k) k) / 2; the z-operator is diag(-J, ..., J).
     """
     J = float(J)
+    if not math.isfinite(J):
+        raise ValueError(f"J must be finite, got {J}")
     if J <= 0 or abs(2 * J - round(2 * J)) > 1e-12:
         raise ValueError(f"J must be a positive integer or half-integer, got {J}")
     n = int(round(2 * J)) + 1
@@ -207,7 +211,9 @@ def _clip_psd(mat: np.ndarray) -> np.ndarray:
     trace, exactly Hermitian. Only a matrix that fails the factorisation
     (an eigenvalue at or below zero) goes through ``eigh``. A batch always
     goes through ``eigh``: numpy factorises a batch all or nothing, so one
-    semidefinite member would fail the whole attempt.
+    semidefinite member would fail the whole attempt. The averaged flow,
+    whose states almost all pass, certifies a window of them at once
+    (``dynamics._certified``) and steps a failed window again through here.
     """
     if not np.isfinite(mat).all():
         raise NumericalFailureError("state has non-finite entries")

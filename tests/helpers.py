@@ -1,6 +1,6 @@
 """Helpers shared by the tests: random states, the projection by
-eigendecomposition alone, the four-stage RK4 step and the averaged flow's
-dense blocks."""
+eigendecomposition alone, the four-stage RK4 step, a step of the averaged
+flow made to fail, and the averaged flow's dense blocks."""
 
 import numpy as np
 
@@ -50,3 +50,24 @@ def flow_block(u, ops, anti: bool) -> np.ndarray:
     out = np.zeros((len(rows), len(rows)))
     np.add.at(out, (rows, band.scatter.ravel()[band.cols]), band.coef)
     return out
+
+
+def replace_step_from(monkeypatch, state, band, image) -> None:
+    """Make the RK4 step from the real grid state ``state`` give the
+    coordinates ``image`` (a number or one value per coordinate of
+    ``band``, the symmetric block's band), in whichever path steps it.
+
+    Both the windowed and the per-state path take a step's coordinates from
+    ``np.einsum`` over the band values the step reads; the patched einsum
+    returns ``image`` when those values are ``state``'s.
+    """
+    values = np.asarray(state).ravel().take(band.cols)
+    einsum = np.einsum
+
+    def patched(subscripts, *operands, **kwargs):
+        out = einsum(subscripts, *operands, **kwargs)
+        if np.array_equal(operands[-1], values):
+            out[...] = image
+        return out
+
+    monkeypatch.setattr(np, "einsum", patched)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from helpers import random_density
+from helpers import random_density, replace_step_from
 from spinstab import dynamics
 from spinstab.cli import (
     PRESETS,
@@ -473,27 +473,16 @@ class TestOdeCommand:
 
     def test_failure_after_the_first_block_exits_3_with_its_step_time(
             self, tmp_path, monkeypatch):
-        # the 300th projection, at step 300 (t = 3), fails: after a whole
-        # 256-state block has been reduced
-        real = dynamics._clip_psd
-
-        def fail_at_call(n):
-            calls = []
-
-            def clip(mat):
-                calls.append(1)
-                if len(calls) == n:
-                    raise NumericalFailureError("state has non-finite entries")
-                return real(mat)
-            return clip
-
+        # step 300 (t = 3) gives a non-finite state, after a whole 256-state
+        # block has been reduced
         ops = make_spin_operators(1)
-        monkeypatch.setattr(dynamics, "_clip_psd", fail_at_call(300))
+        rho0, drive = eigenstate(ops, 1), ConstantInput(1.0, 3, ops)
+        before = integrate_ensemble(rho0, drive, 5.0, 0.01).states[299]
+        band, = dynamics._rk4_bands(1.0, 0.01, ops, False)
+        replace_step_from(monkeypatch, before, band, np.nan)
         with pytest.raises(NumericalFailureError) as err:
-            integrate_ensemble(eigenstate(ops, 1), ConstantInput(1.0, 3, ops),
-                               5.0, 0.01)
+            integrate_ensemble(rho0, drive, 5.0, 0.01)
         assert err.value.time == 299 * 0.01 + 0.01
-        monkeypatch.setattr(dynamics, "_clip_psd", fail_at_call(300))
         out = tmp_path / "o"
         res = RUNNER.invoke(main, ["ode", "--J", "1", "--f", "3", "--T", "5",
                                    "--dt-ode", "0.01", "-o", str(out)])
@@ -580,6 +569,31 @@ class TestRejectedRuns:
         res = RUNNER.invoke(main, [*argv, "-o", str(out)])
         assert res.exit_code == 2, res.output
         assert f"{field} must be finite" in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "ode"])
+    @pytest.mark.parametrize("value", ["inf", "1e400", "nan", "-inf"])
+    def test_non_finite_momentum_exits_2_naming_it(self, tmp_path, command,
+                                                   value):
+        out = tmp_path / "o"
+        res = RUNNER.invoke(main, [command, "--J", value, "-o", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "J must be finite" in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, field", [
+        ("ode", "J"), ("simulate", "gamma"), ("simulate", "dt"), ("ode", "T"),
+        ("ode", "dt_ode"), ("ode", "u_ode")])
+    def test_integer_too_large_for_a_float_exits_2_naming_it(
+            self, tmp_path, command, field):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(f'{{"{field}": 1{"0" * 400}}}')
+        out = tmp_path / "o"
+        res = RUNNER.invoke(main, [command, "--config", str(cfg_file),
+                                   "-o", str(out)])
+        assert res.exit_code == 2, res.output
+        assert (f"config key '{field}' must be float, got an integer too "
+                "large for one") in res.output
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

@@ -1,12 +1,13 @@
 """Tests for the SDE/ODE integrators, drift/diffusion terms and records."""
 
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from helpers import random_density, rk4_step
+from helpers import random_density, replace_step_from, rk4_step
 from spinstab import dynamics
 from spinstab.controller import ConstantInput, feedback_gain, new_controller
 from spinstab.dynamics import (
@@ -526,6 +527,77 @@ class TestEnsembleOde:
         traj = integrate_ensemble(eigenstate(self.ops, 1), self.drive, 5.12,
                                   1e-2)
         np.testing.assert_array_equal(traj.states, want)
+
+    @pytest.mark.parametrize("J, dt_ode, u", [(1, 1e-2, 0.0), (10, 1e-2, 1.0),
+                                              (20, 1e-3, 1.0)])
+    @pytest.mark.parametrize("start", ["eigenstate", "interior", "complex"])
+    def test_windows_are_the_per_state_steps_bit_for_bit(self, J, dt_ode, u,
+                                                         start):
+        # 300 steps, across a block edge. From an eigenstate windows fail
+        # the certificate and are stepped again state by state: the first
+        # ones at N = 21 and 41, every one at N = 3, where u = 0 keeps the
+        # eigenstate as it is (under u = 1 it certifies from the first
+        # step). From an interior state every window is certified at once.
+        ops = make_spin_operators(J)
+        rho0 = random_density(ops.dim, np.random.default_rng(11))
+        if start != "complex":
+            rho0 = (np.asarray(eigenstate(ops, 1)) if start == "eigenstate"
+                    else rho0).real.copy()
+        drive = ConstantInput(u, 1, ops)
+        clip = mock.Mock(wraps=dynamics._clip_psd)
+        with mock.patch.object(dynamics, "_clip_psd", clip):
+            n_states, blocks = dynamics._rk4_blocks(rho0, drive, 300 * dt_ode,
+                                                    dt_ode)
+            got = np.concatenate([block.copy() for block in blocks])
+        assert (clip.call_count > 0) == (start == "eigenstate")
+        bands = dynamics._rk4_bands(u, dt_ode, ops, start == "complex")
+        want = [rho0.astype(got.dtype)]
+        for _ in range(300):
+            want.append(dynamics._clip_psd(dynamics._rk4_step(want[-1],
+                                                              bands)))
+        assert n_states == 301
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def _interior_run(self, monkeypatch, image):
+        """(rho0, bands) of a run from an interior state, whose every
+        window is certified, with the step from grid state 99 (the window
+        of grid states 65 .. 128) made to give ``image(band)``."""
+        rho0 = random_density(3, np.random.default_rng(2)).real.copy()
+        before = integrate_ensemble(rho0, self.drive, 2.0, 1e-2).states[99]
+        bands = dynamics._rk4_bands(1.0, 1e-2, self.ops, False)
+        replace_step_from(monkeypatch, before, bands[0], image(bands[0]))
+        return rho0, bands
+
+    def test_non_finite_state_in_a_certified_window_raises_at_its_time(
+            self, monkeypatch):
+        rho0, _ = self._interior_run(monkeypatch, lambda band: np.nan)
+        with pytest.raises(NumericalFailureError,
+                           match="non-finite entries at t = 1$") as err:
+            integrate_ensemble(rho0, self.drive, 2.0, 1e-2)
+        assert err.value.time == 99 * 1e-2 + 1e-2
+
+    def test_speculative_steps_raise_no_warning(self, monkeypatch):
+        # a traceless image: the window divides it by its zero trace and
+        # steps on from NaN before its certificate fails; stepped again,
+        # the image is projected by eigh and the run goes on
+        def traceless(band):
+            image = np.ones(len(band.cols))
+            image[band.scatter.diagonal()] = 0.0
+            return image
+
+        rho0, bands = self._interior_run(monkeypatch, traceless)
+        with warnings.catch_warnings(), np.errstate(divide="warn",
+                                                    over="warn",
+                                                    invalid="warn"):
+            warnings.simplefilter("error")
+            traj = integrate_ensemble(rho0, self.drive, 2.0, 1e-2)
+        want = [rho0]
+        for _ in range(200):
+            want.append(dynamics._clip_psd(dynamics._rk4_step(want[-1],
+                                                              bands)))
+        np.testing.assert_allclose(want[100], np.full((3, 3), 1 / 3),
+                                   rtol=0, atol=1e-15)
+        assert traj.states.tobytes() == np.array(want).tobytes()
 
     def test_numpy_error_state_is_the_callers_between_blocks(self):
         # the steps ignore overflow, which _clip_psd reports; a consumer

@@ -71,6 +71,11 @@ class TestSpinOperators:
         with pytest.raises(ValueError):
             make_spin_operators(bad)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_momentum_rejected_by_name(self, bad):
+        with pytest.raises(ValueError, match="J must be finite"):
+            make_spin_operators(bad)
+
 
 class TestEigenstate:
     def test_basis_projector(self):
