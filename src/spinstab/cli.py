@@ -369,25 +369,24 @@ def ode(preset, config_path, **overrides):
         # real part plus that of the imaginary part, here on one reused
         # difference. It stays per row, as a batched sum moves last bits;
         # the square root is exact, so it is taken once at the end. A real
-        # run subtracts into the real part only and skips the imaginary
-        # part's ddot, which adds 0.0; the real part keeps its stride of
-        # two, since ddot at unit stride sums in another order.
+        # run subtracts into the real part only and takes the imaginary
+        # part's ddot over no entries, as its zeros add 0.0; the real part
+        # keeps its stride of two, since ddot at unit stride sums in
+        # another order.
         diff = np.zeros_like(mixed)
-        re, im = diff.ravel().real, diff.ravel().imag
+        re = diff.ravel().real
+        by_dtype = {True: (diff, mixed, diff.ravel().imag),
+                    False: (diff.real, mixed.real, re[:0])}
         # Each block is reduced before the next overwrites it.
         lo = 0
         for block in blocks:
             hi = lo + len(block)
             V[lo:hi] = distance_V(block, cfg.f)
             Q[lo:hi] = lyapunov_Q(block)
-            if np.iscomplexobj(block):
-                for i, st in enumerate(block, lo):
-                    np.subtract(st, mixed, out=diff)
-                    dist[i] = re.dot(re) + im.dot(im)
-            else:
-                for i, st in enumerate(block, lo):
-                    np.subtract(st, mixed.real, out=diff.real)
-                    dist[i] = re.dot(re)
+            target, ref, im = by_dtype[np.iscomplexobj(block)]
+            for i, st in enumerate(block, lo):
+                np.subtract(st, ref, out=target)
+                dist[i] = re.dot(re) + im.dot(im)
             lo = hi
         np.sqrt(dist, out=dist)
     out = _prepare_output(cfg, overrides)

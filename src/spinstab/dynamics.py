@@ -28,9 +28,11 @@ Two integrators live here:
   ``integrate_ensemble`` copies every block into one (K+1, N, N) array.
   A state is stepped as its band coordinates and divided by its trace,
   which is the projection of a state that passes its Cholesky
-  certificate; each window of 64 states is then certified at once, by
-  one batched factorisation, and a window that fails is stepped again
-  state by state through the projection. Every state is the
+  certificate; each window of up to 64 states is then certified at once,
+  by one batched factorisation, and a window that fails is stepped again
+  state by state through the projection. After a failed window the
+  states are stepped one at a time until one passes its certificate;
+  then the windows start at two states and double. Every state is the
   projection's, bit for bit.
 
 Trajectories are deterministic functions of their inputs: the Wiener
@@ -61,7 +63,8 @@ import numpy as np
 
 from .controller import ControllerState, feedback_gain, switch_modes
 from .quantum import (NumericalFailureError, QuantumState, SpinOperators,
-                      _check_dim, _clip_psd, _dag, distance_V,
+                      _check_dim, _clip_psd, _dag, _hermitian_part,
+                      _projected, _renormalized, distance_V,
                       make_spin_operators)
 
 __all__ = [
@@ -603,12 +606,12 @@ def _check_rotation(u, dt_ode: float, ops: SpinOperators) -> None:
 # run's working memory does not grow with T.
 _RK4_BLOCK = 256
 
-# Grid states certified at once (``_certified``). A window that fails is
-# stepped again state by state, so a small window wastes less on the first
-# steps from an eigenstate, which fail, and a large one calls the batched
-# factorisation less often. From eigenstate 1 at N = 21, dt_ode = 0.01,
-# windows of 32 and 64 stepped 2,000 states about 15% faster than windows
-# of 128 or 256 (2-vCPU Xeon VM, one BLAS thread).
+# The most grid states certified at once (``_certified``). A window that
+# fails is stepped again state by state, so a small window wastes less
+# where states fail, and a large one calls the batched factorisation less
+# often. From eigenstate 1 at N = 21, dt_ode = 0.01, windows of 32 and 64
+# stepped 2,000 states about 15% faster than windows of 128 or 256 (2-vCPU
+# Xeon VM, one BLAS thread).
 _RK4_WINDOW = 64
 
 
@@ -627,33 +630,37 @@ def _coordinate_map(bands: list[_Band]):
     return positions, gather, np.concatenate([b.coef for b in bands])
 
 
-def _certified(window: np.ndarray, raw: np.ndarray, tr: np.ndarray,
-               bands: list[_Band]) -> bool:
-    """Whether each of a window's RK4 images, given by its coordinates
-    ``raw`` (W, P) and trace ``tr`` (W,), passes ``_clip_psd``'s Cholesky
-    certificate; if so, ``window`` (W, N, N) holds what ``_clip_psd``
-    returns for each, bit for bit, and otherwise its content is undefined.
-
-    numpy factorises a batch all or nothing, so one image on or past the
-    state space's boundary, or a non-finite one, fails the whole window.
-    """
-    if not np.isfinite(raw).all():
-        return False
-    sym = bands[0]
+def _assembled(raw: np.ndarray, bands: list[_Band],
+               out: np.ndarray) -> np.ndarray:
+    """``out`` (W, N, N), holding the matrices of RK4 images given by their
+    coordinates ``raw`` (W, P), each assembled as ``_rk4_step`` assembles
+    its image, so to the same bits."""
+    sym, p = bands[0], len(bands[0].cols)
     if len(bands) == 1:
-        # a band image is exactly symmetric, so hermitizing changes no bit
-        herm = np.take(raw, sym.scatter, axis=1, out=window)
-    else:
-        anti, p = bands[1], len(sym.cols)
-        mat = (raw[:, :p].take(sym.scatter, axis=1)
-               + 1j * (anti.sign * raw[:, p:].take(anti.scatter, axis=1)))
-        herm = 0.5 * (mat + _dag(mat))
-    try:
-        np.linalg.cholesky(herm)
-    except np.linalg.LinAlgError:
+        return raw.take(sym.scatter, axis=1, out=out)
+    anti = bands[1]
+    return np.add(raw[:, :p].take(sym.scatter, axis=1),
+                  1j * (anti.sign * raw[:, p:].take(anti.scatter, axis=1)),
+                  out=out)
+
+
+def _certified(mats: np.ndarray, tr: np.ndarray) -> bool:
+    """Whether each of a window's RK4 images ``mats`` (W, N, N), with
+    traces ``tr`` (W,), passes ``_clip_psd``'s Cholesky certificate; if so,
+    ``mats`` is overwritten by what ``_clip_psd`` returns for each, bit for
+    bit, and otherwise left as it is.
+
+    The images go through ``_clip_psd``'s own ``_renormalized``, which
+    fails the whole window for one image on or past the state space's
+    boundary; a non-finite image fails it too. A real image is exactly
+    symmetric, each entry below the diagonal a copy of one above it, so it
+    is its own Hermitian part; a complex one goes through
+    ``_clip_psd``'s ``_hermitian_part``.
+    """
+    if not np.isfinite(mats).all():
         return False
-    np.divide(herm, tr[:, None, None], out=window)
-    return True
+    herm = _hermitian_part(mats) if np.iscomplexobj(mats) else mats
+    return _renormalized(herm, tr, out=mats) is not None
 
 
 # A map that overflows is caught below, so numpy need not warn first.
@@ -669,17 +676,26 @@ def _rk4_blocks(rho0, control, T: float, dt_ode: float):
     raises). Each block is a (<= _RK4_BLOCK, N, N) view of one buffer that
     the next block overwrites, in the dtype ``_checked_rho0`` picks.
 
-    The states are stepped in windows of ``_RK4_WINDOW``, speculatively:
-    as coordinates (``_coordinate_map``), each divided by its trace, which
-    is what ``_clip_psd`` returns for a state that passes its Cholesky
+    The states are stepped in windows, speculatively: as coordinates
+    (``_coordinate_map``), each divided by its trace, which is what
+    ``_clip_psd`` returns for a state that passes its Cholesky
     certificate. Then the window is certified at once (``_certified``). A
-    window that fails is stepped again state by state through
-    ``_clip_psd(_rk4_step(...))``, which projects the states on the
-    boundary by ``eigh`` and raises NumericalFailureError, with the time of
-    the failed step, if a state becomes non-finite. Either way each state
-    is the one ``_clip_psd(_rk4_step(...))`` gives, bit for bit. numpy's
-    error state is set around each block's steps only, so the caller's
-    holds between blocks.
+    window that fails is projected state by state by ``_projected``, which
+    is ``_clip_psd``: its first image, which is the step from the state
+    before the window, and then ``_rk4_step`` from each projected state.
+    The projection takes the states on the boundary through ``eigh`` and
+    raises NumericalFailureError, with the time of the failed step, if a
+    state becomes non-finite. Either way each state is the one
+    ``_clip_psd(_rk4_step(...))`` gives, bit for bit.
+
+    The first state, and every state after a failed window until one
+    passes its certificate, is a window of one, stepped by ``_rk4_step``
+    and ``_projected`` alone, as before windows. After a state or a window
+    that passes, the next window is twice as long, up to ``_RK4_WINDOW``
+    states. So a stretch of failing states, such as the first steps from
+    an eigenstate, is stepped once and certified once per state, and a
+    failed window steps again fewer states than passed before it. numpy's error state is set around
+    each block's steps only, so the caller's holds between blocks.
     """
     u, ops = control.u, control.ops
     n_steps = _step_count(T, dt_ode, "dt_ode")
@@ -702,39 +718,52 @@ def _rk4_blocks(rho0, control, T: float, dt_ode: float):
     diag = np.zeros(len(on_diag), rho.dtype)
 
     def step(rho, window, k0):
-        """Step grid state k0, ``rho``, to the states of ``window``."""
-        flat = rho.ravel()
-        x = np.concatenate([part(flat)[pos] for part, pos in
-                            zip((np.real, np.imag), positions)])
-        for i, y in enumerate(raw[:len(window)]):
-            np.einsum("pk,pk->p", coef, x.take(gather), out=y)
-            y.take(on_diag, out=diag.real, mode="clip")
-            tr[i] = t = diag.sum().real
-            # numpy divides a complex state by its real trace as a complex
-            # number, which multiplies by 1 / t
-            x = y * (1.0 / t) if complex_ else y / t
-        if _certified(window, raw[:len(window)], tr[:len(window)], bands):
-            return
+        """Step grid state k0, ``rho``, to the states of ``window``, and
+        tell whether the window passed its certificate."""
+        if len(window) == 1:
+            image = _rk4_step(rho, bands)
+        else:
+            flat = rho.ravel()
+            x = np.concatenate([part(flat)[pos] for part, pos in
+                                zip((np.real, np.imag), positions)])
+            for i, y in enumerate(raw[:len(window)]):
+                np.einsum("pk,pk->p", coef, x.take(gather), out=y)
+                y.take(on_diag, out=diag.real, mode="clip")
+                tr[i] = t = diag.sum().real
+                # numpy divides a complex state by its real trace as a
+                # complex number, which multiplies by 1 / t
+                x = y * (1.0 / t) if complex_ else y / t
+            if _certified(_assembled(raw[:len(window)], bands, window),
+                          tr[:len(window)]):
+                return True
+            # the window's first image is the step from rho
+            image = window[0]
         # step k takes grid state k to grid state k + 1
         for i, k in enumerate(range(k0, k0 + len(window))):
             try:
-                rho = _clip_psd(_rk4_step(rho, bands))
+                rho, passed = _projected(image if i == 0
+                                         else _rk4_step(rho, bands))
             except NumericalFailureError as e:
                 raise _failed_at(e, k * dt_ode + dt_ode) from e
             window[i] = rho
+        # a longer window failed its certificate
+        return passed and len(window) == 1
 
     def blocks(rho):
         buf = np.empty((min(_RK4_BLOCK, n_steps + 1), *rho.shape), rho.dtype)
         buf[0] = rho
+        size, k = 1, 1
         for lo in range(0, n_steps + 1, len(buf)):
             hi = min(lo + len(buf), n_steps + 1)
-            # A failed step is caught by _certified or _clip_psd, so numpy
+            # A failed step is caught by _certified or _projected, so numpy
             # need not warn.
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                for k in range(max(lo, 1), hi, len(raw)):
-                    window = buf[k - lo:min(k + len(raw), hi) - lo]
-                    step(rho, window, k - 1)
+                while k < hi:
+                    window = buf[k - lo:min(k + size, hi) - lo]
+                    passed = step(rho, window, k - 1)
+                    size = min(2 * size, len(raw)) if passed else 1
                     rho = window[-1].copy()
+                    k += len(window)
             yield buf[:hi - lo]
 
     return n_steps + 1, blocks(rho)
@@ -754,10 +783,11 @@ def integrate_ensemble(rho0, control, T: float,
     and complex128 otherwise. Grid states inside the state space pass
     ``_clip_psd``'s Cholesky certificate a window at a time, by one
     batched factorisation, and are only renormalized; a window with a
-    state on or past the boundary, such as the first steps from an
-    eigenstate, is stepped again through ``_clip_psd``, which runs
-    ``eigh`` for those states. With any nonzero u the trajectory
-    approaches I/N as T grows.
+    state on or past the boundary is stepped again state by state, and
+    the states after it are projected one at a time until one passes,
+    so a stretch of such states, like the first steps from an
+    eigenstate, goes through ``eigh`` about as often as it has states.
+    With any nonzero u the trajectory approaches I/N as T grows.
 
     Raises ValueError for an input outside its range, ``rho0`` included,
     for a ``dt_ode`` outside RK4's stability interval on the negative real

@@ -16,10 +16,12 @@ array helpers here (``_dag``, ``_clip_psd``, ``distance_V``,
 
 ``_clip_psd`` projects a stepped matrix back onto the state space. A single
 matrix that is already a positive definite state up to trace is certified
-by one Cholesky factorisation and only renormalized; ``eigh`` runs for the
-rest and for every batch. The averaged flow certifies a window of its
-states with one batched factorisation (``dynamics._certified``), to the
-same bits, and calls ``_clip_psd`` only for a window that fails.
+by one Cholesky factorisation and only renormalized (``_renormalized``);
+``eigh`` runs for the rest and for every batch. The averaged flow
+certifies a window of its states at once, by one batched factorisation
+through the same ``_hermitian_part`` and ``_renormalized``, and projects
+a state on its own through ``_projected``, which is ``_clip_psd`` and
+tells whether the certificate passed.
 """
 
 import math
@@ -88,7 +90,7 @@ class QuantumState:
         tr_defect = abs(np.trace(mat) - 1.0)
         if tr_defect > _TOL:
             raise ValueError(f"state trace differs from 1 by {tr_defect:.3e}")
-        w_min = np.linalg.eigvalsh(0.5 * (mat + _dag(mat))).min()
+        w_min = np.linalg.eigvalsh(_hermitian_part(mat)).min()
         if w_min < -_TOL:
             raise ValueError(f"state is not PSD: min eigenvalue {w_min:.3e}")
 
@@ -213,18 +215,23 @@ def _clip_psd(mat: np.ndarray) -> np.ndarray:
     goes through ``eigh``: numpy factorises a batch all or nothing, so one
     semidefinite member would fail the whole attempt. The averaged flow,
     whose states almost all pass, certifies a window of them at once
-    (``dynamics._certified``) and steps a failed window again through here.
+    through ``_renormalized`` (``dynamics._certified``) and steps the
+    others through ``_projected``.
     """
+    return _projected(mat)[0]
+
+
+def _projected(mat: np.ndarray) -> tuple[np.ndarray, bool]:
+    """(``_clip_psd(mat)``, whether the Cholesky certificate gave it rather
+    than ``eigh``), so a caller can tell where the state space's boundary
+    is without a second factorisation."""
     if not np.isfinite(mat).all():
         raise NumericalFailureError("state has non-finite entries")
-    herm = 0.5 * (mat + _dag(mat))
+    herm = _hermitian_part(mat)
     if herm.ndim == 2:
-        try:
-            np.linalg.cholesky(herm)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            return herm / herm.trace().real
+        out = _renormalized(herm, herm.trace().real)
+        if out is not None:
+            return out, True
     w, v = np.linalg.eigh(herm)
     w = np.clip(w, 0.0, None)
     tr = np.sum(w, axis=-1)
@@ -232,7 +239,31 @@ def _clip_psd(mat: np.ndarray) -> np.ndarray:
         raise NumericalFailureError(
             f"projection failed: trace after clipping is {np.min(tr):.3e}")
     out = (v * (w / tr[..., None])[..., None, :]) @ _dag(v)
-    return 0.5 * (out + _dag(out))
+    return _hermitian_part(out), False
+
+
+def _hermitian_part(mat: np.ndarray) -> np.ndarray:
+    """(mat + mat*) / 2 of an (N, N) matrix or of each of a batch: exactly
+    Hermitian, in ``mat``'s dtype."""
+    return 0.5 * (mat + _dag(mat))
+
+
+def _renormalized(herm: np.ndarray, tr, out: np.ndarray | None = None):
+    """``_clip_psd``'s result for Hermitian matrices that pass its Cholesky
+    certificate: each over its trace, or None if one fails.
+
+    ``herm`` is an exactly Hermitian (N, N) matrix or a batch of them
+    (``_hermitian_part``), ``tr`` each one's trace as ``herm.trace().real``
+    sums it, and ``out``, if given, receives the result. numpy factorises a
+    batch all or nothing, so one matrix on or past the state space's
+    boundary gives None for the whole batch. A complex matrix is divided by
+    its real trace as by a complex number, which multiplies by 1 / tr.
+    """
+    try:
+        np.linalg.cholesky(herm)
+    except np.linalg.LinAlgError:
+        return None
+    return np.divide(herm, np.asarray(tr)[..., None, None], out=out)
 
 
 def _check_dim(rho, dim: int) -> None:

@@ -533,23 +533,30 @@ class TestEnsembleOde:
     @pytest.mark.parametrize("start", ["eigenstate", "interior", "complex"])
     def test_windows_are_the_per_state_steps_bit_for_bit(self, J, dt_ode, u,
                                                          start):
-        # 300 steps, across a block edge. From an eigenstate windows fail
-        # the certificate and are stepped again state by state: the first
-        # ones at N = 21 and 41, every one at N = 3, where u = 0 keeps the
-        # eigenstate as it is (under u = 1 it certifies from the first
-        # step). From an interior state every window is certified at once.
+        # 300 steps, across a block edge. The first state is projected on
+        # its own. From an eigenstate states fail the certificate and are
+        # projected on their own, with some failed windows stepped again:
+        # the first ones at N = 21 and 41, every state at N = 3, where
+        # u = 0 keeps the eigenstate as it is (under u = 1 it certifies
+        # from the first step). From an interior state every later window
+        # is certified at once.
         ops = make_spin_operators(J)
         rho0 = random_density(ops.dim, np.random.default_rng(11))
         if start != "complex":
             rho0 = (np.asarray(eigenstate(ops, 1)) if start == "eigenstate"
                     else rho0).real.copy()
         drive = ConstantInput(u, 1, ops)
-        clip = mock.Mock(wraps=dynamics._clip_psd)
-        with mock.patch.object(dynamics, "_clip_psd", clip):
+        alone = mock.Mock(wraps=dynamics._projected)
+        with mock.patch.object(dynamics, "_projected", alone):
             n_states, blocks = dynamics._rk4_blocks(rho0, drive, 300 * dt_ode,
                                                     dt_ode)
             got = np.concatenate([block.copy() for block in blocks])
-        assert (clip.call_count > 0) == (start == "eigenstate")
+        if start != "eigenstate":
+            assert alone.call_count == 1
+        elif J == 1:
+            assert alone.call_count == 300
+        else:
+            assert 1 < alone.call_count < 300
         bands = dynamics._rk4_bands(u, dt_ode, ops, start == "complex")
         want = [rho0.astype(got.dtype)]
         for _ in range(300):
@@ -561,7 +568,7 @@ class TestEnsembleOde:
     def _interior_run(self, monkeypatch, image):
         """(rho0, bands) of a run from an interior state, whose every
         window is certified, with the step from grid state 99 (the window
-        of grid states 65 .. 128) made to give ``image(band)``."""
+        of grid states 64 .. 127) made to give ``image(band)``."""
         rho0 = random_density(3, np.random.default_rng(2)).real.copy()
         before = integrate_ensemble(rho0, self.drive, 2.0, 1e-2).states[99]
         bands = dynamics._rk4_bands(1.0, 1e-2, self.ops, False)

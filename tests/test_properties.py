@@ -30,6 +30,7 @@ import warnings
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -417,6 +418,24 @@ def test_rk4_run_stays_with_the_eigh_oracle_run():
     with mock.patch.object(dynamics, "_clip_psd", clip_psd_eigh):
         oracle = integrate_ensemble(eigenstate(ops, 1), drive, 20.0, 1e-2)
     np.testing.assert_allclose(traj.states, oracle.states, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_every_rk4_state_stays_with_a_per_state_eigh_oracle(complex_):
+    # The run certifies windows of states without calling _clip_psd, so
+    # the oracle is its own trajectory: the matrix RK4 step, projected by
+    # eigh alone, from the oracle's previous state, for all 2,000 steps.
+    ops = OPS[10]
+    drive = ConstantInput(1.0, 11, ops)
+    rho0 = (random_density(ops.dim, np.random.default_rng(5)) if complex_
+            else np.asarray(eigenstate(ops, 1)).real)
+    traj = integrate_ensemble(rho0, drive, 20.0, 1e-2)
+    assert np.iscomplexobj(traj.states) == complex_
+    bands = dynamics._rk4_bands(1.0, 1e-2, ops, complex_)
+    oracle = [traj.states[0]]
+    for _ in range(2000):
+        oracle.append(clip_psd_eigh(dynamics._rk4_step(oracle[-1], bands)))
+    np.testing.assert_allclose(traj.states, oracle, rtol=0, atol=1e-13)
 
 
 @settings(deadline=None, max_examples=60)
