@@ -17,8 +17,9 @@ which is a flag the subcommand does not take, any ValueError the library
 raises on the resolved configuration, an allocation that does not fit in
 memory, or a preset, config file (unknown key, value of the wrong type),
 ``--initial`` file or control spec that cannot be read; 3 numerical
-failure (a state became non-finite). A run that exits 2 or 3 writes no
-files; a library warning reaches stderr as one ``warning:`` line.
+failure (a state, or the averaged flow's map exp(dt_ode L), became
+non-finite). A run that exits 2 or 3 writes no files; a library warning
+reaches stderr as one ``warning:`` line.
 """
 
 import json
@@ -32,9 +33,9 @@ import click
 import numpy as np
 
 from .controller import ConstantInput, new_controller
-from .dynamics import (EPS_CONV, SdeStepConfig, _records_fit, _rk4_blocks,
+from .dynamics import (EPS_CONV, SdeStepConfig, _flow_blocks, _records_fit,
                        simulate_batch)
-# ``ode`` steps through ``_rk4_blocks``; ``integrate_ensemble`` stays a
+# ``ode`` steps through ``_flow_blocks``; ``integrate_ensemble`` stays a
 # module attribute because bench/tracing.py wraps it under this name.
 from .dynamics import integrate_ensemble  # noqa: F401
 from .montecarlo import estimate_exit_time, run_ensemble
@@ -44,7 +45,6 @@ from .quantum import (
     eigenstate,
     lyapunov_Q,
     make_spin_operators,
-    maximally_mixed,
 )
 
 __all__ = ["SimConfig", "PRESETS", "load_config", "canonical_json", "main"]
@@ -94,7 +94,7 @@ _FLAGS = {
     "record_stride": ("--stride", int, "Record every k-th integration step."),
     "control": ("--control", str, "'mh' or 'constant:<value>'."),
     "gamma_a": ("--gamma-a", float, "Exit when V <= 1 - gamma_a."),
-    "dt_ode": ("--dt-ode", float, "RK4 step for the averaged dynamics."),
+    "dt_ode": ("--dt-ode", float, "Output spacing of the averaged dynamics."),
     "u_ode": ("--u", float, "Fixed input for the averaged dynamics."),
 }
 
@@ -360,35 +360,18 @@ def ode(preset, config_path, **overrides):
     with _library_errors():
         ops, rho0 = _resolve(cfg)
         control = ConstantInput(cfg.u_ode, cfg.f, ops)
-        n_states, blocks = _rk4_blocks(rho0, control, cfg.T, cfg.dt_ode)
+        n_states, blocks = _flow_blocks(rho0, control, cfg.T, cfg.dt_ode)
         with _records_fit(cfg.T, cfg.dt_ode, "dt_ode", n_states):
-            V, Q, dist = np.empty((3, n_states))
-        mixed = np.asarray(maximally_mixed(ops.dim))
-        # mm_dist is np.linalg.norm(st - mixed) in norm's own operations:
-        # st - mixed is complex, and its square is the ddot of the raveled
-        # real part plus that of the imaginary part, here on one reused
-        # difference. It stays per row, as a batched sum moves last bits;
-        # the square root is exact, so it is taken once at the end. A real
-        # run subtracts into the real part only and takes the imaginary
-        # part's ddot over no entries, as its zeros add 0.0; the real part
-        # keeps its stride of two, since ddot at unit stride sums in
-        # another order.
-        diff = np.zeros_like(mixed)
-        re = diff.ravel().real
-        by_dtype = {True: (diff, mixed, diff.ravel().imag),
-                    False: (diff.real, mixed.real, re[:0])}
+            V, Q = np.empty((2, n_states))
         # Each block is reduced before the next overwrites it.
         lo = 0
         for block in blocks:
             hi = lo + len(block)
             V[lo:hi] = distance_V(block, cfg.f)
             Q[lo:hi] = lyapunov_Q(block)
-            target, ref, im = by_dtype[np.iscomplexobj(block)]
-            for i, st in enumerate(block, lo):
-                np.subtract(st, ref, out=target)
-                dist[i] = re.dot(re) + im.dot(im)
             lo = hi
-        np.sqrt(dist, out=dist)
+        # |rho - I/N|_F, the square root of Q as it is summed
+        dist = np.sqrt(Q)
     out = _prepare_output(cfg, overrides)
     _write_csv(out / "ode.csv", ["t", "V", "Q", "mm_dist"],
                [np.arange(n_states) * cfg.dt_ode, V, Q, dist])

@@ -10,30 +10,20 @@ Two integrators live here:
 
   with a projection back onto the state space after every step;
 
-* a classical fixed-step RK4 integrator for the averaged (ensemble)
-  dynamics under a constant input, which is the same drift with the noise
-  term dropped. That flow is linear, d vec(rho)/dt = L vec(rho), so RK4 is
-  one matrix, R(hL) = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24. It is
-  built once per run from ``sme_drift`` and kept by its band: L moves an
-  entry of the state one step along its row or column, so R moves it at
-  most four, and every step costs O(N^2). The step is guarded in two
-  stages: dt_ode * max(gaps_sq) / 2 stays inside RK4's interval on the
-  negative real axis, and then |R(dt_ode lambda)| <= 1 over the spectrum
-  of L, read from a region that holds it or, when that test fails, from
-  the eigenvalues of L's blocks by spherical-tensor rank, in O(N^4) time
-  and O(N^2) memory. The guards run before the first step;
-  the grid states are then stepped in blocks of 256 into one reused
-  buffer, so a consumer that reduces each block, as ``spinstab ode``
-  does, holds one block at a time however long the horizon, while
-  ``integrate_ensemble`` copies every block into one (K+1, N, N) array.
-  A state is stepped as its band coordinates and divided by its trace,
-  which is the projection of a state that passes its Cholesky
-  certificate; each window of up to 64 states is then certified at once,
-  by one batched factorisation, and a window that fails is stepped again
-  state by state through the projection. After a failed window the
-  states are stepped one at a time until one passes its certificate;
-  then the windows start at two states and double. Every state is the
-  projection's, bit for bit.
+* the exact flow of the averaged (ensemble) dynamics under a constant
+  input, which is the same drift with the noise term dropped. That flow is
+  linear, d rho/dt = L rho, and a Lindblad semigroup, so exp(t L) keeps
+  every state a state for every t and needs neither a step guard nor a
+  projection. L keeps the spherical-tensor rank of a matrix and, B and
+  gaps_sq being real, whether it is symmetric or antisymmetric; on each
+  rank k it is a (2k+1)-square matrix, read off ``sme_drift`` once per
+  run. E = exp(dt_ode L) is formed once on those blocks, and each grid
+  state is one batched matmul of E with the rank coefficients of the
+  state before it. The states are rebuilt as matrices in blocks of 256
+  into one reused buffer, so a consumer that reduces each block, as
+  ``spinstab ode`` does, holds one block at a time however long the
+  horizon, while ``integrate_ensemble`` copies every block into one
+  (K+1, N, N) array.
 
 Trajectories are deterministic functions of their inputs: the Wiener
 increments come from a counter-based generator keyed by
@@ -57,15 +47,12 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .controller import ControllerState, feedback_gain, switch_modes
 from .quantum import (NumericalFailureError, QuantumState, SpinOperators,
-                      _check_dim, _clip_psd, _dag, _hermitian_part,
-                      _projected, _renormalized, distance_V,
-                      make_spin_operators)
+                      _check_dim, _clip_psd, _dag, distance_V)
 
 __all__ = [
     "SdeStepConfig",
@@ -81,16 +68,11 @@ __all__ = [
 # Convergence flag threshold on V: discriminates converged paths at figure level.
 EPS_CONV = 0.01
 
-# Stability intervals on the negative real axis: [-2, 0] for explicit Euler,
-# [-2.7853, 0] for RK4. The stiffest coherence decays at rate max(gaps_sq) / 2
-# (the double commutator), so a larger dt * max(gaps_sq) / 2 grows instead of
-# decaying; see ``_check_stable``.
+# Explicit Euler's stability interval on the negative real axis is [-2, 0].
+# The stiffest coherence decays at rate max(gaps_sq) / 2 (the double
+# commutator), so a larger dt * max(gaps_sq) / 2 grows instead of decaying;
+# see ``_check_stable``.
 _EULER_REAL_BOUND = 2.0
-_RK4_REAL_BOUND = 2.785
-
-# Round-off allowed above 1 in RK4's gain |R| over the averaged flow's
-# spectrum (see ``_check_rotation``); the trace mode's is exactly 1.
-_RK4_GAIN_ROUNDOFF = 1e-12
 
 # Steps of noise drawn per member at a time. Philox draws do not depend on
 # how they are blocked, so the block size bounds memory and changes no result.
@@ -135,7 +117,7 @@ class TrajectoryRecord:
 @dataclass
 class OdeTrajectory:
     """Grid states of the averaged dynamics: ``states`` is one read-only
-    (K+1, N, N) array, the initial state and the state after each RK4 step.
+    (K+1, N, N) array, the initial state and exp(k dt_ode L) of it.
     Its dtype is float64 for an initial state with a zero imaginary part and
     complex128 otherwise (see ``_checked_rho0``)."""
 
@@ -240,18 +222,18 @@ def _integer(value, name: str, minimum: int | None = None) -> int:
     return int(value)
 
 
-def _check_stable(dt: float, dt_name: str, ops: SpinOperators, scheme: str,
-                  bound: float) -> None:
-    """The step guard of both integrators: ValueError unless
-    dt * max(gaps_sq) / 2 <= ``bound``, the end of ``scheme``'s stability
-    interval on the negative real axis. Past it the scheme grows the stiffest
-    coherence, which the projection would clamp into plausible states."""
+def _check_stable(dt: float, ops: SpinOperators) -> None:
+    """The Euler-Maruyama step guard: ValueError unless
+    dt * max(gaps_sq) / 2 <= _EULER_REAL_BOUND, the end of the scheme's
+    stability interval on the negative real axis. Past it the scheme grows
+    the stiffest coherence, which the projection would clamp into plausible
+    states."""
     ratio = dt * ops.gaps_sq.max() / 2
-    if ratio > bound:
+    if ratio > _EULER_REAL_BOUND:
         raise ValueError(
-            f"{dt_name} = {dt:g} is too large for {scheme} at N = {ops.dim}: "
-            f"{dt_name} * max(gaps_sq) / 2 = {ratio:.4g} > {bound}; "
-            f"take {dt_name} <= {2 * bound / ops.gaps_sq.max():.4g}")
+            f"dt = {dt:g} is too large for Euler-Maruyama at N = {ops.dim}: "
+            f"dt * max(gaps_sq) / 2 = {ratio:.4g} > {_EULER_REAL_BOUND}; "
+            f"take dt <= {2 * _EULER_REAL_BOUND / ops.gaps_sq.max():.4g}")
 
 
 @contextmanager
@@ -350,7 +332,7 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
     base_seed = _integer(base_seed, "base_seed")
     streams = [_integer(s, "stream") for s in streams]
     n_steps = _step_count(T, cfg.dt, "dt")
-    _check_stable(cfg.dt, "dt", ops, "Euler-Maruyama", _EULER_REAL_BOUND)
+    _check_stable(cfg.dt, ops)
 
     m_count = len(streams)
     if m_count < 1:
@@ -457,348 +439,206 @@ def simulate_batch(rho0, control, T: float, cfg: SdeStepConfig,
     return records
 
 
-class _Band(NamedTuple):
-    """A real linear map on the real symmetric, or antisymmetric, N x N
-    matrices that moves each entry at most ``reach`` steps along rows and
-    columns, stored by its band.
-
-    B and gaps_sq are real, so L maps each of these blocks to itself: the
-    symmetric one holds a real state and the real part of a complex one,
-    the antisymmetric one the imaginary part. A block's coordinates are a
-    matrix's entries on and above (symmetric) or above (antisymmetric) the
-    diagonal, and coordinates x stand for the matrix ``sign * x[scatter]``.
-    Coordinate p of the image is ``coef[p] @ X.flat[cols[p]]``, over the
-    coordinates within Manhattan distance ``reach`` of p (a slot past the
-    block's edge reads entry 0 with coefficient 0).
-    """
-
-    cols: np.ndarray
-    coef: np.ndarray
-    scatter: np.ndarray
-    sign: np.ndarray | float
-
-
-def _block_flow(u, ops: SpinOperators, anti: bool):
-    """L under the constant input u on a batch of real symmetric or
-    antisymmetric matrices, from ``sme_drift``, so the drift keeps one
-    definition; an antisymmetric A enters it as the Hermitian matrix iA."""
-    if anti:
-        return lambda p: sme_drift(1j * p, u, ops).imag
-    return lambda p: sme_drift(p, u, ops)
-
-
-def _band(apply, n: int, reach: int, anti: bool) -> _Band:
-    """Read the linear map ``apply`` on one block, which moves each entry
-    at most ``reach`` steps, off its images of 2 reach (reach + 1) + 1
-    probe matrices.
-
-    A coordinate (k, l) has the colour (k + (2 reach + 1) l) mod
-    (2 reach (reach + 1) + 1), which sets coordinates of one colour more
-    than 2 reach apart, and a colour's probe is the sum of its coordinates'
-    basis matrices. For coordinates p and q, q is no farther from p than
-    its transpose is, so coordinate p of a probe's image reads the map's
-    coefficient of the probe's one coordinate within reach of p.
-    """
-    m = 2 * reach * (reach + 1) + 1
-    iu, ju = np.triu_indices(n, int(anti))
-    scatter = np.zeros((n, n), dtype=np.intp)
-    scatter[iu, ju] = scatter[ju, iu] = np.arange(iu.size)
-    i, j = np.indices((n, n))
-    sign = np.sign(j - i).astype(float) if anti else 1.0
-    colour = (np.minimum(i, j) + (2 * reach + 1) * np.maximum(i, j)) % m
-    images = apply(sign * (colour == np.arange(m)[:, None, None]))
-    di, dj = np.array([(a, b) for a in range(-reach, reach + 1)
-                       for b in range(-reach, reach + 1)
-                       if abs(a) + abs(b) <= reach]).T
-    si, sj = iu[:, None] + di, ju[:, None] + dj
-    inside = (si >= 0) & (sj < n) & (si + int(anti) <= sj)
-    si, sj = si * inside, sj * inside
-    coef = np.where(inside, images[colour[si, sj], iu[:, None], ju[:, None]],
-                    0.0)
-    return _Band(si * n + sj, coef, scatter, sign)
-
-
-def _rk4_bands(u, dt_ode: float, ops: SpinOperators,
-               complex_: bool) -> list[_Band]:
-    """R(dt_ode L) = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, one classical
-    RK4 step of the averaged flow, by Horner's rule on the symmetric block,
-    and for a ``complex_`` run on the antisymmetric one too. L moves an
-    entry one step (B is tridiagonal, gaps_sq acts entrywise), so R moves
-    it four."""
-    def rk4(flow):
-        def step(p):
-            r = p
-            for k in (4, 3, 2, 1):
-                r = p + (dt_ode / k) * flow(r)
-            return r
-        return step
-
-    return [_band(rk4(_block_flow(u, ops, anti)), ops.dim, 4, anti)
-            for anti in ((False, True) if complex_ else (False,))]
-
-
-def _rk4_step(state: np.ndarray, bands: list[_Band]) -> np.ndarray:
-    """One RK4 step of the averaged flow from ``state``: the real part, and
-    the imaginary part of a complex state, through their blocks' bands,
-    back as a matrix of ``state``'s dtype."""
-    flat = state.ravel()
-    parts = [b.sign * np.einsum("pk,pk->p", b.coef, part(flat).take(b.cols))
-             .take(b.scatter) for part, b in zip((np.real, np.imag), bands)]
-    return parts[0] if len(parts) == 1 else parts[0] + 1j * parts[1]
-
-
-def _rk4_gain(z):
-    """|R(z)|: the factor by which one RK4 step of size dt multiplies a mode
-    e^(lambda t), for z = dt lambda."""
-    return np.abs(1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4))))
-
-
-def _flow_spectrum(u, ops: SpinOperators) -> np.ndarray:
-    """The eigenvalues of L under the constant input u, block by
-    spherical-tensor rank: ad(F_y) and ad(F_z) preserve the rank, so on
-    rank k = 1..2J, L acts as the real tridiagonal (2k+1) x (2k+1) matrix
-    u B_k - 1/2 diag(q^2), q = -k..k, with B_k = -i F_y of spin k, and on
-    rank 0, the trace, as 0. The ranks hold the real symmetric and the
-    antisymmetric matrices alike. O(N^4) time and O(N^2) memory."""
-    return np.concatenate([[0.0], *(
-        np.linalg.eigvals(u * rank.b_y - 0.5 * np.diag(rank.lambdas ** 2))
-        for rank in map(make_spin_operators, range(1, round(2 * ops.J) + 1)))])
-
-
-def _check_rotation(u, dt_ode: float, ops: SpinOperators) -> None:
-    """RK4's step guard against the rotation: ValueError unless
-    |R(dt_ode lambda)| <= 1, up to round-off, at every eigenvalue lambda of
-    L.
-
-    Two stages. -1/2 ad(F_z)^2 is self-adjoint with spectrum
-    [-max(gaps_sq) / 2, 0] and -iu ad(F_y) skew-adjoint with spectrum in
-    i[-2J|u|, 2J|u|], so the numerical range of L, and with it the
-    spectrum, lies in the rectangle with those sides. The sum of ad(F_k)^2
-    over x, y, z is the Casimir of the rotations acting by commutators, at
-    most 2J(2J+1), so also Im^2 <= u^2 (2J(2J+1) + 2 Re) there, which cuts
-    the rectangle's corner at the stiff end. |R| is largest on the boundary
-    of that region times dt_ode, and R(conj z) = conj R(z): when |R| <= 1
-    on samples of its upper half the step is accepted, with no eigensolve.
-    Otherwise the eigenvalues themselves decide (``_flow_spectrum``). L is
-    not normal, so this bounds the growth of R^k as k grows, not the
-    transient growth of its first powers.
-    """
-    a = dt_ode * ops.gaps_sq.max() / 2
-    b = 2 * ops.J * abs(u) * dt_ode
-    s = np.linspace(0.0, 1.0, 1025)
-    casimir = 2 * ops.J * (2 * ops.J + 1)
-    y = np.minimum(b, abs(u) * dt_ode * np.sqrt(casimir - 2 * a * s / dt_ode))
-    edge = np.concatenate([-a * s + 1j * y, -a + 1j * y[-1] * s, 1j * b * s])
-    if _rk4_gain(edge).max() <= 1.0 + _RK4_GAIN_ROUNDOFF:
-        return
-    gain = _rk4_gain(dt_ode * _flow_spectrum(u, ops)).max()
-    # not <=, so that a gain that overflowed to NaN is refused too
-    if not gain <= 1.0 + _RK4_GAIN_ROUNDOFF:
-        raise ValueError(
-            f"u = {u:g} is too large for RK4 at dt_ode = {dt_ode:g} and "
-            f"N = {ops.dim}: a mode of the averaged flow grows by "
-            f"|R(dt_ode * lambda)| = {gain:.4g} per step; take a smaller "
-            f"dt_ode or |u|")
-
-
-# Grid states per block of the averaged flow (``_rk4_blocks``). A consumer
+# Grid states per block of the averaged flow (``_flow_blocks``). A consumer
 # reduces each block before the next is stepped into the same buffer, so a
 # run's working memory does not grow with T.
-_RK4_BLOCK = 256
+_FLOW_BLOCK = 256
 
-# The most grid states certified at once (``_certified``). A window that
-# fails is stepped again state by state, so a small window wastes less
-# where states fail, and a large one calls the batched factorisation less
-# often. From eigenstate 1 at N = 21, dt_ode = 0.01, windows of 32 and 64
-# stepped 2,000 states about 15% faster than windows of 128 or 256 (2-vCPU
-# Xeon VM, one BLAS thread).
-_RK4_WINDOW = 64
+# Round-off allowed above 1 in the spectral norm of exp(dt_ode L_k), which
+# is at most 1 (see ``_flow_map``).
+_FLOW_GAIN_ROUNDOFF = 1e-12
 
-
-def _coordinate_map(bands: list[_Band]):
-    """(positions, gather, coef): the bands of ``_rk4_bands`` as one real
-    map on a state's coordinates, the symmetric block's and then, for a
-    complex state, the antisymmetric block's. ``positions`` lists, per
-    block, where its coordinates sit in the raveled real or imaginary part
-    of a matrix; coordinate p of the image is ``coef[p] @ x[gather[p]]``,
-    which reads the values ``_rk4_step`` reads, so it is the same sum."""
-    n = len(bands[0].scatter)
-    positions = [np.flatnonzero(np.triu(np.ones((n, n), bool), anti))
-                 for anti in range(len(bands))]
-    gather = np.concatenate([b.scatter.flat[b.cols] + off for b, off in
-                             zip(bands, (0, len(bands[0].cols)))])
-    return positions, gather, np.concatenate([b.coef for b in bands])
+# Degree of the Taylor polynomial that ``_expm`` squares: with the scaled
+# matrix's 1-norm at most 1, the terms it drops sum to below 1e-17.
+_EXPM_DEGREE = 18
 
 
-def _assembled(raw: np.ndarray, bands: list[_Band],
-               out: np.ndarray) -> np.ndarray:
-    """``out`` (W, N, N), holding the matrices of RK4 images given by their
-    coordinates ``raw`` (W, P), each assembled as ``_rk4_step`` assembles
-    its image, so to the same bits."""
-    sym, p = bands[0], len(bands[0].cols)
-    if len(bands) == 1:
-        return raw.take(sym.scatter, axis=1, out=out)
-    anti = bands[1]
-    return np.add(raw[:, :p].take(sym.scatter, axis=1),
-                  1j * (anti.sign * raw[:, p:].take(anti.scatter, axis=1)),
-                  out=out)
+def _rank_basis(ops: SpinOperators) -> np.ndarray:
+    """The spherical-tensor rank basis of the real symmetric and the real
+    antisymmetric N x N matrices, by diagonal: ``basis[q, p, k]``,
+    q = 0..2J, is entry (p + q, p) of the rank-k basis matrix on diagonals
+    +-q, zero past the diagonal's end and for k < q. Its entry (p, p + q)
+    is the same for the symmetric matrix and the negative for the
+    antisymmetric one, and each has unit Frobenius norm.
 
-
-def _certified(mats: np.ndarray, tr: np.ndarray) -> bool:
-    """Whether each of a window's RK4 images ``mats`` (W, N, N), with
-    traces ``tr`` (W,), passes ``_clip_psd``'s Cholesky certificate; if so,
-    ``mats`` is overwritten by what ``_clip_psd`` returns for each, bit for
-    bit, and otherwise left as it is.
-
-    The images go through ``_clip_psd``'s own ``_renormalized``, which
-    fails the whole window for one image on or past the state space's
-    boundary; a non-finite image fails it too. A real image is exactly
-    symmetric, each entry below the diagonal a copy of one above it, so it
-    is its own Hermitian part; a complex one goes through
-    ``_clip_psd``'s ``_hermitian_part``.
+    The Casimir sum_a ad(F_a)^2 maps each diagonal to itself, where it is
+    real, symmetric and tridiagonal: 2J(J+1) - 2 lam_i lam_j on entry (i, j)
+    and -a_i a_j to (i + 1, j + 1), with a_i = (F_+)_(i+1, i) = 2 B_(i, i+1).
+    Its eigenvalues there are k(k + 1), k = q..2J, so ``eigh`` lists the
+    ranks in order. O(N^4) time.
     """
-    if not np.isfinite(mats).all():
-        return False
-    herm = _hermitian_part(mats) if np.iscomplexobj(mats) else mats
-    return _renormalized(herm, tr, out=mats) is not None
+    n, lam = ops.dim, ops.lambdas
+    a = 2 * np.diagonal(ops.b_y, 1)
+    basis = np.zeros((n, n, n))
+    for q in range(n):
+        off = -a[q:] * a[:n - q - 1]
+        casimir = (np.diag(2 * ops.J * (ops.J + 1) - 2 * lam[q:] * lam[:n - q])
+                   + np.diag(off, 1) + np.diag(off, -1))
+        basis[q, :n - q, q:] = np.linalg.eigh(casimir)[1]
+    basis[1:] /= np.sqrt(2)
+    return basis
 
 
-# A map that overflows is caught below, so numpy need not warn first.
-@np.errstate(over="ignore", invalid="ignore")
-def _rk4_blocks(rho0, control, T: float, dt_ode: float):
+def _coefficients(parts: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The coefficients (..., k, q) in the rank basis of (..., N, N)
+    matrices that are each exactly symmetric or antisymmetric, read from
+    their entries on and below the diagonal: an entry off the diagonal
+    stands for itself and its mirror image."""
+    n = len(basis)
+    q, p = np.indices((n, n))
+    # flat index of entry (p + q, p); past a diagonal's end the basis is
+    # zero, so any finite entry will do
+    at = np.minimum((p + q) * n + p, n * n - 1)
+    lower = parts.reshape(*parts.shape[:-2], n * n)[..., at]
+    return np.einsum("qpk,...qp->...kq",
+                     basis * np.where(q > 0, 2, 1)[..., None], lower)
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp of each matrix of a stack, by scaling and squaring: each is
+    scaled by a power of two to a 1-norm of at most 1, its Taylor
+    polynomial of degree ``_EXPM_DEGREE`` is taken by Horner's rule, and
+    the result is squared back."""
+    _, s = np.frexp(abs(a).sum(axis=-2).max(axis=-1))
+    s = np.maximum(s, 0)
+    a = np.ldexp(a, -s[..., None, None])
+    eye = np.eye(a.shape[-1])
+    e = eye + a / _EXPM_DEGREE
+    for j in range(_EXPM_DEGREE - 1, 0, -1):
+        e = eye + (a @ e) / j
+    for i in range(s.max()):
+        e = np.where((i < s)[..., None, None], e @ e, e)
+    return e
+
+
+def _rank_blocks(u, ops: SpinOperators, basis: np.ndarray) -> np.ndarray:
+    """L under the constant input u, by rank: L[0, k] acts on the
+    coefficients (k, q) of a symmetric matrix in ``basis`` and L[1, k] on
+    those of an antisymmetric one, as one (2, N, N, N) stack, zero at
+    q > k and at the antisymmetric q = 0.
+
+    B and gaps_sq are real, so L keeps a matrix symmetric or antisymmetric,
+    and ad(F_y) and ad(F_z) keep its rank. On rank k, L is u S_k -
+    1/2 diag(q^2) with S_k real and antisymmetric. L moves a diagonal at
+    most one step, so the blocks are read off ``sme_drift``, which keeps
+    the drift's one definition, with three probes: probe r sums the basis
+    matrices of every diagonal q = r (mod 3), and its image's coefficient
+    (k, q') is L_k's entry at the probe's one diagonal q within a step of
+    q'. An antisymmetric probe A enters the drift as the Hermitian iA.
+    """
+    n = ops.dim
+    i, j = np.indices((n, n))
+    rows = basis.sum(axis=2)[abs(i - j), np.minimum(i, j)]
+    probes = np.stack([rows * (abs(i - j) % 3 == r) for r in range(3)])
+    images = sme_drift(np.concatenate([probes, 1j * np.sign(i - j) * probes]),
+                       u, ops)
+    read = _coefficients(np.stack([images[:3].real, images[3:].imag]), basis)
+    q = np.arange(n)
+    rank = q[:, None, None]
+    # entry (q', q) of block (part, k): a step of at most one diagonal,
+    # both components of rank k, and none at the antisymmetric q = 0
+    inside = ((abs(q[:, None] - q) <= 1) & (q[:, None] <= rank) & (q <= rank)
+              & (np.minimum(q[:, None], q) >= np.arange(2)[:, None, None, None]))
+    return read[:, q % 3].transpose(0, 2, 3, 1) * inside
+
+
+def _flow_map(u, dt_ode: float, ops: SpinOperators,
+              basis: np.ndarray) -> np.ndarray:
+    """E = exp(dt_ode L) under the constant input u on the blocks of
+    ``_rank_blocks``, which it pads with the identity.
+
+    L_k + L_k^T = -diag(q^2) <= 0, so |E_k|_2 <= 1 for every dt_ode and u.
+    Round-off in E grows with |dt_ode L_k|, as any evaluation of exp's
+    does, and a u that large overflows. Raises NumericalFailureError,
+    stamped with the first step's time, unless E is finite and each
+    |E_k|_2 <= 1 up to round-off.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        flow = _expm(dt_ode * _rank_blocks(u, ops, basis))
+    if not np.isfinite(flow).all():
+        raise _failed_at(NumericalFailureError(
+            "exp(dt_ode L) has non-finite entries"), dt_ode)
+    gain = np.linalg.norm(flow, 2, axis=(-2, -1)).max()
+    if not gain <= 1.0 + _FLOW_GAIN_ROUNDOFF:
+        raise _failed_at(NumericalFailureError(
+            f"exp(dt_ode L) grows a mode by {gain:.4g} per step"), dt_ode)
+    return flow
+
+
+def _rebuilt(coef: np.ndarray, basis: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out`` (S, N, N) the matrices of the rank coefficients
+    ``coef`` (S, P, N, N, 1) of their real part and, for P = 2, their
+    imaginary part: one matmul with the basis gives the entries on and
+    below the diagonal, and the rest are their mirror images, so each
+    matrix is exactly symmetric or Hermitian."""
+    s, parts, n = coef.shape[:3]
+    i, j = np.indices((n, n))
+    mirror = (abs(i - j) * n + np.minimum(i, j)).ravel()
+    # the imaginary part changes sign across the diagonal
+    parity = np.stack([np.ones(n * n), np.sign(i - j).ravel()], axis=1)
+    lower = basis @ coef[..., 0].transpose(3, 2, 0, 1).reshape(n, n, -1)
+    np.multiply(lower.reshape(n * n, s, parts)[mirror].transpose(1, 0, 2),
+                parity[:, :parts], out=out.view(float).reshape(s, n * n, -1))
+
+
+def _flow_blocks(rho0, control, T: float, dt_ode: float):
     """(K + 1, blocks): the number of grid states of the averaged dynamics
     under a ConstantInput's u, and a generator of those states in order,
-    in blocks of at most ``_RK4_BLOCK``.
+    in blocks of at most ``_FLOW_BLOCK``.
 
-    Every guard runs before this returns, so a rejected run steps nothing:
-    the step count, RK4's stability interval, ``rho0``, the map's
-    finiteness and the rotation (see ``integrate_ensemble`` for what each
-    raises). Each block is a (<= _RK4_BLOCK, N, N) view of one buffer that
-    the next block overwrites, in the dtype ``_checked_rho0`` picks.
-
-    The states are stepped in windows, speculatively: as coordinates
-    (``_coordinate_map``), each divided by its trace, which is what
-    ``_clip_psd`` returns for a state that passes its Cholesky
-    certificate. Then the window is certified at once (``_certified``). A
-    window that fails is projected state by state by ``_projected``, which
-    is ``_clip_psd``: its first image, which is the step from the state
-    before the window, and then ``_rk4_step`` from each projected state.
-    The projection takes the states on the boundary through ``eigh`` and
-    raises NumericalFailureError, with the time of the failed step, if a
-    state becomes non-finite. Either way each state is the one
-    ``_clip_psd(_rk4_step(...))`` gives, bit for bit.
-
-    The first state, and every state after a failed window until one
-    passes its certificate, is a window of one, stepped by ``_rk4_step``
-    and ``_projected`` alone, as before windows. After a state or a window
-    that passes, the next window is twice as long, up to ``_RK4_WINDOW``
-    states. So a stretch of failing states, such as the first steps from
-    an eigenstate, is stepped once and certified once per state, and a
-    failed window steps again fewer states than passed before it. numpy's error state is set around
-    each block's steps only, so the caller's holds between blocks.
+    Every check runs before this returns, so a rejected run steps nothing:
+    the step count, ``rho0`` and the map (``_flow_map``). Each block is a
+    (<= _FLOW_BLOCK, N, N) view of one buffer that the next block
+    overwrites, in the dtype ``_checked_rho0`` picks. State 0 is ``rho0``;
+    each later state is the rank coefficients of the real part, and of the
+    imaginary part of a complex state, stepped by one batched matmul with
+    E, and a block's states are rebuilt at once (``_rebuilt``).
     """
-    u, ops = control.u, control.ops
     n_steps = _step_count(T, dt_ode, "dt_ode")
-    _check_stable(dt_ode, "dt_ode", ops, "RK4", _RK4_REAL_BOUND)
-    rho = _checked_rho0(rho0, ops)
-    complex_ = np.iscomplexobj(rho)
-    bands = _rk4_bands(u, dt_ode, ops, complex_)
-    if not all(np.isfinite(b.coef).all() for b in bands):
-        raise _failed_at(NumericalFailureError(
-            "RK4 step overflows: its map has non-finite entries"), dt_ode)
-    _check_rotation(u, dt_ode, ops)
-    positions, gather, coef = _coordinate_map(bands)
-    # the diagonal's coordinates, in index order
-    on_diag = bands[0].scatter.diagonal()
+    rho = _checked_rho0(rho0, control.ops)
+    basis = _rank_basis(control.ops)
+    parts = np.stack([rho.real, rho.imag] if np.iscomplexobj(rho)
+                     else [rho])
+    flow = _flow_map(control.u, dt_ode, control.ops, basis)[:len(parts)]
 
-    raw = np.empty((min(_RK4_WINDOW, n_steps), len(coef)))
-    tr = np.empty(len(raw))
-    # a trace summed in the state's dtype: a complex sum adds the real parts
-    # in another order than a real sum of the same numbers
-    diag = np.zeros(len(on_diag), rho.dtype)
-
-    def step(rho, window, k0):
-        """Step grid state k0, ``rho``, to the states of ``window``, and
-        tell whether the window passed its certificate."""
-        if len(window) == 1:
-            image = _rk4_step(rho, bands)
-        else:
-            flat = rho.ravel()
-            x = np.concatenate([part(flat)[pos] for part, pos in
-                                zip((np.real, np.imag), positions)])
-            for i, y in enumerate(raw[:len(window)]):
-                np.einsum("pk,pk->p", coef, x.take(gather), out=y)
-                y.take(on_diag, out=diag.real, mode="clip")
-                tr[i] = t = diag.sum().real
-                # numpy divides a complex state by its real trace as a
-                # complex number, which multiplies by 1 / t
-                x = y * (1.0 / t) if complex_ else y / t
-            if _certified(_assembled(raw[:len(window)], bands, window),
-                          tr[:len(window)]):
-                return True
-            # the window's first image is the step from rho
-            image = window[0]
-        # step k takes grid state k to grid state k + 1
-        for i, k in enumerate(range(k0, k0 + len(window))):
-            try:
-                rho, passed = _projected(image if i == 0
-                                         else _rk4_step(rho, bands))
-            except NumericalFailureError as e:
-                raise _failed_at(e, k * dt_ode + dt_ode) from e
-            window[i] = rho
-        # a longer window failed its certificate
-        return passed and len(window) == 1
-
-    def blocks(rho):
-        buf = np.empty((min(_RK4_BLOCK, n_steps + 1), *rho.shape), rho.dtype)
-        buf[0] = rho
-        size, k = 1, 1
-        for lo in range(0, n_steps + 1, len(buf)):
-            hi = min(lo + len(buf), n_steps + 1)
-            # A failed step is caught by _certified or _projected, so numpy
-            # need not warn.
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                while k < hi:
-                    window = buf[k - lo:min(k + size, hi) - lo]
-                    passed = step(rho, window, k - 1)
-                    size = min(2 * size, len(raw)) if passed else 1
-                    rho = window[-1].copy()
-                    k += len(window)
+    def blocks():
+        size = min(_FLOW_BLOCK, n_steps + 1)
+        coef = np.empty((size, *parts.shape, 1))
+        buf = np.empty((size, *rho.shape), rho.dtype)
+        coef[0, ..., 0] = _coefficients(parts, basis)
+        for lo in range(0, n_steps + 1, size):
+            hi = min(lo + size, n_steps + 1)
+            if lo:
+                np.matmul(flow, coef[-1], out=coef[0])
+            for s in range(1, hi - lo):
+                np.matmul(flow, coef[s - 1], out=coef[s])
+            _rebuilt(coef[:hi - lo], basis, buf[:hi - lo])
+            if not lo:
+                buf[0] = rho
             yield buf[:hi - lo]
 
-    return n_steps + 1, blocks(rho)
+    return n_steps + 1, blocks()
 
 
 def integrate_ensemble(rho0, control, T: float,
                        dt_ode: float) -> OdeTrajectory:
-    """Integrate the averaged dynamics under a ConstantInput's u by RK4.
+    """Integrate the averaged dynamics under a ConstantInput's u exactly,
+    as the states exp(k dt_ode L) rho0 on the grid of ``dt_ode``.
 
-    Under a constant u the averaged flow is linear, so classical RK4 is one
-    matrix, R(dt_ode L), built once from ``sme_drift`` and kept by its band
-    (see ``_rk4_bands``): a step reads each entry on and above the diagonal
-    from the at most 41 such entries within Manhattan distance 4. Every
-    grid state is projected back onto the state space. The states are
-    stepped in blocks (``_rk4_blocks``) and copied into one read-only
+    Under a constant u the averaged flow is linear, d rho/dt = L rho, and a
+    Lindblad semigroup: exp(t L) keeps every state a state for every t, so
+    no ``dt_ode`` or u needs a bound and no state is projected. The states
+    are stepped in blocks (``_flow_blocks``) and copied into one read-only
     (K+1, N, N) array, float64 for a ``rho0`` with a zero imaginary part
-    and complex128 otherwise. Grid states inside the state space pass
-    ``_clip_psd``'s Cholesky certificate a window at a time, by one
-    batched factorisation, and are only renormalized; a window with a
-    state on or past the boundary is stepped again state by state, and
-    the states after it are projected one at a time until one passes,
-    so a stretch of such states, like the first steps from an
-    eigenstate, goes through ``eigh`` about as often as it has states.
-    With any nonzero u the trajectory approaches I/N as T grows.
+    and complex128 otherwise. With any nonzero u the trajectory approaches
+    I/N as T grows.
 
     Raises ValueError for an input outside its range, ``rho0`` included,
-    for a ``dt_ode`` outside RK4's stability interval on the negative real
-    axis (dt_ode * max(gaps_sq) / 2 > 2.785), for a u whose rotation
-    RK4 grows at that ``dt_ode`` (``_check_rotation``, at most O(N^4) time
-    and O(N^2) memory) (in both cases the projection would clamp a growing
-    solution into plausible states), or for grid states too many for
-    memory, and NumericalFailureError, with the time of the failed step, if
-    the map or a state becomes non-finite.
+    or for grid states too many for memory, and NumericalFailureError,
+    with the time of the first step, if E is not finite or grows a mode,
+    as an overflowing u makes it.
     """
-    n_states, blocks = _rk4_blocks(rho0, control, T, dt_ode)
+    n_states, blocks = _flow_blocks(rho0, control, T, dt_ode)
     first = next(blocks)
     with _records_fit(T, dt_ode, "dt_ode", n_states):
         states = np.empty((n_states, *first.shape[1:]), dtype=first.dtype)

@@ -14,14 +14,11 @@ such a state as a real symmetric float64 array (see ``dynamics``). The
 array helpers here (``_dag``, ``_clip_psd``, ``distance_V``,
 ``lyapunov_Q``) take either dtype and keep it.
 
-``_clip_psd`` projects a stepped matrix back onto the state space. A single
-matrix that is already a positive definite state up to trace is certified
-by one Cholesky factorisation and only renormalized (``_renormalized``);
-``eigh`` runs for the rest and for every batch. The averaged flow
-certifies a window of its states at once, by one batched factorisation
-through the same ``_hermitian_part`` and ``_renormalized``, and projects
-a state on its own through ``_projected``, which is ``_clip_psd`` and
-tells whether the certificate passed.
+``_clip_psd`` projects a stepped matrix of the stochastic integrator back
+onto the state space. A single matrix that is already a positive definite
+state up to trace is certified by one Cholesky factorisation and only
+renormalized; ``eigh`` runs for the rest and for every batch. The averaged
+flow needs no projection: it keeps every state a state by construction.
 """
 
 import math
@@ -188,11 +185,16 @@ def distance_V(rho, f: int):
 
 
 def lyapunov_Q(rho):
-    """Tr(rho^2) - 1/N: zero exactly at I/N, positive everywhere else."""
+    """|rho - I/N|_F^2: zero exactly at I/N, positive everywhere else.
+
+    Summed from the entries of rho - I/N, so it stays accurate as rho
+    nears I/N, where Tr(rho^2) - 1/N, its value for a unit-trace rho,
+    would lose its digits to cancellation.
+    """
     m = np.asarray(rho)
     n = m.shape[-1]
-    q = np.sum(np.abs(m) ** 2, axis=(-2, -1)) - 1.0 / n
-    q = np.clip(q, 0.0, None)
+    d = np.abs(m - np.eye(n) / n)
+    q = np.sum(np.square(d, out=d), axis=(-2, -1))
     return float(q) if np.ndim(q) == 0 else q
 
 
@@ -213,25 +215,18 @@ def _clip_psd(mat: np.ndarray) -> np.ndarray:
     trace, exactly Hermitian. Only a matrix that fails the factorisation
     (an eigenvalue at or below zero) goes through ``eigh``. A batch always
     goes through ``eigh``: numpy factorises a batch all or nothing, so one
-    semidefinite member would fail the whole attempt. The averaged flow,
-    whose states almost all pass, certifies a window of them at once
-    through ``_renormalized`` (``dynamics._certified``) and steps the
-    others through ``_projected``.
+    semidefinite member would fail the whole attempt.
     """
-    return _projected(mat)[0]
-
-
-def _projected(mat: np.ndarray) -> tuple[np.ndarray, bool]:
-    """(``_clip_psd(mat)``, whether the Cholesky certificate gave it rather
-    than ``eigh``), so a caller can tell where the state space's boundary
-    is without a second factorisation."""
     if not np.isfinite(mat).all():
         raise NumericalFailureError("state has non-finite entries")
     herm = _hermitian_part(mat)
     if herm.ndim == 2:
-        out = _renormalized(herm, herm.trace().real)
-        if out is not None:
-            return out, True
+        try:
+            np.linalg.cholesky(herm)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            return herm / herm.trace().real
     w, v = np.linalg.eigh(herm)
     w = np.clip(w, 0.0, None)
     tr = np.sum(w, axis=-1)
@@ -239,31 +234,13 @@ def _projected(mat: np.ndarray) -> tuple[np.ndarray, bool]:
         raise NumericalFailureError(
             f"projection failed: trace after clipping is {np.min(tr):.3e}")
     out = (v * (w / tr[..., None])[..., None, :]) @ _dag(v)
-    return _hermitian_part(out), False
+    return _hermitian_part(out)
 
 
 def _hermitian_part(mat: np.ndarray) -> np.ndarray:
     """(mat + mat*) / 2 of an (N, N) matrix or of each of a batch: exactly
     Hermitian, in ``mat``'s dtype."""
     return 0.5 * (mat + _dag(mat))
-
-
-def _renormalized(herm: np.ndarray, tr, out: np.ndarray | None = None):
-    """``_clip_psd``'s result for Hermitian matrices that pass its Cholesky
-    certificate: each over its trace, or None if one fails.
-
-    ``herm`` is an exactly Hermitian (N, N) matrix or a batch of them
-    (``_hermitian_part``), ``tr`` each one's trace as ``herm.trace().real``
-    sums it, and ``out``, if given, receives the result. numpy factorises a
-    batch all or nothing, so one matrix on or past the state space's
-    boundary gives None for the whole batch. A complex matrix is divided by
-    its real trace as by a complex number, which multiplies by 1 / tr.
-    """
-    try:
-        np.linalg.cholesky(herm)
-    except np.linalg.LinAlgError:
-        return None
-    return np.divide(herm, np.asarray(tr)[..., None, None], out=out)
 
 
 def _check_dim(rho, dim: int) -> None:

@@ -1,10 +1,10 @@
 """Helpers shared by the tests: random states, the projection by
-eigendecomposition alone, the four-stage RK4 step, a step of the averaged
-flow made to fail, and the averaged flow's dense blocks."""
+eigendecomposition alone, and the averaged flow's dense generator and
+its exact trajectory."""
 
 import numpy as np
+from scipy.linalg import expm
 
-from spinstab.dynamics import _band, _block_flow, sme_drift
 from spinstab.quantum import _dag
 
 
@@ -30,44 +30,24 @@ def clip_psd_eigh(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (out + _dag(out))
 
 
-def rk4_step(rho, u, dt: float, ops) -> np.ndarray:
-    """Oracle for ``dynamics._rk4_step``: one classical four-stage RK4 step
-    of ``sme_drift`` under the constant input u, without projection."""
-    k1 = sme_drift(rho, u, ops)
-    k2 = sme_drift(rho + 0.5 * dt * k1, u, ops)
-    k3 = sme_drift(rho + 0.5 * dt * k2, u, ops)
-    k4 = sme_drift(rho + dt * k3, u, ops)
-    return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def dense_generator(u, ops) -> np.ndarray:
+    """Oracle for the averaged flow's generator L under the constant input
+    u, from its definition -i u [F_y, .] - 1/2 [F_z, [F_z, .]]: the dense
+    N^2 x N^2 complex matrix acting on a raveled matrix, built from
+    Kronecker products, with no use of ``sme_drift``."""
+    eye = np.eye(ops.dim)
+
+    def ad(a):
+        return np.kron(a, eye) - np.kron(eye, a.T)
+
+    return -1j * u * ad(ops.f_y) - 0.5 * ad(ops.f_z) @ ad(ops.f_z)
 
 
-def flow_block(u, ops, anti: bool) -> np.ndarray:
-    """Oracle for the spectrum of the averaged flow's generator L under the
-    constant input u: its dense matrix on the real symmetric, or
-    antisymmetric, N x N matrices, in that block's coordinates, read off
-    the reach-1 band. N(N +- 1)/2 square, so O(N^6) to diagonalize."""
-    band = _band(_block_flow(u, ops, anti), ops.dim, 1, anti)
-    rows = np.arange(len(band.cols))[:, None]
-    out = np.zeros((len(rows), len(rows)))
-    np.add.at(out, (rows, band.scatter.ravel()[band.cols]), band.coef)
-    return out
-
-
-def replace_step_from(monkeypatch, state, band, image) -> None:
-    """Make the RK4 step from the real grid state ``state`` give the
-    coordinates ``image`` (a number or one value per coordinate of
-    ``band``, the symmetric block's band), in whichever path steps it.
-
-    Both the windowed and the per-state path take a step's coordinates from
-    ``np.einsum`` over the band values the step reads; the patched einsum
-    returns ``image`` when those values are ``state``'s.
-    """
-    values = np.asarray(state).ravel().take(band.cols)
-    einsum = np.einsum
-
-    def patched(subscripts, *operands, **kwargs):
-        out = einsum(subscripts, *operands, **kwargs)
-        if np.array_equal(operands[-1], values):
-            out[...] = image
-        return out
-
-    monkeypatch.setattr(np, "einsum", patched)
+def expm_states(rho0, u, dt: float, n_steps: int, ops) -> np.ndarray:
+    """Oracle for the grid states of the averaged flow: rho0 and
+    ``n_steps`` steps of scipy's dense exp(dt L) after it, complex."""
+    step = expm(dt * dense_generator(u, ops))
+    states = [np.asarray(rho0, dtype=complex).ravel()]
+    for _ in range(n_steps):
+        states.append(step @ states[-1])
+    return np.reshape(states, (n_steps + 1, ops.dim, ops.dim))

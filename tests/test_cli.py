@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,8 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from helpers import random_density, replace_step_from
-from spinstab import dynamics
+from helpers import random_density
 from spinstab.cli import (
     PRESETS,
     ConfigError,
@@ -86,6 +86,15 @@ def read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+def assert_mm_dist_is_the_distance_to_mixed(rows, states):
+    """Each ode.csv row's mm_dist, the square root of its Q, is within
+    1e-12 relative of np.linalg.norm(rho - I/N) of its state."""
+    mixed = np.asarray(maximally_mixed(states.shape[-1]))
+    want = [np.linalg.norm(st - mixed) for st in states]
+    np.testing.assert_allclose([float(r[3]) for r in rows], want, rtol=1e-12,
+                               atol=0)
 
 
 class TestCsvWriter:
@@ -407,7 +416,7 @@ class TestOdeCommand:
         def must_not_run(*a, **k):
             raise AssertionError("stepped with a target outside 1..N")
 
-        monkeypatch.setattr(cli_mod, "_rk4_blocks", must_not_run)
+        monkeypatch.setattr(cli_mod, "_flow_blocks", must_not_run)
         out = tmp_path / "o"
         res = RUNNER.invoke(main, ["ode", "--J", "10", "--f", "99",
                                    "--T", "80", "-o", str(out)])
@@ -435,12 +444,12 @@ class TestOdeCommand:
         ops = make_spin_operators(1)
         traj = integrate_ensemble(eigenstate(ops, 1),
                                   ConstantInput(1.0, 3, ops), 2.0, 0.01)
-        mixed = np.asarray(maximally_mixed(3))
         want = [[_fmt(t), _fmt(distance_V(st, 3)), _fmt(lyapunov_Q(st)),
-                 _fmt(np.linalg.norm(st - mixed))]
+                 _fmt(math.sqrt(lyapunov_Q(st)))]
                 for t, st in zip(traj.times, traj.states)]
         _, rows = read_csv(tmp_path / "ode.csv")
         assert rows == want
+        assert_mm_dist_is_the_distance_to_mixed(rows, traj.states)
 
     @pytest.mark.parametrize("T, n_rows, complex_", [
         ("2.54", 255, False), ("2.55", 256, False), ("2.56", 257, False),
@@ -463,33 +472,13 @@ class TestOdeCommand:
         traj = integrate_ensemble(rho0, ConstantInput(1.0, 3, ops), float(T),
                                   0.01)
         assert traj.states.dtype == (complex if complex_ else float)
-        mixed = np.asarray(maximally_mixed(3))
         want = [[_fmt(t), _fmt(distance_V(st, 3)), _fmt(lyapunov_Q(st)),
-                 _fmt(np.linalg.norm(st - mixed))]
+                 _fmt(math.sqrt(lyapunov_Q(st)))]
                 for t, st in zip(traj.times, traj.states)]
         _, rows = read_csv(tmp_path / "o" / "ode.csv")
         assert len(rows) == n_rows
         assert rows == want
-
-    def test_failure_after_the_first_block_exits_3_with_its_step_time(
-            self, tmp_path, monkeypatch):
-        # step 300 (t = 3) gives a non-finite state, after a whole 256-state
-        # block has been reduced
-        ops = make_spin_operators(1)
-        rho0, drive = eigenstate(ops, 1), ConstantInput(1.0, 3, ops)
-        before = integrate_ensemble(rho0, drive, 5.0, 0.01).states[299]
-        band, = dynamics._rk4_bands(1.0, 0.01, ops, False)
-        replace_step_from(monkeypatch, before, band, np.nan)
-        with pytest.raises(NumericalFailureError) as err:
-            integrate_ensemble(rho0, drive, 5.0, 0.01)
-        assert err.value.time == 299 * 0.01 + 0.01
-        out = tmp_path / "o"
-        res = RUNNER.invoke(main, ["ode", "--J", "1", "--f", "3", "--T", "5",
-                                   "--dt-ode", "0.01", "-o", str(out)])
-        assert res.exit_code == 3, res.output
-        assert str(err.value) in res.output
-        assert "at t = 3" in res.output
-        assert not out.exists()
+        assert_mm_dist_is_the_distance_to_mixed(rows, traj.states)
 
     @pytest.mark.skipif(sys.platform != "linux",
                         reason="ru_maxrss is in KiB on Linux only")
@@ -504,11 +493,33 @@ class TestOdeCommand:
         assert long - short < 8, (short, long)
 
     def test_overflowing_step_exits_3(self, tmp_path):
-        # RK4 with u = 1e300 overflows to a non-finite state in its first step
+        # exp(dt_ode L) under u = 1e300 overflows before the first step
         res = RUNNER.invoke(main, ["ode", "--J", "1", "--f", "3",
                                    "--u", "1e300", "-o", str(tmp_path)])
         assert res.exit_code == 3, res.output
         assert "non-finite" in res.output
+
+    @pytest.mark.parametrize("argv", [
+        ["--J", "10", "--f", "11", "--T", "20", "--u", "10"],
+        # dt_ode past an explicit scheme's real-axis bound, and fast
+        # rotations
+        ["--J", "10", "--f", "11", "--T", "20", "--dt-ode", "0.05"],
+        ["--J", "10", "--f", "11", "--T", "20", "--dt-ode", "0.015"],
+        ["--J", "1", "--f", "3", "--dt-ode", "1e200", "--T", "1e201"],
+        ["--J", "10", "--f", "11", "--T", "20", "--u", "100"],
+        ["--J", "10", "--f", "11", "--T", "20", "--u", "14.4"],
+    ], ids=["u 10", "dt-ode 0.05", "dt-ode 0.015", "dt-ode 1e200", "u 100",
+            "u 14.4"])
+    def test_any_step_and_input_runs_with_q_non_increasing(self, tmp_path,
+                                                           argv):
+        # exp(dt_ode L) contracts Q, and mm_dist with it, for every dt_ode
+        # and u
+        res = RUNNER.invoke(main, ["ode", *argv, "-o", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        _, rows = read_csv(tmp_path / "ode.csv")
+        nums = np.array(rows, dtype=float)
+        assert np.all(np.diff(nums[:, 2]) <= 1e-12)
+        assert np.all(np.diff(nums[:, 3]) <= 1e-12)
 
     def test_mixed_start_gives_flat_zero_q(self, tmp_path):
         mat = np.eye(3, dtype=complex) / 3
@@ -653,36 +664,8 @@ class TestRejectedRuns:
         res = RUNNER.invoke(main, ["ode", "--J", "1", "--f", "3",
                                    "--u", "1e300", "-o", str(out)])
         assert res.exit_code == 3, res.output
+        assert "non-finite" in res.output
         assert not out.exists()
-
-    @pytest.mark.parametrize("argv", [
-        ["--J", "1", "--f", "3", "--dt-ode", "1e200", "--T", "1e201"],
-        ["--J", "10", "--f", "11", "--T", "20", "--dt-ode", "0.015"],
-    ], ids=" ".join)
-    def test_unstable_rk4_step_exits_2_naming_dt_ode(self, tmp_path, argv):
-        # RK4 would grow the stiffest mode; the projection would hide it
-        out = tmp_path / "o"
-        res = RUNNER.invoke(main, ["ode", *argv, "-o", str(out)])
-        assert res.exit_code == 2, res.output
-        assert "dt_ode" in res.output and "too large for RK4" in res.output
-        assert not out.exists()
-
-    def test_rotation_that_rk4_grows_exits_2_naming_u_and_dt_ode(self,
-                                                                 tmp_path):
-        # RK4 at dt_ode = 0.01 grows the u = 100 rotation by 6593 per step;
-        # the projection would clamp it to a final distance of 0.951
-        out = tmp_path / "o"
-        res = RUNNER.invoke(main, ["ode", "--J", "10", "--f", "11",
-                                   "--T", "20", "--u", "100", "-o", str(out)])
-        assert res.exit_code == 2, res.output
-        assert "u = 100 is too large for RK4 at dt_ode = 0.01" in res.output
-        assert not out.exists()
-
-    def test_rotation_inside_rk4s_spectrum_runs(self, tmp_path):
-        res = RUNNER.invoke(main, ["ode", "--J", "10", "--f", "11",
-                                   "--T", "20", "--u", "10",
-                                   "-o", str(tmp_path)])
-        assert res.exit_code == 0, res.output
 
     @pytest.mark.parametrize("content", ["text", "objects"])
     def test_initial_file_of_no_numbers_exits_2(self, tmp_path, content):

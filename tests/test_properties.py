@@ -19,10 +19,11 @@ u = 0, traceless, and a batch row equal to the single call. The projection
 near-singular, rank-deficient and indefinite matrices, single and batched.
 In feedback mode V is a supermartingale: at an interior state the Euler
 step's mean change of V over +dW and -dW is -u^2 dt. One step of the
-averaged flow's precomputed, banded RK4 map equals one four-stage RK4 step
-of ``sme_drift``, for real and complex states and random inputs u. The
-spectrum the rotation guard reads from L's blocks by spherical-tensor rank
-is the spectrum of L's dense symmetric and antisymmetric blocks.
+averaged flow equals one step of scipy's exp(dt L) of the dense generator,
+for real and complex states, random inputs u and steps dt. The blocks of
+L by spherical-tensor rank, read off ``sme_drift``, have the dense
+generator's spectrum, and each is -1/2 diag(q^2) plus an antisymmetric
+matrix.
 """
 
 import sys
@@ -30,12 +31,12 @@ import warnings
 from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import clip_psd_eigh, flow_block, random_density, rk4_step
+from helpers import (clip_psd_eigh, dense_generator, expm_states,
+                     random_density)
 from spinstab import dynamics
 from spinstab.controller import (ConstantInput, ControllerState,
                                  feedback_gain, new_controller, switch_modes)
@@ -411,81 +412,19 @@ def test_batched_projection_is_the_eigh_oracle_bit_for_bit(batch):
     np.testing.assert_array_equal(out, clip_psd_eigh(batch))
 
 
-def test_rk4_run_stays_with_the_eigh_oracle_run():
-    ops = OPS[10]
-    drive = ConstantInput(1.0, 11, ops)
-    traj = integrate_ensemble(eigenstate(ops, 1), drive, 20.0, 1e-2)
-    with mock.patch.object(dynamics, "_clip_psd", clip_psd_eigh):
-        oracle = integrate_ensemble(eigenstate(ops, 1), drive, 20.0, 1e-2)
-    np.testing.assert_allclose(traj.states, oracle.states, rtol=0, atol=1e-13)
-
-
-@pytest.mark.parametrize("complex_", [False, True])
-def test_every_rk4_state_stays_with_a_per_state_eigh_oracle(complex_):
-    # The run certifies windows of states without calling _clip_psd, so
-    # the oracle is its own trajectory: the matrix RK4 step, projected by
-    # eigh alone, from the oracle's previous state, for all 2,000 steps.
-    ops = OPS[10]
-    drive = ConstantInput(1.0, 11, ops)
-    rho0 = (random_density(ops.dim, np.random.default_rng(5)) if complex_
-            else np.asarray(eigenstate(ops, 1)).real)
-    traj = integrate_ensemble(rho0, drive, 20.0, 1e-2)
-    assert np.iscomplexobj(traj.states) == complex_
-    bands = dynamics._rk4_bands(1.0, 1e-2, ops, complex_)
-    oracle = [traj.states[0]]
-    for _ in range(2000):
-        oracle.append(clip_psd_eigh(dynamics._rk4_step(oracle[-1], bands)))
-    np.testing.assert_allclose(traj.states, oracle, rtol=0, atol=1e-13)
-
-
 @settings(deadline=None, max_examples=60)
 @given(st.sampled_from([0.5, 1, 1.5, 2, 2.5]), st.booleans(),
-       st.floats(-4.0, 4.0, allow_subnormal=False),
-       st.floats(1e-4, 0.05), st.integers(0, 2**32 - 1))
-def test_rk4_map_step_is_one_four_stage_rk4_step(J, complex_, u, dt, seed):
+       st.floats(-50.0, 50.0, allow_subnormal=False),
+       st.floats(1e-4, 0.5), st.integers(0, 2**32 - 1))
+def test_one_step_is_the_dense_expm_step(J, complex_, u, dt, seed):
     ops = make_spin_operators(J)
     rho = random_density(ops.dim, np.random.default_rng(seed))
     if not complex_:
         rho = np.ascontiguousarray(rho.real)
-    out = dynamics._rk4_step(rho, dynamics._rk4_bands(u, dt, ops, complex_))
+    out = integrate_ensemble(rho, ConstantInput(u, 1, ops), dt, dt).states
     assert out.dtype == rho.dtype
-    np.testing.assert_allclose(out, rk4_step(rho, u, dt, ops), rtol=0,
-                               atol=1e-14)
-
-
-
-@settings(deadline=None, max_examples=40)
-@given(st.sampled_from([0.5, 1, 1.5, 2, 3, 4]), st.booleans(),
-       st.floats(-50.0, 50.0, allow_subnormal=False))
-def test_averaged_flow_spectrum_lies_in_the_guards_region(J, anti, u):
-    # Re in [-max(gaps_sq) / 2, 0], |Im| <= 2J|u| and
-    # Im^2 <= u^2 (2J(2J+1) + 2 Re), up to round-off
-    ops = make_spin_operators(J)
-    lam = np.linalg.eigvals(flow_block(u, ops, anti))
-    tol = 1e-9 * (ops.gaps_sq.max() + 2 * J * abs(u))
-    assert (lam.real <= tol).all()
-    assert (lam.real >= -ops.gaps_sq.max() / 2 - tol).all()
-    assert (abs(lam.imag) <= 2 * J * abs(u) + tol).all()
-    bound = u * u * (2 * J * (2 * J + 1) + 2 * lam.real)
-    assert (lam.imag ** 2 <= bound + tol * (1 + 4 * J * abs(u))).all()
-
-
-@settings(deadline=None, max_examples=40)
-@given(st.sampled_from([0.5, 1, 1.5, 2, 3, 4]),
-       st.floats(-60.0, 60.0, allow_subnormal=False), st.floats(0.05, 1.0))
-def test_rotation_guard_skips_the_eigensolve_only_for_stable_steps(J, u,
-                                                                   frac):
-    ops = make_spin_operators(J)
-    dt = frac * 2 * dynamics._RK4_REAL_BOUND / ops.gaps_sq.max()
-    lam = np.linalg.eigvals(flow_block(u, ops, False))
-    with mock.patch.object(dynamics.np.linalg, "eigvals",
-                           side_effect=LookupError):
-        try:
-            dynamics._check_rotation(u, dt, ops)
-        except LookupError:
-            return
-    gain = dynamics._rk4_gain(dt * lam).max()
-    assert gain <= 1 + dynamics._RK4_GAIN_ROUNDOFF
+    np.testing.assert_allclose(out, expm_states(rho, u, dt, 1, ops), rtol=0,
+                               atol=1e-13)
 
 
 @settings(deadline=None, max_examples=40)
@@ -493,13 +432,23 @@ def test_rotation_guard_skips_the_eigensolve_only_for_stable_steps(J, u,
        st.floats(-50.0, 50.0, allow_subnormal=False))
 def test_rank_block_spectrum_is_the_dense_blocks_spectrum(J, u):
     # every eigenvalue of one list is matched to a distinct one of the
-    # other, nearest first, within round-off of the spectrum's scale
+    # other, nearest first, within round-off of the spectrum's scale; rank
+    # k holds 2k + 1 of them, k + 1 symmetric and k antisymmetric
     ops = make_spin_operators(J)
-    dense = list(np.concatenate([np.linalg.eigvals(flow_block(u, ops, anti))
-                                 for anti in (False, True)]))
-    ranks = dynamics._flow_spectrum(u, ops)
+    dense = list(np.linalg.eigvals(dense_generator(u, ops)))
+    blocks = dynamics._rank_blocks(u, ops, dynamics._rank_basis(ops))
+    ranks = np.concatenate([np.linalg.eigvals(blocks[part, k][lo:k + 1,
+                                                              lo:k + 1])
+                            for part, lo in ((0, 0), (1, 1))
+                            for k in range(ops.dim)])
     assert len(ranks) == len(dense) == ops.dim ** 2
     tol = 1e-9 * (ops.gaps_sq.max() + 2 * J * abs(u))
     for lam in ranks:
         k = int(np.argmin(np.abs(np.array(dense) - lam)))
         assert abs(dense.pop(k) - lam) <= tol
+    # L_k + L_k^T = -diag(q^2) inside each block, and zero outside it
+    q = np.arange(ops.dim)
+    sym = blocks + blocks.swapaxes(-1, -2)
+    inside = (q <= q[:, None]) & (q >= np.arange(2)[:, None, None])
+    want = -np.eye(ops.dim) * np.where(inside, q ** 2, 0)[..., None, :]
+    np.testing.assert_allclose(sym, want, rtol=0, atol=tol)
