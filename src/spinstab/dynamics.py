@@ -356,7 +356,7 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
         rec_purity = np.zeros((n_rec, m_count))
         rec_modes = np.zeros((n_rec, m_count), dtype=np.uint8)
         rec_sum = (np.zeros((n_rec, -(-m_count // sum_chunk), *rho0.shape),
-                            dtype=complex) if sum_chunk else None)
+                            dtype=rho0.dtype) if sum_chunk else None)
 
     gens = [_philox_rng(base_seed, s) for s in streams]
     sqrt_dt = np.sqrt(cfg.dt)

@@ -3,8 +3,9 @@
 Trajectory fan-out is embarrassingly parallel. Two sizes are kept apart:
 
 * the reduction chunk, ``_CHUNK`` = 64 members: partial sums are taken per
-  chunk and merged in chunk order, so the aggregate statistics are
-  bit-identical no matter how the chunks are stepped or scheduled;
+  chunk and merged in chunk order, each task's as it returns, so the
+  aggregate statistics are bit-identical no matter how the chunks are
+  stepped or scheduled;
 * the stepping width W (``_task_members``): one ``_integrate_batch`` call
   steps a task of up to W consecutive members, whole chunks, because a
   wider batch pays numpy's per-step overhead over more members.
@@ -16,15 +17,16 @@ worker count.
 """
 
 import os
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .controller import ConstantInput
-from .dynamics import (EPS_CONV, SdeStepConfig, _checked_rho0, _integer,
-                       _integrate_batch, integrate_ensemble)
-from .quantum import SpinOperators, _clip_psd, distance_V
+from .dynamics import (EPS_CONV, SdeStepConfig, _BatchResult, _checked_rho0,
+                       _integer, _integrate_batch, integrate_ensemble)
+from .quantum import SpinOperators, distance_V
 
 __all__ = [
     "EnsembleStats",
@@ -64,14 +66,15 @@ def default_workers() -> int:
 class EnsembleStats:
     """Aggregated trajectory statistics on the output grid.
 
-    ``mean_state`` is the per-time average over all members, projected
-    back to the state space. ``conv_frac`` tracks the fraction of members
-    with V below EPS_CONV at each time; ``convergence_fraction`` is its
-    value at the horizon, and ``final_V`` holds each member's V there,
-    members 0..M-1 in order. ``failures`` is always empty: a member whose
-    state becomes non-finite stops the whole run with
-    NumericalFailureError. It is kept because the benchmark's ensemble
-    check (``bench/workloads.py``) reads it.
+    ``mean_state`` is the per-time average of the members' states, in the
+    run's dtype: float64 from a real start, complex128 otherwise. An
+    average of states is a state, so it is not projected. ``conv_frac``
+    tracks the fraction of members with V below EPS_CONV at each time;
+    ``convergence_fraction`` is its value at the horizon, and ``final_V``
+    holds each member's V there, members 0..M-1 in order. ``failures`` is
+    always empty: a member whose state becomes non-finite stops the whole
+    run with NumericalFailureError. It is kept because the benchmark's
+    ensemble check (``bench/workloads.py``) reads it.
     """
 
     times: np.ndarray
@@ -135,17 +138,20 @@ def _run_chunk(batch_kwargs: dict):
     return _integrate_batch(**batch_kwargs)
 
 
-def _map_tasks(M: int, workers: int | None, **batch_kwargs) -> list:
-    """Integrate members 0..M-1; the results come one per task, in member
-    order.
+def _map_tasks(M: int, workers: int | None,
+               **batch_kwargs) -> Iterator[_BatchResult]:
+    """Integrate members 0..M-1, yielding the results one per task, in
+    member order, each as soon as its task is done.
 
     The chunks are grouped into contiguous tasks of at most
     ``_task_members`` members, and into at least one task per worker while
     there are chunks to go round; the pool starts no more processes than
-    there are tasks. ``batch_kwargs`` are the arguments of
-    ``_integrate_batch`` except ``streams``, which each task gets as its
-    slice of 0..M-1. Raises ValueError unless ``M`` and ``workers`` are
-    integers >= 1.
+    there are tasks. In process, each task starts only when the caller asks
+    for its result, so a caller that drops each result before asking for
+    the next holds one task's records at a time. ``batch_kwargs`` are the
+    arguments of ``_integrate_batch`` except ``streams``, which each task
+    gets as its slice of 0..M-1. Raises ValueError, when the first result
+    is asked for, unless ``M`` and ``workers`` are integers >= 1.
     """
     M = _integer(M, "M", 1)
     workers = _integer(default_workers() if workers is None else workers,
@@ -157,9 +163,10 @@ def _map_tasks(M: int, workers: int | None, **batch_kwargs) -> list:
     tasks = [dict(batch_kwargs, streams=range(lo, min(hi, M)))
              for lo, hi in zip(edges, edges[1:])]
     if workers <= 1 or n_tasks <= 1:
-        return [_run_chunk(t) for t in tasks]
+        yield from map(_run_chunk, tasks)
+        return
     with ProcessPoolExecutor(max_workers=min(workers, n_tasks)) as pool:
-        return list(pool.map(_run_chunk, tasks))
+        yield from pool.map(_run_chunk, tasks)
 
 
 def run_ensemble(rho0, control, T: float, cfg: SdeStepConfig, M: int = 100,
@@ -168,36 +175,36 @@ def run_ensemble(rho0, control, T: float, cfg: SdeStepConfig, M: int = 100,
     """Run M trajectories and reduce them into ensemble statistics.
 
     ``control`` is a ControllerState (the switching law) or a ConstantInput
-    (a fixed input); V is measured against its target. Raises ValueError
-    for an input outside its range and NumericalFailureError if any
-    member's state becomes non-finite.
+    (a fixed input); V is measured against its target. Each task's records
+    are added into the sums as the task returns and then dropped, so in
+    process a run holds one task's records at a time; a pool also holds
+    those of tasks done ahead of their turn. Raises ValueError for an input
+    outside its range and NumericalFailureError if any member's state
+    becomes non-finite.
     """
-    results = _map_tasks(
-        M, workers, rho0=rho0, control=control,
-        T=T, cfg=cfg, base_seed=base_seed,
-        record_stride=record_stride, sum_chunk=_CHUNK)
-
-    times = results[0].times
-    n_rec = len(times)
-    state_sum = np.zeros_like(results[0].state_sum[:, 0])
-    v_sum = np.zeros(n_rec)
-    below_count = np.zeros(n_rec)
-    # Chunk by chunk, in chunk order, so no sum depends on the tasks.
-    for res in results:
+    # Chunk by chunk, in chunk order, so no sum depends on the tasks. The
+    # sums start at 0.0 and take their shapes from the first chunk.
+    state_sum = v_sum = below_count = 0.0
+    final_V = []
+    for res in _map_tasks(
+            M, workers, rho0=rho0, control=control,
+            T=T, cfg=cfg, base_seed=base_seed,
+            record_stride=record_stride, sum_chunk=_CHUNK):
+        times = res.times
         for c, lo in enumerate(range(0, res.V.shape[1], _CHUNK)):
             v = res.V[:, lo:lo + _CHUNK]
             state_sum += res.state_sum[:, c]
             v_sum += np.sum(v, axis=1)
             below_count += np.sum(v < EPS_CONV, axis=1)
+        # A copy: a view would keep the task's whole V record alive.
+        final_V.append(res.V[-1].copy())
+        # Drop the task's records before the next task runs.
+        del res, v
 
-    mean_V = v_sum / M
     conv_frac = below_count / M
-    mean_state = _clip_psd(state_sum / M)
-
     return EnsembleStats(
-        times=times, mean_V=mean_V, conv_frac=conv_frac,
-        mean_state=mean_state,
-        final_V=np.concatenate([res.V[-1] for res in results]),
+        times=times, mean_V=v_sum / M, conv_frac=conv_frac,
+        mean_state=state_sum / M, final_V=np.concatenate(final_V),
         convergence_fraction=float(conv_frac[-1]), M=M, base_seed=base_seed,
         failures=[])
 
@@ -229,11 +236,9 @@ def estimate_exit_time(gamma_a: float, rho0, f: int, ops: SpinOperators,
         raise ValueError(
             f"initial state must satisfy V > {threshold:g}, got V = {v0:g}")
 
-    results = _map_tasks(
+    exit_times = np.concatenate([res.first_below for res in _map_tasks(
         M, workers, rho0=rho0, control=control,
-        T=T_cap, cfg=cfg, base_seed=base_seed, exit_threshold=threshold)
-
-    exit_times = np.concatenate([res.first_below for res in results])
+        T=T_cap, cfg=cfg, base_seed=base_seed, exit_threshold=threshold)])
     tau = np.sort(exit_times[~np.isnan(exit_times)])
     censored = int(np.isnan(exit_times).sum())
 

@@ -14,11 +14,10 @@ such a state as a real symmetric float64 array (see ``dynamics``). The
 array helpers here (``_dag``, ``_clip_psd``, ``distance_V``,
 ``lyapunov_Q``) take either dtype and keep it.
 
-``_clip_psd`` projects a stepped matrix of the stochastic integrator back
-onto the state space. A single matrix that is already a positive definite
-state up to trace is certified by one Cholesky factorisation and only
-renormalized; ``eigh`` runs for the rest and for every batch. The averaged
-flow needs no projection: it keeps every state a state by construction.
+``_clip_psd`` projects each stepped state of the stochastic integrator's
+batch back onto the state space, all through one ``eigh`` path. Nothing
+else is projected: the averaged flow keeps every state a state by
+construction, and an ensemble's mean state is an average of states.
 """
 
 import math
@@ -205,29 +204,14 @@ def _clip_psd(mat: np.ndarray) -> np.ndarray:
     Batch-safe, and the one place where a failed state is detected: raises
     NumericalFailureError when the input has a non-finite entry or when
     clipping leaves a nonpositive trace. Valid states are fixed points up to
-    round-off. The result has the input's dtype: a real (symmetric) input goes through
-    the real eigensolver and a real reconstruction, a complex one through
-    the Hermitian eigensolver.
-
-    A single (N, N) matrix is first certified by a Cholesky factorisation:
-    when it succeeds the hermitized matrix is positive definite, no
-    eigenvalue would be clipped, and the result is that matrix over its
-    trace, exactly Hermitian. Only a matrix that fails the factorisation
-    (an eigenvalue at or below zero) goes through ``eigh``. A batch always
-    goes through ``eigh``: numpy factorises a batch all or nothing, so one
-    semidefinite member would fail the whole attempt.
+    round-off. Every matrix, single or of a batch, takes the same ``eigh``
+    path, and the result has the input's dtype: a real (symmetric) input
+    goes through the real eigensolver and a real reconstruction, a complex
+    one through the Hermitian eigensolver.
     """
     if not np.isfinite(mat).all():
         raise NumericalFailureError("state has non-finite entries")
-    herm = _hermitian_part(mat)
-    if herm.ndim == 2:
-        try:
-            np.linalg.cholesky(herm)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            return herm / herm.trace().real
-    w, v = np.linalg.eigh(herm)
+    w, v = np.linalg.eigh(_hermitian_part(mat))
     w = np.clip(w, 0.0, None)
     tr = np.sum(w, axis=-1)
     if not np.all(tr > 0.0):

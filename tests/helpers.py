@@ -19,9 +19,9 @@ def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
 def clip_psd_eigh(mat: np.ndarray) -> np.ndarray:
     """Oracle for ``quantum._clip_psd`` on a finite input: hermitize, clip
     the negative eigenvalues by ``eigh``, renormalize the trace and hermitize
-    the reconstruction, for every matrix of a batch or a single one. This is
-    the projection's ``eigh`` path, which it takes for every batch and for a
-    single matrix that fails its Cholesky certificate."""
+    the reconstruction, for every matrix of a batch or a single one. The
+    projection takes this one path for every input, so it equals this
+    oracle bit for bit."""
     herm = 0.5 * (mat + _dag(mat))
     w, v = np.linalg.eigh(herm)
     w = np.clip(w, 0.0, None)

@@ -1,8 +1,12 @@
 """Tests for the ensemble harness, exit-time estimation and mean-state checks."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from helpers import random_density
 from spinstab import montecarlo
 from spinstab.controller import ConstantInput, new_controller
 from spinstab.dynamics import SdeStepConfig, integrate_ensemble, simulate_batch
@@ -14,6 +18,7 @@ from spinstab.montecarlo import (
 )
 from spinstab.quantum import (
     QuantumState,
+    _dag,
     eigenstate,
     lyapunov_Q,
     make_spin_operators,
@@ -61,6 +66,28 @@ class TestRunEnsemble:
             assert isinstance(st, QuantumState)
         assert np.all(stats.mean_V >= 0) and np.all(stats.mean_V <= 1)
         assert np.all((stats.conv_frac >= 0) & (stats.conv_frac <= 1))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real",
+                                                            "complex"])
+    def test_mean_state_is_a_state_without_projection(self, complex_,
+                                                       workers):
+        # the plain average of the members' states, in the run's dtype:
+        # exactly Hermitian, unit trace and PSD to round-off. random_density
+        # is Hermitian to round-off only; its Hermitian part makes the t = 0
+        # record exact too. M = 130 is three chunks, two tasks on two workers.
+        rho0 = RHO1
+        if complex_:
+            m = random_density(3, np.random.default_rng(5))
+            rho0 = 0.5 * (m + _dag(m))
+        stats = run_ensemble(rho0, DRIVE3, 1.0, CFG, M=130, base_seed=2,
+                             record_stride=50, workers=workers)
+        mean = stats.mean_state
+        assert mean.dtype == (np.complex128 if complex_ else np.float64)
+        assert (mean == _dag(mean)).all()
+        trace = np.trace(mean, axis1=1, axis2=2)
+        assert np.abs(trace - 1).max() <= 1e-13
+        assert np.linalg.eigvalsh(mean).min() >= -1e-13
 
     def test_q_of_mean_state_nonincreasing_under_fixed_input(self):
         stats = run_ensemble(RHO1, DRIVE3, 4.0, CFG, M=300, base_seed=5,
@@ -241,6 +268,29 @@ class TestTasks:
         pools = ([min(workers, len(tasks))] if len(tasks) > 1 and workers > 1
                  else [])
         assert _InProcessPool.max_workers == pools
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_task_is_dropped_before_the_next_starts(self, tasks,
+                                                         monkeypatch, workers):
+        # M = 256 at 64 members per task: four tasks. Each task's result and
+        # its V record are garbage by the time the next task starts, so a
+        # run holds one task's records at a time.
+        monkeypatch.setattr(montecarlo, "_TASK_ENTRIES", 64 * 9)
+        refs = []
+        run = montecarlo._run_chunk
+
+        def tracking(task):
+            gc.collect()
+            assert all(r() is None for pair in refs for r in pair)
+            res = run(task)
+            refs.append((weakref.ref(res), weakref.ref(res.V)))
+            return res
+
+        monkeypatch.setattr(montecarlo, "_run_chunk", tracking)
+        stats = run_ensemble(RHO1, new_controller(0.1, 3, OPS3), 0.05, CFG,
+                             M=256, base_seed=3, workers=workers)
+        assert len(tasks) == len(refs) == 4
+        assert stats.final_V.shape == (256,)
 
     @pytest.fixture(scope="class")
     def reference(self):
