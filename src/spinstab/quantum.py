@@ -188,11 +188,16 @@ def lyapunov_Q(rho):
 
     Summed from the entries of rho - I/N, so it stays accurate as rho
     nears I/N, where Tr(rho^2) - 1/N, its value for a unit-trace rho,
-    would lose its digits to cancellation.
+    would lose its digits to cancellation. The entries of a real input are
+    squared as they are, with no pass for their moduli, and a real matrix
+    and its complex copy give the same Q to the bit.
     """
     m = np.asarray(rho)
     n = m.shape[-1]
-    d = np.abs(m - np.eye(n) / n)
+    d = m - np.eye(n) / n
+    # |x|^2 and x^2 are the same double for a real x
+    if np.iscomplexobj(d):
+        d = np.abs(d)
     q = np.sum(np.square(d, out=d), axis=(-2, -1))
     return float(q) if np.ndim(q) == 0 else q
 

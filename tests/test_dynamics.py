@@ -330,6 +330,34 @@ class TestSimulateTrajectory:
         assert d_coarse / d_fine > 1.3
 
 
+def sequential_flow_states(rho0, u, dt_ode, n_states, ops):
+    """Oracle for the grid states of the averaged flow: the rank
+    coefficients of rho0 stepped by one matmul with ``_flow_map``'s E per
+    state, and each state summed from its coefficients diagonal by
+    diagonal, complex."""
+    rho = np.asarray(rho0)
+    basis = dynamics._rank_basis(ops)
+    parts = np.stack([rho.real, rho.imag])
+    flow = dynamics._flow_map(u, dt_ode, ops, basis)
+    coef = [dynamics._coefficients(parts, basis)]
+    for _ in range(n_states - 1):
+        coef.append((flow @ coef[-1][..., None])[..., 0])
+    n = ops.dim
+    states = np.zeros((n_states, n, n), complex)
+    for part, unit in enumerate((1, 1j)):
+        for q in range(n):
+            # entries (p + q, p), and their mirror images (p, p + q), which
+            # the imaginary part takes with the opposite sign
+            entries = np.einsum("pk,sk->sp", basis[q, :n - q],
+                                np.array(coef)[:, part, :, q]) * unit
+            p = np.arange(n - q)
+            states[:, p + q, p] = states[:, p + q, p] + entries
+            if q:
+                states[:, p, p + q] = (states[:, p, p + q]
+                                       + np.conj(entries))
+    return states
+
+
 class TestEnsembleOde:
     def setup_method(self):
         self.ops = make_spin_operators(1)
@@ -412,9 +440,9 @@ class TestEnsembleOde:
                                        "complex"])
     def test_every_state_is_a_state_without_projection(self, J, start,
                                                        monkeypatch):
-        # nothing projects the states: each stepped state is exactly
-        # Hermitian, and its smallest eigenvalue and its trace are within
-        # round-off of a state's
+        # nothing projects the states: each state, the first included, is
+        # exactly Hermitian, and its smallest eigenvalue and its trace are
+        # within round-off of a state's
         clip = mock.Mock(wraps=dynamics._clip_psd)
         monkeypatch.setattr(dynamics, "_clip_psd", clip)
         ops = make_spin_operators(J)
@@ -430,7 +458,7 @@ class TestEnsembleOde:
                                   1e-3 if J == 20 else 1e-2)
         clip.assert_not_called()
         assert np.iscomplexobj(traj.states) == (start == "complex")
-        assert (traj.states[1:] == _dag(traj.states[1:])).all()
+        assert (traj.states == _dag(traj.states)).all()
         assert np.linalg.eigvalsh(traj.states).min() >= -1e-13
         trace = np.trace(traj.states, axis1=1, axis2=2)
         assert np.abs(trace - 1).max() <= 1e-13
@@ -516,6 +544,27 @@ class TestEnsembleOde:
         np.testing.assert_allclose(
             traj.states, expm_states(eigenstate(self.ops, 1), 1.0, 1e-2, 512,
                                      self.ops), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_states", [2, 3, 5, 129, 255, 256, 257, 513])
+    @pytest.mark.parametrize("J", [1, 10, 20])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_states_are_sequential_steps_by_e(self, n_states, J, complex_):
+        # the doubling sweeps fill each block from its first state by the
+        # powers of E; the oracle steps each state from the one before it.
+        # The counts end blocks on a partial last sweep (3, 5, 129, 255), on
+        # a full one (2, 256) and one state past an edge (257, 513).
+        ops = make_spin_operators(J)
+        rho0 = random_density(ops.dim, np.random.default_rng(J))
+        if not complex_:
+            rho0 = rho0.real.copy()
+        dt_ode = 1e-2
+        traj = integrate_ensemble(rho0, ConstantInput(-3.0, 1, ops),
+                                  (n_states - 1) * dt_ode, dt_ode)
+        assert traj.states.shape == (n_states, ops.dim, ops.dim)
+        np.testing.assert_allclose(
+            traj.states, sequential_flow_states(rho0, -3.0, dt_ode, n_states,
+                                                ops),
+            rtol=0, atol=1e-13)
 
     def test_numpy_error_state_is_the_callers_between_blocks(self):
         # building the map ignores overflow, which it reports itself; a

@@ -74,12 +74,12 @@ class TestRunEnsemble:
                                                        workers):
         # the plain average of the members' states, in the run's dtype:
         # exactly Hermitian, unit trace and PSD to round-off. random_density
-        # is Hermitian to round-off only; its Hermitian part makes the t = 0
-        # record exact too. M = 130 is three chunks, two tasks on two workers.
+        # is Hermitian to round-off only; the run starts from its exact
+        # Hermitian part, so the t = 0 record is exact too. M = 130 is three
+        # chunks, two tasks on two workers.
         rho0 = RHO1
         if complex_:
-            m = random_density(3, np.random.default_rng(5))
-            rho0 = 0.5 * (m + _dag(m))
+            rho0 = random_density(3, np.random.default_rng(5))
         stats = run_ensemble(rho0, DRIVE3, 1.0, CFG, M=130, base_seed=2,
                              record_stride=50, workers=workers)
         mean = stats.mean_state

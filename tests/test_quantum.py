@@ -171,6 +171,16 @@ class TestLyapunovQ:
                                            atol=1e-5)
 
 
+    @pytest.mark.parametrize("n", [3, 21])
+    def test_real_input_is_its_complex_copy_bit_for_bit(self, n):
+        # a real input skips the abs pass: |x|^2 and x^2 are the same double
+        rng = np.random.default_rng(n)
+        one = random_density(n, rng).real.copy()
+        batch = np.stack([random_density(n, rng).real for _ in range(4)])
+        assert lyapunov_Q(one) == lyapunov_Q(one.astype(complex))
+        np.testing.assert_array_equal(lyapunov_Q(batch),
+                                      lyapunov_Q(batch.astype(complex)))
+
 class TestProjection:
     def test_valid_state_is_fixed_point(self):
         rng = np.random.default_rng(3)
