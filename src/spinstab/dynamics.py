@@ -18,14 +18,18 @@ Two integrators live here:
   gaps_sq being real, whether it is symmetric or antisymmetric; on each
   rank k it is a (2k+1)-square matrix, read off ``sme_drift`` once per
   run. E = exp(dt_ode L) and its powers E^2, E^4, ..., E^128 are formed
-  once on those blocks. The grid states are stepped as rank coefficients
-  in blocks of 256: a block's first state is E times the state before it,
-  and the block is filled from it in doubling sweeps, states [h, 2h) as
-  E^h times states [0, h), so 8 batched matmuls step 255 states. The
-  states are rebuilt as matrices into one reused buffer, so a consumer
-  that reduces each block, as ``spinstab ode`` does, holds one block at a
-  time however long the horizon, while ``integrate_ensemble`` copies
-  every block into one (K+1, N, N) array.
+  once on those blocks, on the symmetric ones alone for a real state,
+  which has no antisymmetric part. The grid states are stepped as rank
+  coefficients in blocks of 256: a block's first state is E times the
+  state before it, and the block is filled from it in doubling sweeps,
+  states [h, 2h) as E^h times states [0, h), so 8 batched matmuls step
+  255 states. The states are rebuilt as matrices into one reused buffer
+  by way of one work buffer, both allocated once per run: one matmul
+  with the basis per part writes each state's entries on and below the
+  diagonal, and one gather writes them and their mirror images into the
+  block. So a consumer that reduces each block, as ``spinstab ode`` does,
+  holds one block at a time however long the horizon, while
+  ``integrate_ensemble`` copies every block into one (K+1, N, N) array.
 
 Trajectories are deterministic functions of their inputs: the Wiener
 increments come from a counter-based generator keyed by
@@ -549,10 +553,14 @@ def _rank_blocks(u, ops: SpinOperators, basis: np.ndarray) -> np.ndarray:
     return read[:, q % 3].transpose(0, 2, 3, 1) * inside
 
 
-def _flow_map(u, dt_ode: float, ops: SpinOperators,
-              basis: np.ndarray) -> np.ndarray:
-    """E = exp(dt_ode L) under the constant input u on the blocks of
-    ``_rank_blocks``, which it pads with the identity.
+def _flow_map(u, dt_ode: float, ops: SpinOperators, basis: np.ndarray,
+              n_parts: int = 2) -> np.ndarray:
+    """E = exp(dt_ode L) under the constant input u on the first
+    ``n_parts`` parts of ``_rank_blocks``, which it pads with the
+    identity: the symmetric blocks, which are all a real state needs,
+    and for ``n_parts`` = 2 the antisymmetric ones too. ``_expm`` scales
+    and squares each block by its own exponent, so each block of E is the
+    same for either ``n_parts``.
 
     L_k + L_k^T = -diag(q^2) <= 0, so |E_k|_2 <= 1 for every dt_ode and u.
     Round-off in E grows with |dt_ode L_k|, as any evaluation of exp's
@@ -561,10 +569,11 @@ def _flow_map(u, dt_ode: float, ops: SpinOperators,
     times it: at J = 10 and dt_ode = 0.01, from eigenstate 1 over 201
     states, it is -5.8e-12 at u = 1e4, -9.6e-8 at 1e8 and -1.7e-3 at 1e12.
     Raises NumericalFailureError, stamped with the first step's time,
-    unless E is finite and each |E_k|_2 <= 1 up to round-off.
+    unless each block it forms is finite with |E_k|_2 <= 1 up to
+    round-off.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        flow = _expm(dt_ode * _rank_blocks(u, ops, basis))
+        flow = _expm(dt_ode * _rank_blocks(u, ops, basis)[:n_parts])
     if not np.isfinite(flow).all():
         raise _failed_at(NumericalFailureError(
             "exp(dt_ode L) has non-finite entries"), dt_ode)
@@ -575,20 +584,45 @@ def _flow_map(u, dt_ode: float, ops: SpinOperators,
     return flow
 
 
-def _rebuilt(coef: np.ndarray, basis: np.ndarray, out: np.ndarray) -> None:
+def _mirror(n: int, n_parts: int) -> tuple[np.ndarray, np.ndarray]:
+    """(gather, sign) for ``_rebuilt`` at N = ``n``, built once per run.
+
+    A state's ``n_parts`` parts of its entries on and below the diagonal
+    lie part after part, diagonal q after diagonal, entry (p + q, p) at
+    p + q N. ``gather`` lists, for each entry (i, j) in row-major order
+    and for each part within it, where that part's value lies: entry
+    (|i - j|, min(i, j)) of its diagonals. ``sign`` is sign(i - j), the
+    sign the imaginary part takes across the diagonal.
+    """
+    i, j = np.indices((n, n))
+    mirror = abs(i - j) * n + np.minimum(i, j)
+    gather = (mirror[..., None] + n * n * np.arange(n_parts)).ravel()
+    return gather, np.sign(i - j)
+
+
+def _rebuilt(coef: np.ndarray, basis: np.ndarray, gather: np.ndarray,
+             sign: np.ndarray, work: np.ndarray, out: np.ndarray) -> None:
     """Write into ``out`` (S, N, N) the matrices of the rank coefficients
     ``coef`` (P, k, q, S) of their real part and, for P = 2, their
-    imaginary part: one matmul with the basis gives the entries on and
-    below the diagonal, and the rest are their mirror images, so each
-    matrix is exactly symmetric or Hermitian."""
-    parts, n, _, s = coef.shape
-    i, j = np.indices((n, n))
-    mirror = (abs(i - j) * n + np.minimum(i, j)).ravel()
-    # the imaginary part changes sign across the diagonal
-    parity = np.stack([np.ones(n * n), np.sign(i - j).ravel()], axis=1)
-    lower = basis @ coef.transpose(2, 1, 3, 0).reshape(n, n, -1)
-    np.multiply(lower.reshape(n * n, s, parts)[mirror].transpose(1, 0, 2),
-                parity[:, :parts], out=out.view(float).reshape(s, n * n, -1))
+    imaginary part, by way of the run's ``work`` buffer (>= S, P, N, N)
+    and ``_mirror``'s ``gather`` and ``sign``.
+
+    For each part, one matmul with the basis writes every state's entries
+    on and below the diagonal into ``work``, each state's together; one
+    ``take`` through ``gather`` writes every entry of every state into
+    ``out``, the rest being mirror images of those; and the imaginary
+    part is multiplied by ``sign``. So each matrix is exactly symmetric
+    or Hermitian, and nothing the size of a block is allocated.
+    """
+    s = coef.shape[-1]
+    work = work[:s]
+    for part, c in enumerate(coef):
+        np.matmul(c.transpose(1, 2, 0), basis.transpose(0, 2, 1),
+                  out=work[:, part].transpose(1, 0, 2))
+    np.take(work.reshape(s, -1), gather, axis=1, mode="clip",
+            out=out.view(float).reshape(s, -1))
+    if len(coef) == 2:
+        np.multiply(out.imag, sign, out=out.imag)
 
 
 def _flow_blocks(rho0, control, T: float, dt_ode: float):
@@ -606,8 +640,10 @@ def _flow_blocks(rho0, control, T: float, dt_ode: float):
     last state before it, and the block is filled from it by doubling
     sweeps with the powers E^(2^j), formed once per run: states [h, 2h) are
     E^h times states [0, h), one batched matmul each, so a block of 256
-    states takes 8 of them. A block's states are rebuilt at once
-    (``_rebuilt``).
+    states takes 8 of them. A real state steps only the symmetric blocks
+    of E. A block's states are rebuilt at once (``_rebuilt``) through a
+    work buffer and ``_mirror``'s index, which each generator allocates
+    and builds once, so two runs never share them.
     """
     n_steps = _step_count(T, dt_ode, "dt_ode")
     rho = _checked_rho0(rho0, control.ops)
@@ -616,13 +652,15 @@ def _flow_blocks(rho0, control, T: float, dt_ode: float):
                      else [rho])
     size = min(_FLOW_BLOCK, n_steps + 1)
     # E^(2^j) for each 2^j < size
-    powers = [_flow_map(control.u, dt_ode, control.ops, basis)[:len(parts)]]
+    powers = [_flow_map(control.u, dt_ode, control.ops, basis, len(parts))]
     while 2 ** len(powers) < size:
         powers.append(powers[-1] @ powers[-1])
 
     def blocks():
         coef = np.empty((*parts.shape, size))
         buf = np.empty((size, *rho.shape), rho.dtype)
+        work = np.empty((size, *parts.shape))
+        gather, sign = _mirror(len(rho), len(parts))
         coef[..., 0] = _coefficients(parts, basis)
         for lo in range(0, n_steps + 1, size):
             n_block = min(size, n_steps + 1 - lo)
@@ -635,7 +673,8 @@ def _flow_blocks(rho0, control, T: float, dt_ode: float):
                 m = min(have, n_block - have)
                 np.matmul(power, coef[..., :m], out=coef[..., have:have + m])
                 have += m
-            _rebuilt(coef[..., :n_block], basis, buf[:n_block])
+            _rebuilt(coef[..., :n_block], basis, gather, sign, work,
+                     buf[:n_block])
             if not lo:
                 buf[0] = rho
             yield buf[:n_block]

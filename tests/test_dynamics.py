@@ -580,6 +580,42 @@ class TestEnsembleOde:
         assert len(seen) == 5
         assert all(s == before for s in seen), seen
 
+    def test_two_runs_consumed_alternately_keep_their_own_buffers(self):
+        # a real start at N = 21 and a complex one at N = 41, 300 states
+        # each, so both rebuild a second block into their buffers; taken
+        # block by block in turn, each run yields what it yields alone
+        starts = []
+        for J, complex_ in [(10, False), (20, True)]:
+            ops = make_spin_operators(J)
+            rho0 = random_density(ops.dim, np.random.default_rng(J))
+            if not complex_:
+                rho0 = rho0.real.copy()
+            starts.append((rho0, ConstantInput(-3.0, 1, ops), 2.99, 1e-2))
+        (n_a, run_a), (n_b, run_b) = (dynamics._flow_blocks(*args)
+                                      for args in starts)
+        assert n_a == n_b == 300
+        got = ([], [])
+        for a, b in zip(run_a, run_b, strict=True):
+            got[0].append(a.copy())
+            got[1].append(b.copy())
+        for args, blocks, complex_ in zip(starts, got, (False, True)):
+            assert [len(b) for b in blocks] == [256, 44]
+            alone = integrate_ensemble(*args).states
+            assert np.iscomplexobj(alone) == complex_
+            np.testing.assert_array_equal(np.concatenate(blocks), alone)
+
+    @pytest.mark.parametrize("J", [1, 10, 20])
+    def test_map_of_one_part_is_part_0_of_the_map_of_two(self, J):
+        # a real run forms only the symmetric blocks of E; each block is
+        # scaled and squared by its own exponent, so they are the same bits
+        ops = make_spin_operators(J)
+        basis = dynamics._rank_basis(ops)
+        for u in (0.0, 1.0, 30.0, 1e4):
+            one = dynamics._flow_map(u, 1e-2, ops, basis, 1)
+            two = dynamics._flow_map(u, 1e-2, ops, basis)
+            assert one.shape == (1, *two.shape[1:]) == (1, *(ops.dim,) * 3)
+            np.testing.assert_array_equal(one[0], two[0], err_msg=f"u={u}")
+
 
 class TestStepCount:
     """``_step_count`` is where both integrators turn (T, dt) into steps."""
