@@ -9,7 +9,8 @@ and writes those fields, resolved, next to its outputs in canonical form
 (``config.json``), so every artifact is reproducible from its own
 directory. One writer, ``_write_csv``, exports every CSV: numbers carry 17
 significant digits (``_FLOAT``), mode labels are written as they are, and
-the rows are streamed from whole columns, without per-value Python calls.
+each chunk of rows is one ``%`` format of a row template, without
+per-value Python calls.
 
 The library checks every value it is given; the commands map its errors
 to exit codes in one place. Exit codes: 0 success; 2 configuration error,
@@ -33,19 +34,13 @@ import click
 import numpy as np
 
 from .controller import ConstantInput, new_controller
-from .dynamics import (EPS_CONV, SdeStepConfig, _flow_blocks, _records_fit,
+from .dynamics import (EPS_CONV, SdeStepConfig, _flow_distances,
                        simulate_batch)
-# ``ode`` steps through ``_flow_blocks``; ``integrate_ensemble`` stays a
+# ``ode`` steps through ``_flow_distances``; ``integrate_ensemble`` stays a
 # module attribute because bench/tracing.py wraps it under this name.
 from .dynamics import integrate_ensemble  # noqa: F401
 from .montecarlo import estimate_exit_time, run_ensemble
-from .quantum import (
-    NumericalFailureError,
-    distance_V,
-    eigenstate,
-    lyapunov_Q,
-    make_spin_operators,
-)
+from .quantum import NumericalFailureError, eigenstate, make_spin_operators
 
 __all__ = ["SimConfig", "PRESETS", "load_config", "canonical_json", "main"]
 
@@ -223,8 +218,8 @@ def _parse_control(cfg: SimConfig, ops):
 
 # The number format of every CSV field: 17 significant digits read back as
 # the same double.
-_FLOAT = "{:.17g}"
-_fmt = _FLOAT.format
+_FLOAT = "%.17g"
+_fmt = _FLOAT.__mod__
 
 # Rows that _write_csv turns into Python values at a time, so that its
 # memory does not grow with the file.
@@ -235,18 +230,23 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
     """Write equal-length 1-D arrays as the columns under ``header``.
 
     A number column is formatted by ``_FLOAT``, a column of words (the mode
-    labels) as it is; no field needs quoting. Each row is one format of one
-    template, the rows are streamed ``_CSV_ROWS`` at a time, and lines end
-    in CRLF, so the bytes are those of ``csv.writer`` writing ``_fmt``
-    fields.
+    labels) as it is; no field needs quoting. The rows are streamed
+    ``_CSV_ROWS`` at a time, each chunk one ``%`` of the row template
+    repeated once per row, and lines end in CRLF, so the bytes are those of
+    ``csv.writer`` writing ``_fmt`` fields.
     """
-    template = ",".join("{}" if col.dtype.kind == "U" else _FLOAT
-                        for col in columns) + "\r\n"
+    width = len(columns)
+    row = ",".join("%s" if col.dtype.kind == "U" else _FLOAT
+                   for col in columns) + "\r\n"
     with path.open("w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for lo in range(0, len(columns[0]), _CSV_ROWS):
-            rows = (col[lo:lo + _CSV_ROWS].tolist() for col in columns)
-            fh.writelines(map(template.format, *rows))
+            n = min(_CSV_ROWS, len(columns[0]) - lo)
+            # the chunk's values row by row
+            values = [None] * (n * width)
+            for j, col in enumerate(columns):
+                values[j::width] = col[lo:lo + n].tolist()
+            fh.write(row * n % tuple(values))
 
 
 def _prepare_output(cfg: SimConfig, keys) -> Path:
@@ -359,22 +359,13 @@ def ode(preset, config_path, **overrides):
     cfg = load_config(preset, config_path, overrides)
     with _library_errors():
         ops, rho0 = _resolve(cfg)
-        control = ConstantInput(cfg.u_ode, cfg.f, ops)
-        n_states, blocks = _flow_blocks(rho0, control, cfg.T, cfg.dt_ode)
-        with _records_fit(cfg.T, cfg.dt_ode, "dt_ode", n_states):
-            V, Q = np.empty((2, n_states))
-        # Each block is reduced before the next overwrites it.
-        lo = 0
-        for block in blocks:
-            hi = lo + len(block)
-            V[lo:hi] = distance_V(block, cfg.f)
-            Q[lo:hi] = lyapunov_Q(block)
-            lo = hi
+        V, Q = _flow_distances(rho0, ConstantInput(cfg.u_ode, cfg.f, ops),
+                               cfg.T, cfg.dt_ode)
         # |rho - I/N|_F, the square root of Q as it is summed
         dist = np.sqrt(Q)
     out = _prepare_output(cfg, overrides)
     _write_csv(out / "ode.csv", ["t", "V", "Q", "mm_dist"],
-               [np.arange(n_states) * cfg.dt_ode, V, Q, dist])
+               [np.arange(len(Q)) * cfg.dt_ode, V, Q, dist])
     click.echo(f"final |rho_bar - I/{ops.dim}|_F = {dist[-1]:.6e}")
 
 

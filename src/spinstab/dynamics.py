@@ -23,13 +23,17 @@ Two integrators live here:
   coefficients in blocks of 256: a block's first state is E times the
   state before it, and the block is filled from it in doubling sweeps,
   states [h, 2h) as E^h times states [0, h), so 8 batched matmuls step
-  255 states. The states are rebuilt as matrices into one reused buffer
-  by way of one work buffer, both allocated once per run: one matmul
-  with the basis per part writes each state's entries on and below the
-  diagonal, and one gather writes them and their mirror images into the
-  block. So a consumer that reduces each block, as ``spinstab ode`` does,
-  holds one block at a time however long the horizon, while
-  ``integrate_ensemble`` copies every block into one (K+1, N, N) array.
+  255 states. One generator steps these coefficient blocks
+  (``_flow_coefficients``), and two consumers read them.
+  ``spinstab ode`` reduces each block to V and Q directly
+  (``_flow_distances``): both are linear or quadratic in the coefficients
+  of an orthonormal basis, so no matrix is formed. ``integrate_ensemble``
+  rebuilds each block as matrices (``_flow_blocks``) into one reused
+  buffer by way of one work buffer, both allocated once per run: one
+  matmul with the basis per part writes each state's entries on and below
+  the diagonal, and one gather writes them and their mirror images into
+  the block, which it copies into one (K+1, N, N) array. Either consumer
+  holds one block of coefficients at a time however long the horizon.
 
 Trajectories are deterministic functions of their inputs: the Wiener
 increments come from a counter-based generator keyed by
@@ -450,9 +454,9 @@ def simulate_batch(rho0, control, T: float, cfg: SdeStepConfig,
     return records
 
 
-# Grid states per block of the averaged flow (``_flow_blocks``). A consumer
-# reduces each block before the next is stepped into the same buffer, so a
-# run's working memory does not grow with T.
+# Grid states per block of the averaged flow (``_flow_coefficients``). A
+# consumer reduces each block before the next is stepped into the same
+# buffer, so a run's working memory does not grow with T.
 _FLOW_BLOCK = 256
 
 # Round-off allowed above 1 in the spectral norm of exp(dt_ode L_k), which
@@ -625,25 +629,22 @@ def _rebuilt(coef: np.ndarray, basis: np.ndarray, gather: np.ndarray,
         np.multiply(out.imag, sign, out=out.imag)
 
 
-def _flow_blocks(rho0, control, T: float, dt_ode: float):
-    """(K + 1, blocks): the number of grid states of the averaged dynamics
-    under a ConstantInput's u, and a generator of those states in order,
-    in blocks of at most ``_FLOW_BLOCK``.
+def _flow_coefficients(rho0, control, T: float, dt_ode: float):
+    """(K + 1, rho, basis, blocks): the number of grid states of the
+    averaged dynamics under a ConstantInput's u, ``_checked_rho0``'s
+    ``rho0``, the rank basis, and a generator of the states' rank
+    coefficients in order, in blocks of at most ``_FLOW_BLOCK``.
 
     Every check runs before this returns, so a rejected run steps nothing:
     the step count, ``rho0`` and the map (``_flow_map``). Each block is a
-    (<= _FLOW_BLOCK, N, N) view of one buffer that the next block
-    overwrites, in the dtype ``_checked_rho0`` picks. State 0 is that
-    function's ``rho0``. The states are held as the rank coefficients
-    (P, k, q, S) of the real part, and of the imaginary part of a complex
-    state, with the state index last. A block's first state is E times the
-    last state before it, and the block is filled from it by doubling
-    sweeps with the powers E^(2^j), formed once per run: states [h, 2h) are
-    E^h times states [0, h), one batched matmul each, so a block of 256
-    states takes 8 of them. A real state steps only the symmetric blocks
-    of E. A block's states are rebuilt at once (``_rebuilt``) through a
-    work buffer and ``_mirror``'s index, which each generator allocates
-    and builds once, so two runs never share them.
+    (P, k, q, <= _FLOW_BLOCK) view of one buffer that the next block
+    overwrites: the coefficients of the real part and, for a complex
+    state, of the imaginary part, with the state index last. A block's
+    first state is E times the last state before it, and the block is
+    filled from it by doubling sweeps with the powers E^(2^j), formed once
+    per run: states [h, 2h) are E^h times states [0, h), one batched
+    matmul each, so a block of 256 states takes 8 of them. A real state
+    steps only the symmetric blocks of E.
     """
     n_steps = _step_count(T, dt_ode, "dt_ode")
     rho = _checked_rho0(rho0, control.ops)
@@ -658,9 +659,6 @@ def _flow_blocks(rho0, control, T: float, dt_ode: float):
 
     def blocks():
         coef = np.empty((*parts.shape, size))
-        buf = np.empty((size, *rho.shape), rho.dtype)
-        work = np.empty((size, *parts.shape))
-        gather, sign = _mirror(len(rho), len(parts))
         coef[..., 0] = _coefficients(parts, basis)
         for lo in range(0, n_steps + 1, size):
             n_block = min(size, n_steps + 1 - lo)
@@ -673,13 +671,74 @@ def _flow_blocks(rho0, control, T: float, dt_ode: float):
                 m = min(have, n_block - have)
                 np.matmul(power, coef[..., :m], out=coef[..., have:have + m])
                 have += m
-            _rebuilt(coef[..., :n_block], basis, gather, sign, work,
-                     buf[:n_block])
-            if not lo:
+            yield coef[..., :n_block]
+
+    return n_steps + 1, rho, basis, blocks()
+
+
+def _flow_blocks(rho0, control, T: float, dt_ode: float):
+    """(K + 1, blocks): ``_flow_coefficients``' states rebuilt as matrices,
+    in blocks of at most ``_FLOW_BLOCK``.
+
+    Each block is a (<= _FLOW_BLOCK, N, N) view of one buffer that the
+    next block overwrites, in the dtype ``_checked_rho0`` picks; state 0
+    is that function's ``rho0``. A block's states are rebuilt at once
+    (``_rebuilt``) through a work buffer and ``_mirror``'s index, which
+    each generator allocates and builds once, so two runs never share
+    them.
+    """
+    n_states, rho, basis, coefs = _flow_coefficients(rho0, control, T,
+                                                     dt_ode)
+
+    def blocks():
+        size = min(_FLOW_BLOCK, n_states)
+        n_parts = 2 if np.iscomplexobj(rho) else 1
+        buf = np.empty((size, *rho.shape), rho.dtype)
+        work = np.empty((size, n_parts, *rho.shape))
+        gather, sign = _mirror(len(rho), n_parts)
+        for i, coef in enumerate(coefs):
+            n_block = coef.shape[-1]
+            _rebuilt(coef, basis, gather, sign, work, buf[:n_block])
+            if not i:
                 buf[0] = rho
             yield buf[:n_block]
 
-    return n_steps + 1, blocks()
+    return n_states, blocks()
+
+
+def _flow_distances(rho0, control, T: float, dt_ode: float):
+    """(V, Q): ``distance_V`` and ``lyapunov_Q`` of every grid state of the
+    averaged dynamics, read from ``_flow_coefficients``' blocks with no
+    matrix rebuilt.
+
+    The diagonal entry (f, f) lies in the symmetric part's q = 0
+    coefficients, so V = 1 - basis[0, f - 1] . c[0, :, 0], clipped to
+    [0, 1] as ``distance_V`` clips it. The basis is orthonormal and its
+    one rank-0 matrix is I/sqrt(N) up to sign, so Q = |rho - I/N|_F^2 is
+    the sum of c^2 over the ranks k >= 1 of both parts plus the square of
+    the rank-0 coefficient's distance from that of I/N; that term stays
+    what it is at the start, as E_0 = 1, and holds the start's trace
+    error. No I/N is subtracted from a matrix's entries, so Q keeps its
+    digits as rho nears I/N. Raises as ``_flow_coefficients`` does, and
+    ValueError if the grid's V and Q are too many for memory.
+    """
+    n_states, _, basis, blocks = _flow_coefficients(rho0, control, T,
+                                                    dt_ode)
+    with _records_fit(T, dt_ode, "dt_ode", n_states):
+        V, Q = np.empty((2, n_states))
+    row = basis[0, control.f - 1]
+    # I/N's coefficient on the rank-0 matrix
+    mixed = basis[0, :, 0].sum() / len(basis)
+    lo = 0
+    for coef in blocks:
+        hi = lo + coef.shape[-1]
+        np.matmul(row, coef[0, :, 0], out=V[lo:hi])
+        ranks = coef[:, 1:]
+        np.einsum("pkqs,pkqs->s", ranks, ranks, out=Q[lo:hi])
+        Q[lo:hi] += np.square(coef[0, 0, 0] - mixed)
+        lo = hi
+    np.subtract(1.0, V, out=V)
+    return np.clip(V, 0.0, 1.0, out=V), Q
 
 
 def integrate_ensemble(rho0, control, T: float,

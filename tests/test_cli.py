@@ -97,6 +97,21 @@ def assert_mm_dist_is_the_distance_to_mixed(rows, states):
                                atol=0)
 
 
+def assert_rows_are_the_diagnostics_of(rows, traj, f):
+    """ode.csv's rows against ``integrate_ensemble``'s states: the t column
+    and the row count exactly, V and Q, which ode reads from the rank
+    coefficients, within |dV| <= 2e-15 and |dQ| <= 1e-14 + 1e-12 Q of
+    ``distance_V`` and ``lyapunov_Q`` of the rebuilt matrices, and each
+    mm_dist the square root of its row's Q field."""
+    assert len(rows) == len(traj.states)
+    assert [r[0] for r in rows] == [_fmt(t) for t in traj.times]
+    got = np.array(rows, dtype=float)
+    V, Q = distance_V(traj.states, f), lyapunov_Q(traj.states)
+    assert np.abs(got[:, 1] - V).max() <= 2e-15
+    assert np.all(np.abs(got[:, 2] - Q) <= 1e-14 + 1e-12 * Q)
+    assert [r[3] for r in rows] == [_fmt(math.sqrt(float(r[2]))) for r in rows]
+
+
 class TestCsvWriter:
     def test_bytes_equal_csv_writer_of_formatted_fields(self, tmp_path):
         # the oracle: csv.writer over _fmt-formatted numbers and the words
@@ -116,6 +131,25 @@ class TestCsvWriter:
         got = (tmp_path / "got.csv").read_bytes()
         assert got == (tmp_path / "want.csv").read_bytes()
         assert got.split(b"\r\n")[1] == b"-0,123456789.125,0,feedback"
+
+    @pytest.mark.parametrize("n_rows", [1023, 1024, 1025, 2049])
+    def test_chunk_edges_equal_csv_writer(self, tmp_path, n_rows):
+        # _write_csv formats 1,024 rows at a time; one chunk short of an
+        # edge, on it, one row past it and one past the second
+        rng = np.random.default_rng(n_rows)
+        t = np.arange(n_rows) * 1e-2
+        cols = [t, rng.random(n_rows), rng.normal(size=n_rows) * 1e-300,
+                np.where(rng.random(n_rows) < 0.5, "feedback", "constant")]
+        header = ["t", "V", "u", "mode"]
+        _write_csv(tmp_path / "got.csv", header, cols)
+        with (tmp_path / "want.csv").open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows([_fmt(a), _fmt(b), _fmt(c), m]
+                             for a, b, c, m in zip(*cols))
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert got.count(b"\r\n") == n_rows + 1
 
 
 class TestConfig:
@@ -416,7 +450,7 @@ class TestOdeCommand:
         def must_not_run(*a, **k):
             raise AssertionError("stepped with a target outside 1..N")
 
-        monkeypatch.setattr(cli_mod, "_flow_blocks", must_not_run)
+        monkeypatch.setattr(cli_mod, "_flow_distances", must_not_run)
         out = tmp_path / "o"
         res = RUNNER.invoke(main, ["ode", "--J", "10", "--f", "99",
                                    "--T", "80", "-o", str(out)])
@@ -444,11 +478,8 @@ class TestOdeCommand:
         ops = make_spin_operators(1)
         traj = integrate_ensemble(eigenstate(ops, 1),
                                   ConstantInput(1.0, 3, ops), 2.0, 0.01)
-        want = [[_fmt(t), _fmt(distance_V(st, 3)), _fmt(lyapunov_Q(st)),
-                 _fmt(math.sqrt(lyapunov_Q(st)))]
-                for t, st in zip(traj.times, traj.states)]
         _, rows = read_csv(tmp_path / "ode.csv")
-        assert rows == want
+        assert_rows_are_the_diagnostics_of(rows, traj, 3)
         assert_mm_dist_is_the_distance_to_mixed(rows, traj.states)
 
     @pytest.mark.parametrize("T, n_rows, complex_", [
@@ -456,8 +487,8 @@ class TestOdeCommand:
         ("5.12", 513, False), ("2.56", 257, True)])
     def test_columns_are_the_library_diagnostics_across_block_edges(
             self, tmp_path, T, n_rows, complex_):
-        # ode reduces the states in blocks of 256; each row must still equal
-        # the per-row diagnostics of integrate_ensemble's states, bit for bit
+        # ode reduces the coefficients in blocks of 256; each row must still
+        # be the diagnostics of integrate_ensemble's states, to round-off
         ops = make_spin_operators(1)
         rho0, initial = eigenstate(ops, 1), "1"
         if complex_:
@@ -472,12 +503,9 @@ class TestOdeCommand:
         traj = integrate_ensemble(rho0, ConstantInput(1.0, 3, ops), float(T),
                                   0.01)
         assert traj.states.dtype == (complex if complex_ else float)
-        want = [[_fmt(t), _fmt(distance_V(st, 3)), _fmt(lyapunov_Q(st)),
-                 _fmt(math.sqrt(lyapunov_Q(st)))]
-                for t, st in zip(traj.times, traj.states)]
         _, rows = read_csv(tmp_path / "o" / "ode.csv")
         assert len(rows) == n_rows
-        assert rows == want
+        assert_rows_are_the_diagnostics_of(rows, traj, 3)
         assert_mm_dist_is_the_distance_to_mixed(rows, traj.states)
 
     @pytest.mark.skipif(sys.platform != "linux",

@@ -21,6 +21,7 @@ from spinstab.montecarlo import estimate_exit_time, run_ensemble
 from spinstab.quantum import (
     NumericalFailureError,
     _dag,
+    distance_V,
     eigenstate,
     lyapunov_Q,
     make_spin_operators,
@@ -615,6 +616,45 @@ class TestEnsembleOde:
             two = dynamics._flow_map(u, 1e-2, ops, basis)
             assert one.shape == (1, *two.shape[1:]) == (1, *(ops.dim,) * 3)
             np.testing.assert_array_equal(one[0], two[0], err_msg=f"u={u}")
+
+    @pytest.mark.parametrize("J", [1, 10, 20])
+    def test_distances_from_the_coefficients_are_the_dense_expm_ones(self, J):
+        # ode reads V and Q from the rank coefficients, never from matrices.
+        # L maps real matrices to real ones, so the real start's oracle
+        # states are the real parts of the complex start's: one dense
+        # exp(dt L) serves both. The counts end a block on a partial sweep
+        # (255), on a full one (256) and one state past an edge (257, 513).
+        # V is held to 1e-14, not the 2e-15 ode is held to against
+        # integrate_ensemble: at N = 3 the oracle's own V drifts 5.7e-15
+        # from a 40-digit exp(dt L) over 512 steps, the coefficients' 5.6e-16.
+        ops = make_spin_operators(J)
+        rho0 = random_density(ops.dim, np.random.default_rng(J))
+        oracle = expm_states(rho0, -3.0, 1e-2, 512, ops)
+        for complex_ in (False, True):
+            start, want = (rho0, oracle) if complex_ else (rho0.real,
+                                                           oracle.real)
+            want_V, want_Q = distance_V(want, J + 1), lyapunov_Q(want)
+            for n_states in (255, 256, 257, 513):
+                V, Q = dynamics._flow_distances(
+                    start, ConstantInput(-3.0, J + 1, ops),
+                    (n_states - 1) * 1e-2, 1e-2)
+                assert len(V) == len(Q) == n_states
+                assert np.abs(V - want_V[:n_states]).max() <= 1e-14
+                q = want_Q[:n_states]
+                assert np.all(np.abs(Q - q) <= 1e-14 + 1e-12 * q)
+                assert np.all(np.diff(Q) <= 1e-12)
+
+    def test_q_keeps_the_distance_of_a_start_whose_trace_is_off(self):
+        # (1 + 1e-10) I/3 passes the entry checks and is a fixed point of
+        # the flow; its whole distance from I/N, 3.3e-21, lies in the
+        # rank-0 coefficient, which ode adds to the ranks k >= 1. The
+        # defect 1e-10 holds only 6 digits of a double, so Q is held to 1e-4.
+        start = (1 + 1e-10) * np.eye(3) / 3
+        V, Q = dynamics._flow_distances(start, self.drive, 2.99, 1e-2)
+        assert len(Q) == 300
+        np.testing.assert_allclose(Q, lyapunov_Q(start), rtol=1e-4)
+        np.testing.assert_allclose(V, distance_V(start, 3), rtol=0,
+                                   atol=1e-15)
 
 
 class TestStepCount:
