@@ -28,12 +28,12 @@ Two integrators live here:
   ``spinstab ode`` reduces each block to V and Q directly
   (``_flow_distances``): both are linear or quadratic in the coefficients
   of an orthonormal basis, so no matrix is formed. ``integrate_ensemble``
-  rebuilds each block as matrices (``_flow_blocks``) into one reused
-  buffer by way of one work buffer, both allocated once per run: one
-  matmul with the basis per part writes each state's entries on and below
-  the diagonal, and one gather writes them and their mirror images into
-  the block, which it copies into one (K+1, N, N) array. Either consumer
-  holds one block of coefficients at a time however long the horizon.
+  allocates its (K+1, N, N) array of states first and rebuilds each block
+  straight into its own slice of it (``_rebuilt``): per part, one matmul
+  with the basis gives each state's entries on and below the diagonal,
+  and every entry is read from its mirror image there, the imaginary part
+  taking sign(i - j). Either consumer holds one block of coefficients at
+  a time however long the horizon.
 
 Trajectories are deterministic functions of their inputs: the Wiener
 increments come from a counter-based generator keyed by
@@ -588,45 +588,26 @@ def _flow_map(u, dt_ode: float, ops: SpinOperators, basis: np.ndarray,
     return flow
 
 
-def _mirror(n: int, n_parts: int) -> tuple[np.ndarray, np.ndarray]:
-    """(gather, sign) for ``_rebuilt`` at N = ``n``, built once per run.
-
-    A state's ``n_parts`` parts of its entries on and below the diagonal
-    lie part after part, diagonal q after diagonal, entry (p + q, p) at
-    p + q N. ``gather`` lists, for each entry (i, j) in row-major order
-    and for each part within it, where that part's value lies: entry
-    (|i - j|, min(i, j)) of its diagonals. ``sign`` is sign(i - j), the
-    sign the imaginary part takes across the diagonal.
-    """
-    i, j = np.indices((n, n))
-    mirror = abs(i - j) * n + np.minimum(i, j)
-    gather = (mirror[..., None] + n * n * np.arange(n_parts)).ravel()
-    return gather, np.sign(i - j)
-
-
-def _rebuilt(coef: np.ndarray, basis: np.ndarray, gather: np.ndarray,
-             sign: np.ndarray, work: np.ndarray, out: np.ndarray) -> None:
+def _rebuilt(coef: np.ndarray, basis: np.ndarray, out: np.ndarray) -> None:
     """Write into ``out`` (S, N, N) the matrices of the rank coefficients
     ``coef`` (P, k, q, S) of their real part and, for P = 2, their
-    imaginary part, by way of the run's ``work`` buffer (>= S, P, N, N)
-    and ``_mirror``'s ``gather`` and ``sign``.
+    imaginary part.
 
-    For each part, one matmul with the basis writes every state's entries
-    on and below the diagonal into ``work``, each state's together; one
-    ``take`` through ``gather`` writes every entry of every state into
-    ``out``, the rest being mirror images of those; and the imaginary
-    part is multiplied by ``sign``. So each matrix is exactly symmetric
-    or Hermitian, and nothing the size of a block is allocated.
+    For each part, one matmul with the basis gives every state's entries
+    on and below the diagonal, entry (p + q, p) at [q, state, p]; every
+    entry (i, j) of ``out`` is read from entry (|i - j|, min(i, j)), and
+    the imaginary part is multiplied by sign(i - j). So each matrix is
+    exactly symmetric or Hermitian.
     """
-    s = coef.shape[-1]
-    work = work[:s]
+    n = len(basis)
+    i, j = np.indices((n, n))
     for part, c in enumerate(coef):
-        np.matmul(c.transpose(1, 2, 0), basis.transpose(0, 2, 1),
-                  out=work[:, part].transpose(1, 0, 2))
-    np.take(work.reshape(s, -1), gather, axis=1, mode="clip",
-            out=out.view(float).reshape(s, -1))
-    if len(coef) == 2:
-        np.multiply(out.imag, sign, out=out.imag)
+        rows = np.matmul(c.transpose(1, 2, 0), basis.transpose(0, 2, 1))
+        values = rows.transpose(1, 0, 2)[:, abs(i - j), np.minimum(i, j)]
+        if part:
+            np.multiply(values, np.sign(i - j), out=out.imag)
+        else:
+            out.real[...] = values
 
 
 def _flow_coefficients(rho0, control, T: float, dt_ode: float):
@@ -676,36 +657,6 @@ def _flow_coefficients(rho0, control, T: float, dt_ode: float):
     return n_steps + 1, rho, basis, blocks()
 
 
-def _flow_blocks(rho0, control, T: float, dt_ode: float):
-    """(K + 1, blocks): ``_flow_coefficients``' states rebuilt as matrices,
-    in blocks of at most ``_FLOW_BLOCK``.
-
-    Each block is a (<= _FLOW_BLOCK, N, N) view of one buffer that the
-    next block overwrites, in the dtype ``_checked_rho0`` picks; state 0
-    is that function's ``rho0``. A block's states are rebuilt at once
-    (``_rebuilt``) through a work buffer and ``_mirror``'s index, which
-    each generator allocates and builds once, so two runs never share
-    them.
-    """
-    n_states, rho, basis, coefs = _flow_coefficients(rho0, control, T,
-                                                     dt_ode)
-
-    def blocks():
-        size = min(_FLOW_BLOCK, n_states)
-        n_parts = 2 if np.iscomplexobj(rho) else 1
-        buf = np.empty((size, *rho.shape), rho.dtype)
-        work = np.empty((size, n_parts, *rho.shape))
-        gather, sign = _mirror(len(rho), n_parts)
-        for i, coef in enumerate(coefs):
-            n_block = coef.shape[-1]
-            _rebuilt(coef, basis, gather, sign, work, buf[:n_block])
-            if not i:
-                buf[0] = rho
-            yield buf[:n_block]
-
-    return n_states, blocks()
-
-
 def _flow_distances(rho0, control, T: float, dt_ode: float):
     """(V, Q): ``distance_V`` and ``lyapunov_Q`` of every grid state of the
     averaged dynamics, read from ``_flow_coefficients``' blocks with no
@@ -748,25 +699,27 @@ def integrate_ensemble(rho0, control, T: float,
 
     Under a constant u the averaged flow is linear, d rho/dt = L rho, and a
     Lindblad semigroup: exp(t L) keeps every state a state for every t, so
-    no ``dt_ode`` or u needs a bound and no state is projected. The states
-    are stepped in blocks (``_flow_blocks``) and copied into one read-only
-    (K+1, N, N) array, float64 for a ``rho0`` with a zero imaginary part
-    and complex128 otherwise. With any nonzero u the trajectory approaches
-    I/N as T grows.
+    no ``dt_ode`` or u needs a bound and no state is projected. The
+    read-only (K+1, N, N) array of states, float64 for a ``rho0`` with a
+    zero imaginary part and complex128 otherwise, is allocated first, and
+    each block of ``_flow_coefficients`` is rebuilt into its own slice of
+    it (``_rebuilt``), every state exactly Hermitian. With any nonzero u
+    the trajectory approaches I/N as T grows.
 
     Raises ValueError for an input outside its range, ``rho0`` included,
     or for grid states too many for memory, and NumericalFailureError,
     with the time of the first step, if E is not finite or grows a mode,
     as an overflowing u makes it.
     """
-    n_states, blocks = _flow_blocks(rho0, control, T, dt_ode)
-    first = next(blocks)
+    n_states, rho, basis, blocks = _flow_coefficients(rho0, control, T,
+                                                      dt_ode)
     with _records_fit(T, dt_ode, "dt_ode", n_states):
-        states = np.empty((n_states, *first.shape[1:]), dtype=first.dtype)
-    states[:len(first)] = first
-    lo = len(first)
-    for block in blocks:
-        states[lo:lo + len(block)] = block
-        lo += len(block)
+        states = np.empty((n_states, *rho.shape), rho.dtype)
+    lo = 0
+    for coef in blocks:
+        hi = lo + coef.shape[-1]
+        _rebuilt(coef, basis, states[lo:hi])
+        lo = hi
+    states[0] = rho
     states.setflags(write=False)
     return OdeTrajectory(times=np.arange(n_states) * dt_ode, states=states)

@@ -45,9 +45,16 @@ def dense_generator(u, ops) -> np.ndarray:
 
 def expm_states(rho0, u, dt: float, n_steps: int, ops) -> np.ndarray:
     """Oracle for the grid states of the averaged flow: rho0 and
-    ``n_steps`` steps of scipy's dense exp(dt L) after it, complex."""
-    step = expm(dt * dense_generator(u, ops))
+    ``n_steps`` steps of scipy's dense exp(dt L) after it, complex. L's
+    Kronecker form has an all-zero imaginary part, as -i F_y is real, so
+    exp is taken of its real part alone, and each step applies it to the
+    state's real and imaginary parts as the two columns of one real
+    matrix."""
+    generator = dense_generator(u, ops)
+    assert not generator.imag.any()
+    step = expm(dt * generator.real)
     states = [np.asarray(rho0, dtype=complex).ravel()]
     for _ in range(n_steps):
-        states.append(step @ states[-1])
+        parts = states[-1].view(float).reshape(-1, 2)
+        states.append((step @ parts).view(complex).ravel())
     return np.reshape(states, (n_steps + 1, ops.dim, ops.dim))

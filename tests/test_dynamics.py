@@ -499,9 +499,9 @@ class TestEnsembleOde:
         with pytest.raises(NumericalFailureError, match=(
                 r"exp\(dt_ode L\) has non-finite entries.* at t = 0.01$")
         ) as err:
-            dynamics._flow_blocks(eigenstate(ops, 1),
-                                  ConstantInput(1e300, 2 * J + 1, ops), 1.0,
-                                  1e-2)
+            dynamics._flow_coefficients(eigenstate(ops, 1),
+                                        ConstantInput(1e300, 2 * J + 1, ops),
+                                        1.0, 1e-2)
         assert err.value.time == 1e-2
 
     def test_map_that_is_not_a_contraction_raises_before_stepping(self):
@@ -510,9 +510,21 @@ class TestEnsembleOde:
         with pytest.raises(NumericalFailureError,
                            match=r"exp\(dt_ode L\) grows a mode by.* at "
                                  r"t = 0.01$") as err:
-            dynamics._flow_blocks(eigenstate(ops, 1),
-                                  ConstantInput(1e18, 11, ops), 1.0, 1e-2)
+            dynamics._flow_coefficients(eigenstate(ops, 1),
+                                        ConstantInput(1e18, 11, ops), 1.0,
+                                        1e-2)
         assert err.value.time == 1e-2
+
+    def test_horizon_too_large_for_memory_refused_before_rebuilding(
+            self, monkeypatch):
+        def rebuilt(*args):
+            raise AssertionError("a block was rebuilt")
+
+        monkeypatch.setattr(dynamics, "_rebuilt", rebuilt)
+        with pytest.raises(ValueError, match=r"horizon T = 1e\+15 .*"
+                                             r"does not fit in memory"):
+            integrate_ensemble(eigenstate(self.ops, 1), self.drive, 1e15,
+                               1e-2)
 
     def test_states_are_one_read_only_array(self, monkeypatch):
         built = []
@@ -534,14 +546,13 @@ class TestEnsembleOde:
         assert len(built) == 1
 
     def test_blocks_hold_the_states_256_at_a_time(self):
-        n_states, blocks = dynamics._flow_blocks(
+        n_states, _, _, blocks = dynamics._flow_coefficients(
             eigenstate(self.ops, 1), self.drive, 5.12, 1e-2)
-        got = [block.copy() for block in blocks]
         assert n_states == 513
-        assert [len(b) for b in got] == [256, 256, 1]
+        assert [coef.shape[-1] for coef in blocks] == [256, 256, 1]
         traj = integrate_ensemble(eigenstate(self.ops, 1), self.drive, 5.12,
                                   1e-2)
-        np.testing.assert_array_equal(np.concatenate(got), traj.states)
+        assert len(traj.states) == n_states
         np.testing.assert_allclose(
             traj.states, expm_states(eigenstate(self.ops, 1), 1.0, 1e-2, 512,
                                      self.ops), rtol=0, atol=1e-12)
@@ -572,7 +583,7 @@ class TestEnsembleOde:
         # consumer reducing a block must see its own error state
         with np.errstate(all="print"):
             before = np.geterr()
-            _, blocks = dynamics._flow_blocks(
+            _, _, _, blocks = dynamics._flow_coefficients(
                 eigenstate(self.ops, 1), self.drive, 5.12, 1e-2)
             seen = [np.geterr()]
             for _ in blocks:
@@ -583,7 +594,7 @@ class TestEnsembleOde:
 
     def test_two_runs_consumed_alternately_keep_their_own_buffers(self):
         # a real start at N = 21 and a complex one at N = 41, 300 states
-        # each, so both rebuild a second block into their buffers; taken
+        # each, so both step a second block into their buffers; taken
         # block by block in turn, each run yields what it yields alone
         starts = []
         for J, complex_ in [(10, False), (20, True)]:
@@ -592,18 +603,19 @@ class TestEnsembleOde:
             if not complex_:
                 rho0 = rho0.real.copy()
             starts.append((rho0, ConstantInput(-3.0, 1, ops), 2.99, 1e-2))
-        (n_a, run_a), (n_b, run_b) = (dynamics._flow_blocks(*args)
-                                      for args in starts)
+        (n_a, _, _, run_a), (n_b, _, _, run_b) = (
+            dynamics._flow_coefficients(*args) for args in starts)
         assert n_a == n_b == 300
         got = ([], [])
         for a, b in zip(run_a, run_b, strict=True):
             got[0].append(a.copy())
             got[1].append(b.copy())
-        for args, blocks, complex_ in zip(starts, got, (False, True)):
-            assert [len(b) for b in blocks] == [256, 44]
-            alone = integrate_ensemble(*args).states
-            assert np.iscomplexobj(alone) == complex_
-            np.testing.assert_array_equal(np.concatenate(blocks), alone)
+        for args, blocks, n_parts in zip(starts, got, (1, 2)):
+            assert [b.shape[-1] for b in blocks] == [256, 44]
+            assert all(len(b) == n_parts for b in blocks)
+            alone = [b.copy() for b in dynamics._flow_coefficients(*args)[3]]
+            for b, a in zip(blocks, alone, strict=True):
+                np.testing.assert_array_equal(b, a)
 
     @pytest.mark.parametrize("J", [1, 10, 20])
     def test_map_of_one_part_is_part_0_of_the_map_of_two(self, J):
