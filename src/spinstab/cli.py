@@ -179,7 +179,9 @@ def _library_errors():
         except ValueError as e:
             raise ConfigError(str(e)) from e
         except MemoryError as e:
-            raise ConfigError(f"does not fit in memory: {e}") from e
+            # Python's own allocation failures carry no text; numpy's do
+            detail = f": {e}" if str(e) else ""
+            raise ConfigError(f"does not fit in memory{detail}") from e
         except NumericalFailureError as e:
             raise NumericalError(str(e)) from e
     for w in caught:

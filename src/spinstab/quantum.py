@@ -188,17 +188,13 @@ def lyapunov_Q(rho):
 
     Summed from the entries of rho - I/N, so it stays accurate as rho
     nears I/N, where Tr(rho^2) - 1/N, its value for a unit-trace rho,
-    would lose its digits to cancellation. The entries of a real input are
-    squared as they are, with no pass for their moduli, and a real matrix
-    and its complex copy give the same Q to the bit.
+    would lose its digits to cancellation. |x|^2 and x^2 are the same
+    double for a real x, so a real matrix and its complex copy give the
+    same Q to the bit.
     """
     m = np.asarray(rho)
     n = m.shape[-1]
-    d = m - np.eye(n) / n
-    # |x|^2 and x^2 are the same double for a real x
-    if np.iscomplexobj(d):
-        d = np.abs(d)
-    q = np.sum(np.square(d, out=d), axis=(-2, -1))
+    q = np.sum(np.abs(m - np.eye(n) / n) ** 2, axis=(-2, -1))
     return float(q) if np.ndim(q) == 0 else q
 
 

@@ -133,7 +133,7 @@ def test_criterion_06_monte_carlo_mean_matches_averaged_flow():
     """u=1, N=3, M=1000: mean state within 0.05 of the ODE, entrywise."""
     ops = make_spin_operators(1)
     dev = compare_mean_vs_ode(eigenstate(ops, 1), ConstantInput(1.0, 3, ops),
-                              4.0, CFG, M=1000, dt_ode=1e-3, base_seed=20,
+                              4.0, CFG, M=1000, base_seed=20,
                               record_stride=100)
     report("criterion 6 (mean-dynamics oracle)", dev < 0.05,
            f"max entrywise deviation {dev:.4f} (need < 0.05)")

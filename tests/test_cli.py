@@ -672,6 +672,17 @@ class TestRejectedRuns:
         assert "Traceback" not in res.stderr
         assert not out.exists()
 
+    def test_memory_error_without_text_has_no_dangling_colon(self, tmp_path):
+        # the list of 1e12 stream numbers fails with a bare MemoryError()
+        out = tmp_path / "o"
+        res = run_spinstab(["simulate", "--J", "1", "--f", "3", "--T", "0.01",
+                            "--M", "1000000000000", "-o", str(out)],
+                           cap=4 << 30)
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.rstrip().endswith("Error: does not fit in memory")
+        assert "Traceback" not in res.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["simulate"], ["ensemble"], ["exit-time", "--gamma-a", "0.1"], ["ode"],
     ], ids=" ".join)

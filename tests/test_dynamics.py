@@ -835,3 +835,20 @@ def test_step_past_the_stability_bound_rejected(entry):
     with pytest.raises(ValueError, match=(
             "dt = 1.0001 is too large for Euler-Maruyama at N = 3")):
         _ONE_STEP[entry](1.0001)
+
+
+@pytest.mark.parametrize("J", [0.5, 1, 10, 20])
+def test_stability_bound_is_the_drift_spectrum_at_zero_input(J):
+    """I + dt L is stable for dt <= -2 Re lam / |lam|^2 at every eigenvalue
+    lam != 0 of L; at u = 0 the least of these is 4 / max(gaps_sq), the
+    bound that the step guard takes in closed form."""
+    ops = make_spin_operators(J)
+    lam = np.linalg.eigvals(
+        dynamics._rank_blocks(0.0, ops, dynamics._rank_basis(ops)))
+    lam = lam[abs(lam) > 1e-9]
+    bound = 4 / ops.gaps_sq.max()
+    assert np.min(-2 * lam.real / abs(lam) ** 2) == pytest.approx(
+        bound, rel=1e-12)
+    dynamics._check_stable(bound, ops)
+    with pytest.raises(ValueError, match="too large for Euler-Maruyama"):
+        dynamics._check_stable(1.01 * bound, ops)

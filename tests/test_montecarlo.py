@@ -180,7 +180,7 @@ class TestMeanVsOde:
         # the averaged flow is exactly constant at I/N; individual paths
         # still diffuse, so the Monte Carlo gap is pure O(M^-1/2) noise
         dev = compare_mean_vs_ode(maximally_mixed(3), DRIVE3, 1.0, CFG, M=256,
-                                  dt_ode=1e-3, base_seed=4, record_stride=100)
+                                  base_seed=4, record_stride=100)
         assert dev < 0.06
 
     def test_zero_input_diagonal_initial_state(self):
@@ -191,19 +191,14 @@ class TestMeanVsOde:
         assert np.abs(np.asarray(
             integrate_ensemble(rho0, still, 1.0, 1e-3).states[-1])
             - np.asarray(rho0)).max() < 1e-12
-        dev = compare_mean_vs_ode(rho0, still, 1.0, CFG, M=200, dt_ode=1e-3,
+        dev = compare_mean_vs_ode(rho0, still, 1.0, CFG, M=200,
                                   base_seed=6, record_stride=100)
         assert dev < 0.1
 
     def test_moderate_ensemble_tracks_ode(self):
-        dev = compare_mean_vs_ode(RHO1, DRIVE3, 2.0, CFG, M=300, dt_ode=1e-3,
+        dev = compare_mean_vs_ode(RHO1, DRIVE3, 2.0, CFG, M=300,
                                   base_seed=8, record_stride=100)
         assert dev < 0.1
-
-    def test_grid_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="grid"):
-            compare_mean_vs_ode(RHO1, DRIVE3, 1.0, CFG, M=4, dt_ode=0.4,
-                                base_seed=0, record_stride=100)
 
 
 class _InProcessPool:
