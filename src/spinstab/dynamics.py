@@ -61,8 +61,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controller import ControllerState, feedback_gain, switch_modes
-from .quantum import (NumericalFailureError, QuantumState, SpinOperators,
-                      _check_dim, _clip_psd, _dag, _hermitian_part,
+from .quantum import (_TOL, NumericalFailureError, QuantumState,
+                      SpinOperators, _clip_psd, _dag, _hermitian_part,
                       distance_V)
 
 __all__ = [
@@ -136,11 +136,6 @@ class OdeTrajectory:
     states: np.ndarray
 
 
-def _as_u(u) -> np.ndarray:
-    """Shape a scalar or per-member control input for (..., N, N) broadcasting."""
-    return np.asarray(u, dtype=float)[..., None, None]
-
-
 def sme_drift(rho, u, ops: SpinOperators) -> np.ndarray:
     """Deterministic increment rate: -i u [F_y, rho] - 1/2 [F_z, [F_z, rho]].
 
@@ -152,13 +147,14 @@ def sme_drift(rho, u, ops: SpinOperators) -> np.ndarray:
     is diagonal. For exactly Hermitian input the result is exactly
     Hermitian; it is traceless, and it vanishes at every measurement
     eigenstate when u = 0. A real ``rho`` gives a real (symmetric) result,
-    a complex one a complex result.
+    a complex one a complex result; ``u`` is a scalar or one per member.
     """
     m = np.asarray(rho)
     m = np.ascontiguousarray(m, dtype=complex if np.iscomplexobj(m) else float)
     x = (ops.b_y @ m.view(np.float64)).view(m.dtype)
     x += _dag(x)
-    return _as_u(u) * x - 0.5 * ops.gaps_sq * m
+    u = np.asarray(u, dtype=float)[..., None, None]
+    return u * x - 0.5 * ops.gaps_sq * m
 
 
 def sme_diffusion(rho, ops: SpinOperators, eta: float) -> np.ndarray:
@@ -190,7 +186,7 @@ def _euler_step(rho, u, dw, cfg: SdeStepConfig, ops: SpinOperators) -> np.ndarra
 
 def _checked_rho0(rho0, ops: SpinOperators) -> np.ndarray:
     """``rho0`` as an array in the dtype the run steps in, or ValueError
-    unless it is an N x N state.
+    unless it is an N x N state (its shape checked first, naming N).
 
     The one place the state's dtype is chosen: a contiguous float64 array
     when the validated state's imaginary part is all zero, complex128
@@ -199,7 +195,9 @@ def _checked_rho0(rho0, ops: SpinOperators) -> np.ndarray:
     array returned is its exact Hermitian part, as every later state is
     exactly Hermitian.
     """
-    _check_dim(rho0, ops.dim)
+    if np.shape(rho0) != (ops.dim, ops.dim):
+        raise ValueError(f"initial state must be N x N with N = {ops.dim}, "
+                         f"got shape {np.shape(rho0)}")
     mat = np.asarray(QuantumState(rho0))
     if not mat.imag.any():
         mat = mat.real
@@ -323,12 +321,12 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
     at which V <= ``exit_threshold``, or V <= EPS_CONV without one.
 
     An exit-time run, one with an ``exit_threshold``, keeps each member's
-    exit time and nothing else: it has no records and no state sums and
-    ignores ``record_stride``. A member has exited once its clock is set;
-    it leaves the batch at that step and draws no more noise, and the loop
-    stops once every member has exited. A member's path does not depend on
-    which members share its batch, so a dropped member changes no other
-    member's numbers.
+    exit time and nothing else: it has no records and no state sums at any
+    ``record_stride``, which is checked as on every run. A member has
+    exited once its clock is set; it leaves the batch at that step and
+    draws no more noise, and the loop stops once every member has exited.
+    A member's path does not depend on which members share its batch, so a
+    dropped member changes no other member's numbers.
 
     Each member draws its noise in blocks of ``_NOISE_BLOCK`` steps. The
     batch is stepped in the dtype that ``_checked_rho0`` picks for
@@ -342,8 +340,7 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
     """
     f, ops = control.f, control.ops
     exiting = exit_threshold is not None
-    if not exiting:
-        record_stride = _integer(record_stride, "record_stride", 1)
+    record_stride = _integer(record_stride, "record_stride", 1)
     base_seed = _integer(base_seed, "base_seed")
     streams = [_integer(s, "stream") for s in streams]
     n_steps = _step_count(T, cfg.dt, "dt")
@@ -536,18 +533,18 @@ def _rank_blocks(u, ops: SpinOperators, basis: np.ndarray) -> np.ndarray:
     and ad(F_y) and ad(F_z) keep its rank. On rank k, L is u S_k -
     1/2 diag(q^2) with S_k real and antisymmetric. L moves a diagonal at
     most one step, so the blocks are read off ``sme_drift``, which keeps
-    the drift's one definition, with three probes: probe r sums the basis
-    matrices of every diagonal q = r (mod 3), and its image's coefficient
-    (k, q') is L_k's entry at the probe's one diagonal q within a step of
-    q'. An antisymmetric probe A enters the drift as the Hermitian iA.
+    the drift's one definition, with three Hermitian probes S + iA: S and
+    A sum the symmetric and antisymmetric basis matrices of every diagonal
+    q = r (mod 3), and the drift maps S and iA each exactly on its own, so
+    each part of the image has as coefficient (k, q') L_k's entry at the
+    probe's one diagonal q within a step of q'.
     """
     n = ops.dim
     i, j = np.indices((n, n))
     rows = basis.sum(axis=2)[abs(i - j), np.minimum(i, j)]
     probes = np.stack([rows * (abs(i - j) % 3 == r) for r in range(3)])
-    images = sme_drift(np.concatenate([probes, 1j * np.sign(i - j) * probes]),
-                       u, ops)
-    read = _coefficients(np.stack([images[:3].real, images[3:].imag]), basis)
+    images = sme_drift(probes * (1 + 1j * np.sign(i - j)), u, ops)
+    read = _coefficients(np.stack([images.real, images.imag]), basis)
     q = np.arange(n)
     rank = q[:, None, None]
     # entry (q', q) of block (part, k): a step of at most one diagonal,
@@ -571,10 +568,10 @@ def _flow_map(u, dt_ode: float, ops: SpinOperators, basis: np.ndarray,
     does, and a u that large overflows. The states' smallest eigenvalue
     falls about linearly in |u| dt_ode 2J, to some 10 to 40 epsilons
     times it: at J = 10 and dt_ode = 0.01, from eigenstate 1 over 201
-    states, it is -5.8e-12 at u = 1e4, -9.6e-8 at 1e8 and -1.7e-3 at 1e12.
-    Raises NumericalFailureError, stamped with the first step's time,
-    unless each block it forms is finite with |E_k|_2 <= 1 up to
-    round-off.
+    states, it is -5.8e-12 at u = 1e4, -9.6e-8 at 1e8 and -1.7e-3 at 1e12,
+    where ``_flow_distances`` refuses the V. Raises NumericalFailureError,
+    stamped with the first step's time, unless each block it forms is
+    finite with |E_k|_2 <= 1 up to round-off.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         flow = _expm(dt_ode * _rank_blocks(u, ops, basis)[:n_parts])
@@ -664,14 +661,17 @@ def _flow_distances(rho0, control, T: float, dt_ode: float):
 
     The diagonal entry (f, f) lies in the symmetric part's q = 0
     coefficients, so V = 1 - basis[0, f - 1] . c[0, :, 0], clipped to
-    [0, 1] as ``distance_V`` clips it. The basis is orthonormal and its
-    one rank-0 matrix is I/sqrt(N) up to sign, so Q = |rho - I/N|_F^2 is
-    the sum of c^2 over the ranks k >= 1 of both parts plus the square of
-    the rank-0 coefficient's distance from that of I/N; that term stays
-    what it is at the start, as E_0 = 1, and holds the start's trace
-    error. No I/N is subtracted from a matrix's entries, so Q keeps its
-    digits as rho nears I/N. Raises as ``_flow_coefficients`` does, and
-    ValueError if the grid's V and Q are too many for memory.
+    [0, 1] as ``distance_V`` clips it, but only by up to ``_TOL``, a
+    state's entry tolerance: past it E's round-off lost the state space
+    (``_flow_map``). The basis is orthonormal and its one rank-0 matrix is
+    I/sqrt(N) up to sign, so Q = |rho - I/N|_F^2 is the sum of c^2 over
+    the ranks k >= 1 of both parts plus the square of the rank-0
+    coefficient's distance from that of I/N; that term stays what it is at
+    the start, as E_0 = 1, and holds the start's trace error. No I/N is
+    subtracted from a matrix's entries, so Q keeps its digits as rho nears
+    I/N. Raises as ``_flow_coefficients`` does, ValueError if the grid's V
+    and Q are too many for memory, and NumericalFailureError at the first
+    V out of range.
     """
     n_states, _, basis, blocks = _flow_coefficients(rho0, control, T,
                                                     dt_ode)
@@ -689,6 +689,10 @@ def _flow_distances(rho0, control, T: float, dt_ode: float):
         Q[lo:hi] += np.square(coef[0, 0, 0] - mixed)
         lo = hi
     np.subtract(1.0, V, out=V)
+    if not (-_TOL <= V.min() and V.max() <= 1 + _TOL):
+        k = np.argmax((V < -_TOL) | (V > 1 + _TOL))
+        raise _failed_at(NumericalFailureError(
+            f"V = {V[k]:.6g} is outside [0, 1] beyond round-off"), k * dt_ode)
     return np.clip(V, 0.0, 1.0, out=V), Q
 
 

@@ -226,10 +226,3 @@ def _hermitian_part(mat: np.ndarray) -> np.ndarray:
     """(mat + mat*) / 2 of an (N, N) matrix or of each of a batch: exactly
     Hermitian, in ``mat``'s dtype."""
     return 0.5 * (mat + _dag(mat))
-
-
-def _check_dim(rho, dim: int) -> None:
-    """ValueError unless ``rho`` has the shape (dim, dim) of a state."""
-    if np.shape(rho) != (dim, dim):
-        raise ValueError(f"initial state must be N x N with N = {dim}, "
-                         f"got shape {np.shape(rho)}")

@@ -527,6 +527,26 @@ class TestOdeCommand:
         assert res.exit_code == 3, res.output
         assert "non-finite" in res.output
 
+    def test_input_that_loses_the_state_space_exits_3(self, tmp_path):
+        # round-off in exp(dt_ode L) grows with |u|: at u = 1e14 V passes 1
+        # by far more than round-off, so the run is refused, not clipped
+        out = tmp_path / "o"
+        res = run_spinstab(["ode", "--J", "10", "--f", "11", "--T", "2",
+                            "--u", "1e14", "-o", str(out)])
+        assert res.returncode == 3, res.stderr
+        assert "V = " in res.stderr and " at t = " in res.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("u, code", [("1e4", 0), ("1e12", 3)])
+    def test_large_input_runs_while_v_stays_in_range(self, tmp_path, u,
+                                                      code):
+        # at u = 1e4 V leaves [0, 1] by round-off only; at 1e12 by 3e-5
+        out = tmp_path / "o"
+        res = RUNNER.invoke(main, ["ode", "--J", "10", "--f", "11", "--T",
+                                   "2", "--u", u, "-o", str(out)])
+        assert res.exit_code == code, res.output
+        assert (out / "ode.csv").exists() == (code == 0)
+
     @pytest.mark.parametrize("argv", [
         ["--J", "10", "--f", "11", "--T", "20", "--u", "10"],
         # dt_ode past an explicit scheme's real-axis bound, and fast

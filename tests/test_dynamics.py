@@ -478,6 +478,16 @@ class TestEnsembleOde:
         assert np.all(np.diff(lyapunov_Q(traj.states)) <= 1e-12)
         assert np.linalg.eigvalsh(traj.states).min() >= -1e-13
 
+    @pytest.mark.parametrize("u, floor", [(1e4, -1e-11), (1e8, -2e-7)])
+    def test_smallest_eigenvalue_at_large_input(self, u, floor):
+        # round-off in exp(dt_ode L) grows about linearly in |u| dt_ode 2J;
+        # measured -5.75e-12 at u = 1e4 and -9.59e-8 at 1e8
+        ops = make_spin_operators(10)
+        traj = integrate_ensemble(eigenstate(ops, 1),
+                                  ConstantInput(u, 11, ops), 2.0, 1e-2)
+        assert len(traj.states) == 201
+        assert np.linalg.eigvalsh(traj.states).min() >= floor
+
     @pytest.mark.parametrize("complex_", [False, True])
     def test_fast_rotation_steps_with_q_non_increasing(self, complex_):
         # at J = 10 and dt_ode = 0.01 an explicit RK4 step multiplies a mode
@@ -514,6 +524,21 @@ class TestEnsembleOde:
                                         ConstantInput(1e18, 11, ops), 1.0,
                                         1e-2)
         assert err.value.time == 1e-2
+
+    def test_v_outside_its_range_is_refused_at_the_first_such_state(self):
+        # at u = 1e14 exp's round-off moves V past 1; the distances are
+        # refused at the first grid time whose V leaves [0, 1] by more than
+        # the entry tolerance of a state, not clipped into range
+        ops = make_spin_operators(10)
+        drive = ConstantInput(1e14, 11, ops)
+        states = integrate_ensemble(eigenstate(ops, 1), drive, 2.0,
+                                    1e-2).states
+        v = 1 - states[:, 10, 10]
+        first = np.flatnonzero((v < -1e-9) | (v > 1 + 1e-9))[0]
+        with pytest.raises(NumericalFailureError,
+                           match=r"^V = .* at t = ") as err:
+            dynamics._flow_distances(eigenstate(ops, 1), drive, 2.0, 1e-2)
+        assert err.value.time == first * 1e-2
 
     def test_horizon_too_large_for_memory_refused_before_rebuilding(
             self, monkeypatch):
@@ -760,6 +785,12 @@ class TestExitDrops:
         for name in ("V", "u", "purity", "modes"):
             assert getattr(batch, name).shape == (0, 64)
         assert batch.state_sum.size == 0
+
+    @pytest.mark.parametrize("stride", [0, 2.5])
+    def test_bad_record_stride_refused(self, stride):
+        # checked as on every other run, though an exit run keeps no records
+        with pytest.raises(ValueError, match="record_stride must be"):
+            self.run([0], stride)
 
 
 _OPS3 = make_spin_operators(1)
