@@ -221,7 +221,6 @@ def _parse_control(cfg: SimConfig, ops):
 # The number format of every CSV field: 17 significant digits read back as
 # the same double.
 _FLOAT = "%.17g"
-_fmt = _FLOAT.__mod__
 
 # Rows that _write_csv turns into Python values at a time, so that its
 # memory does not grow with the file.
@@ -235,7 +234,7 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
     labels) as it is; no field needs quoting. The rows are streamed
     ``_CSV_ROWS`` at a time, each chunk one ``%`` of the row template
     repeated once per row, and lines end in CRLF, so the bytes are those of
-    ``csv.writer`` writing ``_fmt`` fields.
+    ``csv.writer`` writing ``_FLOAT``-formatted fields.
     """
     width = len(columns)
     row = ",".join("%s" if col.dtype.kind == "U" else _FLOAT

@@ -23,17 +23,17 @@ Two integrators live here:
   coefficients in blocks of 256: a block's first state is E times the
   state before it, and the block is filled from it in doubling sweeps,
   states [h, 2h) as E^h times states [0, h), so 8 batched matmuls step
-  255 states. One generator steps these coefficient blocks
-  (``_flow_coefficients``), and two consumers read them.
-  ``spinstab ode`` reduces each block to V and Q directly
-  (``_flow_distances``): both are linear or quadratic in the coefficients
-  of an orthonormal basis, so no matrix is formed. ``integrate_ensemble``
-  allocates its (K+1, N, N) array of states first and rebuilds each block
-  straight into its own slice of it (``_rebuilt``): per part, one matmul
-  with the basis gives each state's entries on and below the diagonal,
-  and every entry is read from its mirror image there, the imaginary part
-  taking sign(i - j). Either consumer holds one block of coefficients at
-  a time however long the horizon.
+  255 states. One generator yields these blocks with each state's V
+  (``_flow_coefficients``) and refuses the run at the first V that E's
+  round-off moved out of [0, 1], so its two consumers refuse the same
+  runs. ``spinstab ode`` adds Q (``_flow_distances``), a sum of squared
+  coefficients of an orthonormal basis, so no matrix is formed.
+  ``integrate_ensemble`` allocates its (K+1, N, N) array of states first
+  and rebuilds each block into its own slice of it (``_rebuilt``): per
+  part, one matmul with the basis gives each state's entries on and below
+  the diagonal, and every entry is read from its mirror image there, the
+  imaginary part taking sign(i - j). Either consumer holds one block of
+  coefficients at a time however long the horizon.
 
 Trajectories are deterministic functions of their inputs: the Wiener
 increments come from a counter-based generator keyed by
@@ -532,26 +532,26 @@ def _rank_blocks(u, ops: SpinOperators, basis: np.ndarray) -> np.ndarray:
     B and gaps_sq are real, so L keeps a matrix symmetric or antisymmetric,
     and ad(F_y) and ad(F_z) keep its rank. On rank k, L is u S_k -
     1/2 diag(q^2) with S_k real and antisymmetric. L moves a diagonal at
-    most one step, so the blocks are read off ``sme_drift``, which keeps
-    the drift's one definition, with three Hermitian probes S + iA: S and
-    A sum the symmetric and antisymmetric basis matrices of every diagonal
-    q = r (mod 3), and the drift maps S and iA each exactly on its own, so
-    each part of the image has as coefficient (k, q') L_k's entry at the
-    probe's one diagonal q within a step of q'.
+    most one step, so the blocks are read off ``sme_drift``, the drift's
+    one definition, with three real symmetric probes, each the sum of the
+    basis matrices of every diagonal q = r (mod 3): the image's coefficient
+    (k, q') is L_k's entry at the probe's one diagonal q within a step of
+    q'. Below the diagonal the drift reads only entries on or below it,
+    where an antisymmetric matrix is its symmetric twin but for the
+    diagonal, so the antisymmetric blocks are the symmetric ones but q = 0.
     """
     n = ops.dim
     i, j = np.indices((n, n))
     rows = basis.sum(axis=2)[abs(i - j), np.minimum(i, j)]
     probes = np.stack([rows * (abs(i - j) % 3 == r) for r in range(3)])
-    images = sme_drift(probes * (1 + 1j * np.sign(i - j)), u, ops)
-    read = _coefficients(np.stack([images.real, images.imag]), basis)
+    read = _coefficients(sme_drift(probes, u, ops), basis)
     q = np.arange(n)
     rank = q[:, None, None]
     # entry (q', q) of block (part, k): a step of at most one diagonal,
     # both components of rank k, and none at the antisymmetric q = 0
     inside = ((abs(q[:, None] - q) <= 1) & (q[:, None] <= rank) & (q <= rank)
               & (np.minimum(q[:, None], q) >= np.arange(2)[:, None, None, None]))
-    return read[:, q % 3].transpose(0, 2, 3, 1) * inside
+    return read[q % 3].transpose(1, 2, 0) * inside
 
 
 def _flow_map(u, dt_ode: float, ops: SpinOperators, basis: np.ndarray,
@@ -569,9 +569,9 @@ def _flow_map(u, dt_ode: float, ops: SpinOperators, basis: np.ndarray,
     falls about linearly in |u| dt_ode 2J, to some 10 to 40 epsilons
     times it: at J = 10 and dt_ode = 0.01, from eigenstate 1 over 201
     states, it is -5.8e-12 at u = 1e4, -9.6e-8 at 1e8 and -1.7e-3 at 1e12,
-    where ``_flow_distances`` refuses the V. Raises NumericalFailureError,
-    stamped with the first step's time, unless each block it forms is
-    finite with |E_k|_2 <= 1 up to round-off.
+    where the V is refused (``_flow_coefficients``, for both readers).
+    Raises NumericalFailureError, stamped with the first step's time,
+    unless each block it forms is finite with |E_k|_2 <= 1 up to round-off.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         flow = _expm(dt_ode * _rank_blocks(u, ops, basis)[:n_parts])
@@ -610,19 +610,23 @@ def _rebuilt(coef: np.ndarray, basis: np.ndarray, out: np.ndarray) -> None:
 def _flow_coefficients(rho0, control, T: float, dt_ode: float):
     """(K + 1, rho, basis, blocks): the number of grid states of the
     averaged dynamics under a ConstantInput's u, ``_checked_rho0``'s
-    ``rho0``, the rank basis, and a generator of the states' rank
-    coefficients in order, in blocks of at most ``_FLOW_BLOCK``.
+    ``rho0``, the rank basis, and a generator of (lo, coef, V), in blocks
+    of at most ``_FLOW_BLOCK`` states from grid index lo on.
 
-    Every check runs before this returns, so a rejected run steps nothing:
-    the step count, ``rho0`` and the map (``_flow_map``). Each block is a
-    (P, k, q, <= _FLOW_BLOCK) view of one buffer that the next block
-    overwrites: the coefficients of the real part and, for a complex
+    Every input check runs before this returns, so a rejected run steps
+    nothing: the step count, ``rho0`` and the map (``_flow_map``). coef and
+    V are views of buffers that the next block overwrites. coef is
+    (P, k, q, S): the coefficients of the real part and, for a complex
     state, of the imaginary part, with the state index last. A block's
     first state is E times the last state before it, and the block is
     filled from it by doubling sweeps with the powers E^(2^j), formed once
     per run: states [h, 2h) are E^h times states [0, h), one batched
     matmul each, so a block of 256 states takes 8 of them. A real state
-    steps only the symmetric blocks of E.
+    steps only the symmetric blocks of E. V is 1 - basis[0, f - 1] .
+    coef[0, :, 0] unclipped, (f, f) being in the q = 0 coefficients; at
+    the first grid time whose V leaves [0, 1] by more than ``_TOL``, a
+    state's entry tolerance, E's round-off lost the state space
+    (``_flow_map``) and the generator raises NumericalFailureError.
     """
     n_steps = _step_count(T, dt_ode, "dt_ode")
     rho = _checked_rho0(rho0, control.ops)
@@ -636,7 +640,8 @@ def _flow_coefficients(rho0, control, T: float, dt_ode: float):
         powers.append(powers[-1] @ powers[-1])
 
     def blocks():
-        coef = np.empty((*parts.shape, size))
+        row = basis[0, control.f - 1]
+        coef, v_buf = np.empty((*parts.shape, size)), np.empty(size)
         coef[..., 0] = _coefficients(parts, basis)
         for lo in range(0, n_steps + 1, size):
             n_block = min(size, n_steps + 1 - lo)
@@ -649,7 +654,16 @@ def _flow_coefficients(rho0, control, T: float, dt_ode: float):
                 m = min(have, n_block - have)
                 np.matmul(power, coef[..., :m], out=coef[..., have:have + m])
                 have += m
-            yield coef[..., :n_block]
+            v = v_buf[:n_block]
+            np.matmul(row, coef[0, :, 0, :n_block], out=v)
+            np.subtract(1.0, v, out=v)
+            inside = (-_TOL <= v) & (v <= 1 + _TOL)
+            if not inside.all():
+                k = np.argmin(inside)
+                raise _failed_at(NumericalFailureError(
+                    f"V = {v[k]:.17g} is outside [0, 1] beyond round-off"),
+                    (lo + k) * dt_ode)
+            yield lo, coef[..., :n_block], v
 
     return n_steps + 1, rho, basis, blocks()
 
@@ -659,41 +673,30 @@ def _flow_distances(rho0, control, T: float, dt_ode: float):
     averaged dynamics, read from ``_flow_coefficients``' blocks with no
     matrix rebuilt.
 
-    The diagonal entry (f, f) lies in the symmetric part's q = 0
-    coefficients, so V = 1 - basis[0, f - 1] . c[0, :, 0], clipped to
-    [0, 1] as ``distance_V`` clips it, but only by up to ``_TOL``, a
-    state's entry tolerance: past it E's round-off lost the state space
-    (``_flow_map``). The basis is orthonormal and its one rank-0 matrix is
-    I/sqrt(N) up to sign, so Q = |rho - I/N|_F^2 is the sum of c^2 over
-    the ranks k >= 1 of both parts plus the square of the rank-0
-    coefficient's distance from that of I/N; that term stays what it is at
-    the start, as E_0 = 1, and holds the start's trace error. No I/N is
-    subtracted from a matrix's entries, so Q keeps its digits as rho nears
-    I/N. Raises as ``_flow_coefficients`` does, ValueError if the grid's V
-    and Q are too many for memory, and NumericalFailureError at the first
-    V out of range.
+    V is the blocks' V clipped to [0, 1], as ``distance_V`` clips it; the
+    blocks refuse a V outside by more than ``_TOL``. The basis is
+    orthonormal and its one rank-0 matrix is I/sqrt(N) up to sign, so Q =
+    |rho - I/N|_F^2 is the sum of c^2 over the ranks k >= 1 of both parts
+    plus the square of the rank-0 coefficient's distance from that of I/N;
+    that term stays what it is at the start, as E_0 = 1, and holds the
+    start's trace error. No I/N is subtracted from a matrix's entries, so
+    Q keeps its digits as rho nears I/N. Raises as ``_flow_coefficients``
+    and its blocks do, and ValueError if the grid's V and Q are too many
+    for memory.
     """
     n_states, _, basis, blocks = _flow_coefficients(rho0, control, T,
                                                     dt_ode)
     with _records_fit(T, dt_ode, "dt_ode", n_states):
         V, Q = np.empty((2, n_states))
-    row = basis[0, control.f - 1]
     # I/N's coefficient on the rank-0 matrix
     mixed = basis[0, :, 0].sum() / len(basis)
-    lo = 0
-    for coef in blocks:
-        hi = lo + coef.shape[-1]
-        np.matmul(row, coef[0, :, 0], out=V[lo:hi])
+    for lo, coef, v in blocks:
+        at = slice(lo, lo + len(v))
+        np.clip(v, 0.0, 1.0, out=V[at])
         ranks = coef[:, 1:]
-        np.einsum("pkqs,pkqs->s", ranks, ranks, out=Q[lo:hi])
-        Q[lo:hi] += np.square(coef[0, 0, 0] - mixed)
-        lo = hi
-    np.subtract(1.0, V, out=V)
-    if not (-_TOL <= V.min() and V.max() <= 1 + _TOL):
-        k = np.argmax((V < -_TOL) | (V > 1 + _TOL))
-        raise _failed_at(NumericalFailureError(
-            f"V = {V[k]:.6g} is outside [0, 1] beyond round-off"), k * dt_ode)
-    return np.clip(V, 0.0, 1.0, out=V), Q
+        np.einsum("pkqs,pkqs->s", ranks, ranks, out=Q[at])
+        Q[at] += np.square(coef[0, 0, 0] - mixed)
+    return V, Q
 
 
 def integrate_ensemble(rho0, control, T: float,
@@ -711,19 +714,17 @@ def integrate_ensemble(rho0, control, T: float,
     the trajectory approaches I/N as T grows.
 
     Raises ValueError for an input outside its range, ``rho0`` included,
-    or for grid states too many for memory, and NumericalFailureError,
-    with the time of the first step, if E is not finite or grows a mode,
-    as an overflowing u makes it.
+    or for grid states too many for memory, and NumericalFailureError as
+    ``spinstab ode`` does (``_flow_coefficients``): at the first step if E
+    is not finite or grows a mode, as an overflowing u makes it, and at the
+    first state whose V leaves [0, 1] beyond round-off.
     """
     n_states, rho, basis, blocks = _flow_coefficients(rho0, control, T,
                                                       dt_ode)
     with _records_fit(T, dt_ode, "dt_ode", n_states):
         states = np.empty((n_states, *rho.shape), rho.dtype)
-    lo = 0
-    for coef in blocks:
-        hi = lo + coef.shape[-1]
-        _rebuilt(coef, basis, states[lo:hi])
-        lo = hi
+    for lo, coef, v in blocks:
+        _rebuilt(coef, basis, states[lo:lo + len(v)])
     states[0] = rho
     states.setflags(write=False)
     return OdeTrajectory(times=np.arange(n_states) * dt_ode, states=states)

@@ -18,7 +18,6 @@ from spinstab.cli import (
     PRESETS,
     ConfigError,
     SimConfig,
-    _fmt,
     _write_csv,
     canonical_json,
     load_config,
@@ -36,6 +35,10 @@ from spinstab.quantum import (
 )
 
 RUNNER = CliRunner()
+
+# The CSV oracle's number format: 17 significant digits, which read
+# back as the same double.
+_fmt = "%.17g".__mod__
 
 
 def run_spinstab(argv, cap=None):

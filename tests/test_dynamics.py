@@ -525,20 +525,41 @@ class TestEnsembleOde:
                                         1e-2)
         assert err.value.time == 1e-2
 
-    def test_v_outside_its_range_is_refused_at_the_first_such_state(self):
+    def test_v_outside_its_range_is_refused_at_the_first_such_state(
+            self, monkeypatch):
         # at u = 1e14 exp's round-off moves V past 1; the distances are
         # refused at the first grid time whose V leaves [0, 1] by more than
-        # the entry tolerance of a state, not clipped into range
+        # the entry tolerance of a state, not clipped into range. The
+        # oracle reads the rebuilt states with the range check off.
         ops = make_spin_operators(10)
         drive = ConstantInput(1e14, 11, ops)
-        states = integrate_ensemble(eigenstate(ops, 1), drive, 2.0,
-                                    1e-2).states
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "_TOL", np.inf)
+            states = integrate_ensemble(eigenstate(ops, 1), drive, 2.0,
+                                        1e-2).states
         v = 1 - states[:, 10, 10]
         first = np.flatnonzero((v < -1e-9) | (v > 1 + 1e-9))[0]
         with pytest.raises(NumericalFailureError,
                            match=r"^V = .* at t = ") as err:
             dynamics._flow_distances(eigenstate(ops, 1), drive, 2.0, 1e-2)
         assert err.value.time == first * 1e-2
+
+    @pytest.mark.parametrize("f, u, t", [(11, 1e10, 0.05), (21, 1e8, 0.01)])
+    def test_both_readers_refuse_the_same_v_at_the_same_time(self, f, u, t):
+        # from eigenstate 1 at J = 10, T = 2: exp's round-off moves V past
+        # 1 + 1e-9, by 1.1e-7 at t = 0.05 (f = 11) and 3.8e-9 at t = 0.01
+        # (f = 21); the states are refused as the distances are, and the
+        # message names a V that is past the tolerance, not one rounded to 1
+        ops = make_spin_operators(10)
+        args = (eigenstate(ops, 1), ConstantInput(u, f, ops), 2.0, 1e-2)
+        times = []
+        for reader in (integrate_ensemble, dynamics._flow_distances):
+            with pytest.raises(NumericalFailureError,
+                               match=r"^V = .* is outside") as err:
+                reader(*args)
+            assert float(str(err.value).split()[2]) > 1 + 1e-9
+            times.append(err.value.time)
+        assert times == [t, t]
 
     def test_horizon_too_large_for_memory_refused_before_rebuilding(
             self, monkeypatch):
@@ -574,7 +595,8 @@ class TestEnsembleOde:
         n_states, _, _, blocks = dynamics._flow_coefficients(
             eigenstate(self.ops, 1), self.drive, 5.12, 1e-2)
         assert n_states == 513
-        assert [coef.shape[-1] for coef in blocks] == [256, 256, 1]
+        assert [(lo, coef.shape[-1], len(v)) for lo, coef, v in blocks] == [
+            (0, 256, 256), (256, 256, 256), (512, 1, 1)]
         traj = integrate_ensemble(eigenstate(self.ops, 1), self.drive, 5.12,
                                   1e-2)
         assert len(traj.states) == n_states
@@ -632,13 +654,14 @@ class TestEnsembleOde:
             dynamics._flow_coefficients(*args) for args in starts)
         assert n_a == n_b == 300
         got = ([], [])
-        for a, b in zip(run_a, run_b, strict=True):
+        for (_, a, _), (_, b, _) in zip(run_a, run_b, strict=True):
             got[0].append(a.copy())
             got[1].append(b.copy())
         for args, blocks, n_parts in zip(starts, got, (1, 2)):
             assert [b.shape[-1] for b in blocks] == [256, 44]
             assert all(len(b) == n_parts for b in blocks)
-            alone = [b.copy() for b in dynamics._flow_coefficients(*args)[3]]
+            alone = [b.copy()
+                     for _, b, _ in dynamics._flow_coefficients(*args)[3]]
             for b, a in zip(blocks, alone, strict=True):
                 np.testing.assert_array_equal(b, a)
 
