@@ -81,7 +81,7 @@ _FLAGS = {
     "f": ("--f", int, "Target eigenstate index (1-based)."),
     "initial": ("--initial", str, "Initial eigenstate index or .npy file."),
     "eta": ("--eta", float, "Detector efficiency in (0, 1]."),
-    "dt": ("--dt", float, "Euler-Maruyama step."),
+    "dt": ("--dt", float, "Step of the stochastic integrator."),
     "T": ("--T", float, "Horizon."),
     "M": ("--M", int, "Number of trajectories."),
     "base_seed": ("--seed", int, "Base seed; member k uses stream (seed, k)."),

@@ -2,13 +2,17 @@
 
 Two integrators live here:
 
-* an Euler-Maruyama scheme for the diffusion (Ito) equation of the
-  conditional state under continuous measurement and feedback,
+* a split step for the diffusion (Ito) equation of the conditional state
+  under continuous measurement and feedback,
 
       d rho = -i u [F_y, rho] dt - 1/2 [F_z, [F_z, rho]] dt
               + sqrt(eta) (F_z rho + rho F_z - 2 Tr(F_z rho) rho) dW,
 
-  with a projection back onto the state space after every step;
+  which composes the exact linear filter of the F_z measurement over a
+  step with the exact rotation exp(u dt B), B = -i F_y, of the control
+  (``_split_step``). Each factor maps states to states, so every dt gives
+  a state with no projection and no step guard; the splitting's weak
+  error is O(dt);
 
 * the exact flow of the averaged (ensemble) dynamics under a constant
   input, which is the same drift with the noise term dropped. That flow is
@@ -40,17 +44,19 @@ increments come from a counter-based generator keyed by
 (base_seed, stream), so ensembles reproduce bit-for-bit regardless of
 how the trajectories are scheduled.
 
-The stepping core is vectorized over a leading batch axis; all public
-drift/diffusion operations accept either a single (N, N) matrix or a
+The stepping core is vectorized over a leading batch axis; the step and
+the drift/diffusion operations accept either a single (N, N) matrix or a
 stacked (M, N, N) array.
 
 Both integrators step the state in the dtype chosen once, at entry, by
 ``_checked_rho0``: float64 when the initial state has a zero imaginary
-part, complex128 otherwise. F_z is diagonal and B = -i F_y is real, so
-drift, back-action, feedback gain and projection all map a real symmetric
-state to a real symmetric state; a real run does the same arithmetic on
-half the data, through the same kernels. A complex initial state runs
-those kernels in complex128.
+part, complex128 otherwise. F_z is diagonal and B = -i F_y is real, so the
+filter, the rotation, the drift and the feedback gain all map a real
+symmetric state to a real symmetric state; a real run does the same
+arithmetic on half the data, through the same kernels. A complex initial
+state runs those kernels in complex128. ``sme_drift`` and
+``sme_diffusion`` are the equation's two terms as rates: the averaged flow
+reads its generator off the first, and the stochastic loop calls neither.
 """
 
 import math
@@ -62,8 +68,9 @@ import numpy as np
 
 from .controller import ControllerState, feedback_gain, switch_modes
 from .quantum import (_TOL, NumericalFailureError, QuantumState,
-                      SpinOperators, _clip_psd, _dag, _hermitian_part,
-                      distance_V)
+                      SpinOperators, _dag, _hermitian_part, distance_V)
+# Unused here; bench/tracing.py wraps it by this name and reads 0 calls.
+from .quantum import _clip_psd  # noqa: F401
 
 __all__ = [
     "SdeStepConfig",
@@ -78,12 +85,6 @@ __all__ = [
 
 # Convergence flag threshold on V: discriminates converged paths at figure level.
 EPS_CONV = 0.01
-
-# Explicit Euler's stability interval on the negative real axis is [-2, 0].
-# The stiffest coherence decays at rate max(gaps_sq) / 2 (the double
-# commutator), so a larger dt * max(gaps_sq) / 2 grows instead of decaying;
-# see ``_check_stable``.
-_EULER_REAL_BOUND = 2.0
 
 # Steps of noise drawn per member at a time. Philox draws do not depend on
 # how they are blocked, so the block size bounds memory and changes no result.
@@ -173,15 +174,73 @@ def sme_diffusion(rho, ops: SpinOperators, eta: float) -> np.ndarray:
     return np.sqrt(eta) * out
 
 
-def _euler_step(rho, u, dw, cfg: SdeStepConfig, ops: SpinOperators) -> np.ndarray:
-    """One Euler-Maruyama step, projected back onto the state space.
+def _split_step(cfg: SdeStepConfig, ops: SpinOperators):
+    """The stepping kernel of every stochastic run, formed once per run:
+    ``step(rho, u, dw)`` takes each state of ``rho``, an (N, N) matrix or a
+    stacked (M, N, N) array, one step of ``cfg.dt`` under its input u and
+    Wiener increment dw (scalars or one per member) to
 
-    The stepping kernel of every stochastic integration. ``rho`` is a single
-    matrix or a stacked (M, N, N) array; ``u`` and ``dw`` broadcast against
-    it. Raises NumericalFailureError if the step leaves the finite numbers.
+        rho' = R (G o (D rho D)) R^T / Tr(D rho D),  in rho's dtype, where
+
+    * D = diag(exp(sqrt(eta) lam dy - eta lam^2 dt)), with the measured
+      increment dy = 2 sqrt(eta) Tr(F_z rho) dt + dw, is the exact linear
+      filter of the F_z measurement; its exponent is shifted by its row
+      maximum, which the normalization cancels, so it cannot overflow;
+    * G_ij = exp(-(1 - eta) (lam_i - lam_j)^2 dt / 2), applied when
+      eta < 1, dephases what the detector misses;
+    * R = exp(u dt B), B = -i F_y, the exact rotation of the control, is
+      I + Re(W diag(expm1(-i u dt mu)) W*) from one ``eigh`` of F_y per
+      run: real, orthogonal, and exactly I at u = 0.
+
+    D rho D is positive, G is a Gaussian kernel and R orthogonal, so every
+    dt gives a state, exactly Hermitian, with nothing projected. ``step``
+    is where a failed step is detected: it raises NumericalFailureError
+    unless the filtered trace is > 0 and every new state is finite. Each
+    member is computed on its own, so a batch row equals the member
+    stepped alone, bit for bit.
     """
-    incr = sme_drift(rho, u, ops) * cfg.dt + sme_diffusion(rho, ops, cfg.eta) * dw
-    return _clip_psd(rho + incr)
+    n, lam, dt = ops.dim, ops.lambdas, cfg.dt
+    sqrt_eta = math.sqrt(cfg.eta)
+    gain, decay = sqrt_eta * lam, cfg.eta * lam ** 2 * dt
+    dephase = (np.exp(-(1.0 - cfg.eta) * ops.gaps_sq * dt / 2)
+               if cfg.eta < 1.0 else None)
+    mu, w = np.linalg.eigh(ops.f_y)
+    # F_y's eigenvalues -J..J are simple and the projector of -mu is the
+    # conjugate of that of mu, so R = I + 2 Re(sum over mu > 0 of
+    # expm1(-i u dt mu) w w*) = I + z @ modes for the float view z of those
+    # expm1: row 2k of modes is 2 Re(w_k w_k*), row 2k + 1 is -2 Im(w_k w_k*)
+    up = mu > 0
+    outer = w.T[up, :, None] * w.T[up].conj()[:, None, :]
+    modes = 2 * np.stack([outer.real, -outer.imag], axis=1).reshape(-1, n * n)
+    phase = -1j * dt * mu[up]
+    eye = np.eye(n)
+
+    def step(rho, u, dw):
+        diag = rho.diagonal(0, -2, -1).real
+        dy = 2.0 * sqrt_eta * dt * np.einsum("...i,i->...", diag, lam) + dw
+        a = np.multiply.outer(dy, gain) - decay
+        a -= a.max(axis=-1, keepdims=True)
+        d = np.exp(a)
+        trace = np.einsum("...i,...i->...", d * d, diag)
+        d /= np.sqrt(trace)[..., None]
+        x = d[..., :, None] * rho * d[..., None, :]
+        if dephase is not None:
+            x *= dephase
+        z = np.expm1(np.multiply.outer(u, phase))
+        rot = (z.view(np.float64)[..., None, :] @ modes)[..., 0, :]
+        rot = eye + rot.reshape(*rot.shape[:-1], n, n)
+        # R x, then R (R x)* = R x R^T, each a real matmul on a float view
+        y = (rot @ x.view(np.float64)).view(x.dtype)
+        y = np.ascontiguousarray(_dag(y))
+        out = _hermitian_part((rot @ y.view(np.float64)).view(x.dtype))
+        if not np.all(trace > 0.0):
+            raise NumericalFailureError(
+                f"filtered trace is {np.min(trace):.3e}, not > 0")
+        if not np.isfinite(out).all():
+            raise NumericalFailureError("state has non-finite entries")
+        return out
+
+    return step
 
 
 def _checked_rho0(rho0, ops: SpinOperators) -> np.ndarray:
@@ -233,20 +292,6 @@ def _integer(value, name: str, minimum: int | None = None) -> int:
         bound = "" if minimum is None else f" >= {minimum}"
         raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
     return int(value)
-
-
-def _check_stable(dt: float, ops: SpinOperators) -> None:
-    """The Euler-Maruyama step guard: ValueError unless
-    dt * max(gaps_sq) / 2 <= _EULER_REAL_BOUND, the end of the scheme's
-    stability interval on the negative real axis. Past it the scheme grows
-    the stiffest coherence, which the projection would clamp into plausible
-    states."""
-    ratio = dt * ops.gaps_sq.max() / 2
-    if ratio > _EULER_REAL_BOUND:
-        raise ValueError(
-            f"dt = {dt:g} is too large for Euler-Maruyama at N = {ops.dim}: "
-            f"dt * max(gaps_sq) / 2 = {ratio:.4g} > {_EULER_REAL_BOUND}; "
-            f"take dt <= {2 * _EULER_REAL_BOUND / ops.gaps_sq.max():.4g}")
 
 
 @contextmanager
@@ -301,8 +346,9 @@ class _BatchResult:
     first_below: np.ndarray      # (M,) first time V <= level, NaN if never
 
 
-# A step that overflows is caught by _clip_psd, so numpy need not warn first.
-@np.errstate(over="ignore", invalid="ignore")
+# A step that overflows or loses its trace is refused by the step's own
+# check, so numpy need not warn first.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
                      base_seed: int, streams, *, record_stride: int = 1,
                      sum_chunk: int | None = None,
@@ -328,15 +374,16 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
     A member's path does not depend on which members share its batch, so a
     dropped member changes no other member's numbers.
 
-    Each member draws its noise in blocks of ``_NOISE_BLOCK`` steps. The
-    batch is stepped in the dtype that ``_checked_rho0`` picks for
+    Each member draws its noise in blocks of ``_NOISE_BLOCK`` steps and
+    is stepped by ``_split_step``, which keeps every state a state at any
+    dt. The batch is stepped in the dtype that ``_checked_rho0`` picks for
     ``rho0``. Raises ValueError for an input outside its range, including
     a ``record_stride`` that is not an integer >= 1, a ``base_seed`` or
     stream that is not an integer (a negative one is taken mod 2**64),
-    a ``rho0`` that is not an N x N density matrix, a ``dt`` outside
-    explicit Euler's stability interval (dt * max(gaps_sq) / 2 > 2) and
-    records too large for memory, and NumericalFailureError, with the time
-    of the failed step, if a member's state becomes non-finite.
+    a ``rho0`` that is not an N x N density matrix and records too large
+    for memory, and NumericalFailureError, with the time of the failed
+    step, if a member's state becomes non-finite or its filtered trace is
+    not positive, as when an input's rotation angle u dt mu overflows.
     """
     f, ops = control.f, control.ops
     exiting = exit_threshold is not None
@@ -344,7 +391,6 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
     base_seed = _integer(base_seed, "base_seed")
     streams = [_integer(s, "stream") for s in streams]
     n_steps = _step_count(T, cfg.dt, "dt")
-    _check_stable(cfg.dt, ops)
 
     m_count = len(streams)
     if m_count < 1:
@@ -370,6 +416,7 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
         rec_sum = (np.zeros((n_rec, -(-m_count // sum_chunk), *rho0.shape),
                             dtype=rho0.dtype) if sum_chunk else None)
 
+    step = _split_step(cfg, ops)
     gens = [_philox_rng(base_seed, s) for s in streams]
     sqrt_dt = np.sqrt(cfg.dt)
     noise = np.empty((m_count, min(_NOISE_BLOCK, n_steps)))
@@ -410,7 +457,7 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
         dw = noise[live, k % _NOISE_BLOCK]
 
         try:
-            state = _euler_step(state, u_vec, dw[:, None, None], cfg, ops)
+            state = step(state, u_vec, dw)
         except NumericalFailureError as e:
             raise _failed_at(e, t + cfg.dt) from e
 

@@ -11,13 +11,14 @@ freely across trajectory workers.
 in the F_z eigenbasis (F_z is diagonal, -i F_y is real), so a state with a
 zero imaginary part stays real under the dynamics; the integrators step
 such a state as a real symmetric float64 array (see ``dynamics``). The
-array helpers here (``_dag``, ``_clip_psd``, ``distance_V``,
+array helpers here (``_dag``, ``_hermitian_part``, ``distance_V``,
 ``lyapunov_Q``) take either dtype and keep it.
 
-``_clip_psd`` projects each stepped state of the stochastic integrator's
-batch back onto the state space, all through one ``eigh`` path. Nothing
-else is projected: the averaged flow keeps every state a state by
-construction, and an ensemble's mean state is an average of states.
+No integrator projects a state: the stochastic step and the averaged flow
+keep every state a state by construction, and an ensemble's mean state is
+an average of states. ``_clip_psd``, a projection onto the state space by
+one ``eigh`` path, is kept for the benchmark's tracer, which wraps it by
+name; nothing in the library calls it.
 """
 
 import math
@@ -41,7 +42,7 @@ _TOL = 1e-9
 
 
 class NumericalFailureError(RuntimeError):
-    """A state left the finite numbers, or its projection lost the whole trace.
+    """A state left the finite numbers, or a step or projection lost its trace.
 
     ``time`` is the integration time of the failed step, when known.
     """

@@ -1,6 +1,6 @@
 """Helpers shared by the tests: random states, the projection by
-eigendecomposition alone, and the averaged flow's dense generator and
-its exact trajectory."""
+eigendecomposition alone, the stochastic split step from dense matrices,
+and the averaged flow's dense generator and its exact trajectory."""
 
 import numpy as np
 from scipy.linalg import expm
@@ -28,6 +28,22 @@ def clip_psd_eigh(mat: np.ndarray) -> np.ndarray:
     tr = np.sum(w, axis=-1)
     out = (v * (w / tr[..., None])[..., None, :]) @ _dag(v)
     return 0.5 * (out + _dag(out))
+
+
+def split_step_dense(rho, u, dw, dt: float, eta: float, ops) -> np.ndarray:
+    """Oracle for one step of ``dynamics._split_step`` on one (N, N)
+    state, from dense matrices: R (G o (D rho D)) R^T / Tr(.), with D the
+    diagonal matrix exp(sqrt(eta) F_z dy - eta F_z^2 dt), dy = 2 sqrt(eta)
+    Tr(F_z rho) dt + dw, G_ij = exp(-(1 - eta) (lam_i - lam_j)^2 dt / 2)
+    and R scipy's exp(u dt B) of B = -i F_y, with no shift and no eigh."""
+    fz = ops.f_z
+    dy = 2 * np.sqrt(eta) * np.trace(fz @ rho).real * dt + dw
+    d = expm(np.sqrt(eta) * fz * dy - eta * fz @ fz * dt)
+    lam = np.diag(fz)
+    g = np.exp(-(1 - eta) * (lam[:, None] - lam[None, :]) ** 2 * dt / 2)
+    r = expm(u * dt * (-1j * ops.f_y).real)
+    out = r @ (g * (d @ rho @ d)) @ r.T
+    return out / np.trace(out).real
 
 
 def dense_generator(u, ops) -> np.ndarray:

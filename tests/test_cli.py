@@ -745,21 +745,33 @@ class TestRejectedRuns:
         assert "allow_pickle" not in res.output
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["simulate", "--J", "10", "--f", "11", "--dt", "0.5", "--T", "50"],
-        ["ensemble", "--J", "10", "--f", "11", "--dt", "0.011", "--T", "1"],
-        ["exit-time", "--J", "1", "--f", "3", "--gamma-a", "0.1", "--dt",
-         "1.5", "--T", "3"],
-    ], ids=" ".join)
-    def test_unstable_euler_step_exits_2_naming_dt(self, tmp_path, argv):
-        # Euler would grow the stiffest coherence; the projection would
-        # clamp it into plausible CSVs
-        out = tmp_path / "o"
-        res = RUNNER.invoke(main, [*argv, "-o", str(out)])
-        assert res.exit_code == 2, res.output
-        assert f"dt = {argv[argv.index('--dt') + 1]}" in res.output
-        assert "too large for Euler-Maruyama" in res.output
-        assert not out.exists()
+
+# Steps past explicit Euler's stability interval, dt * max(gaps_sq) / 2 > 2
+# (by up to 100 times at J = 10), with the files each run writes.
+_LARGE_STEPS = [
+    (["simulate", "--J", "10", "--f", "11", "--dt", "0.5", "--T", "50"],
+     ["config.json", "trajectory_seed0_stream0.csv"]),
+    (["ensemble", "--J", "10", "--f", "11", "--dt", "0.011", "--T", "1"],
+     ["config.json", "ensemble.csv", "summary.json"]),
+    (["exit-time", "--J", "1", "--f", "3", "--gamma-a", "0.1", "--dt",
+      "1.5", "--T", "3"], ["config.json", "exit_time.json"]),
+]
+
+
+@pytest.mark.parametrize("argv, written", _LARGE_STEPS,
+                         ids=[" ".join(argv) for argv, _ in _LARGE_STEPS])
+def test_step_past_eulers_stability_bound_runs(tmp_path, argv, written):
+    # the split step keeps every state a state at any dt
+    out = tmp_path / "o"
+    res = RUNNER.invoke(main, [*argv, "-o", str(out)])
+    assert res.exit_code == 0, res.output
+    assert sorted(p.name for p in out.iterdir()) == written
+    if argv[0] == "simulate":
+        _, rows = read_csv(out / written[1])
+        nums = np.array([r[:4] for r in rows], dtype=float)
+        assert len(nums) == 101
+        assert np.all((nums[:, 1] >= 0) & (nums[:, 1] <= 1))
+        assert np.abs(nums[:, 3] - 1).max() <= 1e-12
 
 
 _READS = {
@@ -860,10 +872,12 @@ class TestWarnings:
             "switching-parameter range with a convergence guarantee"]
 
     def test_refused_run_prints_only_its_error(self, tmp_path):
-        # gamma = 0.1 >= 1/21 warns, but the run is refused for its dt
+        # gamma = 0.1 >= 1/21 warns, but the run is refused for its step
+        # count, after the controller is built
         res = run_spinstab(["ensemble", "--J", "10", "--f", "11", "--dt",
-                            "0.011", "--T", "1", "-o", str(tmp_path / "o")])
+                            "1e-10", "--T", "1e300", "-o",
+                            str(tmp_path / "o")])
         assert res.returncode == 2, res.stderr
-        assert res.stderr.startswith("Error: dt = 0.011 is too large")
+        assert res.stderr.startswith("Error: horizon T = 1e+300 is")
         assert "warning" not in res.stderr.lower()
         assert not (tmp_path / "o").exists()

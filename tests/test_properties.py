@@ -11,15 +11,17 @@ hysteresis law in the ``controller`` module docstring, and the mode the
 integrator's loop picks at t = 0 with the rule that docstring states for it.
 The dtype rule (a real state is stepped in float64, a complex one in
 complex128, through the same kernels) is checked against the complex
-computation on the same matrix. The record grid of the stepping loop is
-every ``record_stride``-th step and the last, for any step count and stride.
+computation on the same matrix, and on every state a complex run steps.
+The record grid of the stepping loop is every ``record_stride``-th step
+and the last, for any step count and stride.
 The drift is checked over random inputs u: zero at every eigenstate at
 u = 0, traceless, and a batch row equal to the single call. The projection
 ``_clip_psd`` is compared with its ``eigh`` oracle on full-rank,
 near-singular, rank-deficient and indefinite matrices, single and batched,
 and equals it bit for bit.
-In feedback mode V is a supermartingale: at an interior state the Euler
-step's mean change of V over +dW and -dW is -u^2 dt. One step of the
+In feedback mode V is a supermartingale: at an interior state the split
+step's mean change of V, over the measured increment's own law, is
+-u^2 dt to first order in dt and never positive. One step of the
 averaged flow equals one step of scipy's exp(dt L) of the dense generator,
 for real and complex states, random inputs u and steps dt. The blocks of
 L by spherical-tensor rank, read off ``sme_drift``, have the dense
@@ -29,7 +31,6 @@ matrix.
 
 import sys
 import warnings
-from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -41,7 +42,7 @@ from helpers import (clip_psd_eigh, dense_generator, expm_states,
 from spinstab import dynamics
 from spinstab.controller import (ConstantInput, ControllerState,
                                  feedback_gain, new_controller, switch_modes)
-from spinstab.dynamics import (SdeStepConfig, _control_step, _euler_step,
+from spinstab.dynamics import (SdeStepConfig, _control_step, _split_step,
                                integrate_ensemble, simulate_batch,
                                sme_diffusion, sme_drift)
 from spinstab.quantum import (_clip_psd, _dag, distance_V, eigenstate,
@@ -220,13 +221,14 @@ def test_real_state_steps_in_float64_like_the_complex_one(case, data):
     u = data.draw(arrays(np.float64, shape,
                          elements=st.floats(-2.0, 2.0, allow_subnormal=False)))
     dw = data.draw(arrays(np.float64, shape, elements=st.floats(
-        -0.2, 0.2, allow_subnormal=False)))[..., None, None]
+        -0.2, 0.2, allow_subnormal=False)))
     cfg = SdeStepConfig(dt=1e-3, eta=data.draw(st.floats(0.05, 1.0)))
-    out = _euler_step(m, u, dw, cfg, ops)
+    step = _split_step(cfg, ops)
+    out = step(m, u, dw)
     assert out.dtype == np.float64
     np.testing.assert_array_equal(out, out.swapaxes(-1, -2))
-    np.testing.assert_allclose(out, _euler_step(m.astype(complex), u, dw, cfg,
-                                                ops), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(out, step(m.astype(complex), u, dw), rtol=0,
+                               atol=1e-13)
 
     # A traceless symmetric kick, so that the projection clips eigenvalues.
     p = data.draw(arrays(np.float64, m.shape, elements=st.floats(
@@ -244,22 +246,19 @@ def test_real_state_steps_in_float64_like_the_complex_one(case, data):
 @settings(deadline=None, max_examples=20)
 @given(st.sampled_from(sorted(OPS)), st.integers(0, 2**32 - 1))
 def test_complex_state_is_stepped_in_complex128(J, seed):
+    # every state the loop steps, each recorded as the state sum of a run
+    # of one member, and every state of the averaged flow
     ops = OPS[J]
     rho0 = random_density(ops.dim, np.random.default_rng(seed))
     ctrl = new_controller(0.5 / ops.dim, ops.dim, ops)
-    projected = []
-
-    def recording_clip_psd(mat):
-        projected.append(_clip_psd(mat))
-        return projected[-1]
-
-    with mock.patch.object(dynamics, "_clip_psd", recording_clip_psd):
-        simulate_batch(rho0, ctrl, 0.01, SdeStepConfig(), seed, [0, 1])
+    stepped = dynamics._integrate_batch(rho0, ctrl, 0.01, SdeStepConfig(),
+                                        seed, [0, 1], sum_chunk=1).state_sum
     traj = integrate_ensemble(rho0, ConstantInput(1.0, ops.dim, ops), 0.05,
                               1e-2)
-    assert len(projected) == 10
+    assert stepped.shape == (11, 2, ops.dim, ops.dim)
     assert traj.states.dtype == np.complex128
-    for state in [*projected, *traj.states[1:]]:
+    for state in [*stepped[1:].reshape(-1, ops.dim, ops.dim),
+                  *traj.states[1:]]:
         assert state.dtype == np.complex128 and state.imag.any()
         np.testing.assert_array_equal(state, _dag(state))
 
@@ -280,13 +279,16 @@ def test_record_grid_is_every_stride_th_step_and_the_last(n_steps, stride):
 
 _MART_CFG = SdeStepConfig(dt=1e-4)
 
+# Gauss-Hermite nodes and weights of the standard normal law.
+_GH_X, _GH_W = np.polynomial.hermite_e.hermegauss(20)
+_GH_W = _GH_W / _GH_W.sum()
+
 
 @st.composite
-def feedback_steps(draw):
-    """(ops, rho, ctrl, dw): an interior state in the feedback region
+def feedback_states(draw):
+    """(ops, rho, ctrl): an interior state in the feedback region
     V <= 1 - gamma of a switching law with gamma in (0, 1/N), mixed from a
-    random state and the target eigenstate, and a Wiener increment for
-    which both Euler steps, with dw and -dw, stay positive definite."""
+    random state and the target eigenstate."""
     ops, m, _ = draw(spin_states(batched=False))
     f = draw(st.integers(1, ops.dim))
     w = draw(st.floats(0.0, 0.99))
@@ -294,28 +296,37 @@ def feedback_steps(draw):
     rho = 0.5 * (rho + _dag(rho))
     ctrl = ControllerState(draw(st.floats(1e-3, 0.999)) / ops.dim, f, ops)
     assume(distance_V(rho, f) <= 1.0 - ctrl.gamma)
-    dw = draw(st.floats(0.01, 3.0)) * np.sqrt(_MART_CFG.dt)
-    drift = sme_drift(rho, feedback_gain(rho, f, ops), ops) * _MART_CFG.dt
-    kick = sme_diffusion(rho, ops, _MART_CFG.eta) * dw
-    for step in (drift + kick, drift - kick):
-        assume(np.linalg.eigvalsh(rho + step).min() > 0.0)
-    return ops, rho, ctrl, dw
+    return ops, rho, ctrl
 
 
 @settings(deadline=None)
-@given(feedback_steps())
+@given(feedback_states())
 def test_v_is_a_supermartingale_in_feedback_mode(case):
-    """The Euler increment is linear in dW and the double commutator's
-    (f, f) entry is zero, so at an interior state, where the projection only
-    renormalizes, the mean of Delta V over +dW and -dW is -u^2 dt for the
-    feedback gain u: V decreases on average at the rate u^2."""
-    ops, rho, ctrl, dw = case
+    """Under the law of the measured increment that the state itself
+    implies, dy ~ N(2 lam_k dt, dt) with probability rho_kk, the filter
+    is Bayes' rule, so its mean is the state dephased, whose (f, f) entry
+    is rho_ff; the rotation then moves rho_ff by u^2 dt e^(-dt/2) to first
+    order, and by at most (2 J u dt)^n / n! at order n, as |F_y| = J. So
+    the step's mean change of V, taken by Gauss-Hermite quadrature per
+    component, is -u^2 dt up to u^2 dt^2 (1/2 + 2 J^2 e^(2 J |u| dt)): V
+    decreases on average at the rate u^2, and never increases."""
+    ops, rho, ctrl = case
+    dt, n = _MART_CFG.dt, ops.dim
     v0 = distance_V(rho, ctrl.f)
     feedback, u = _control_step(ctrl, False, v0, rho)
     assert feedback
-    dv = [distance_V(_euler_step(rho, u, s * dw, _MART_CFG, ops), ctrl.f) - v0
-          for s in (1.0, -1.0)]
-    assert abs(0.5 * (dv[0] + dv[1]) + u**2 * _MART_CFG.dt) <= 2e-15
+    p = rho.diagonal().real
+    lam = ops.lambdas
+    # the step's dw is dy less its own drift 2 Tr(F_z rho) dt
+    dw = (2 * (lam - p @ lam) * dt)[:, None] + np.sqrt(dt) * _GH_X
+    out = _split_step(_MART_CFG, ops)(
+        np.broadcast_to(rho, (dw.size, n, n)), np.full(dw.size, u),
+        dw.ravel())
+    mean_dv = np.outer(p, _GH_W).ravel() @ distance_V(out, ctrl.f) - v0
+    assert mean_dv <= 1e-15
+    rotation = 2 * ops.J**2 * np.exp(2 * ops.J * abs(u) * dt)
+    bound = u**2 * dt**2 * (0.5 + rotation)
+    assert abs(mean_dv + u**2 * dt) <= bound + 1e-15
 
 
 _u_values = st.floats(-5.0, 5.0, allow_subnormal=False)
