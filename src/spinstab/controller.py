@@ -77,14 +77,17 @@ class ConstantInput:
 def feedback_gain(rho, f: int, ops: SpinOperators):
     """Feedback input -(i [F_y, rho])_ff; real, and zero at the target.
 
-    Precondition: ``rho`` is Hermitian, as every state is. Then
     -(i [F_y, rho])_ff = 2 Im(sum_k (F_y)_fk rho_kf) = 2 sum_k B_fk Re(rho_kf)
-    with the real B = -i F_y (``ops.b_y``), so only column f of ``rho`` is
-    read; F_y is tridiagonal, so only k = f-1, f+1 contribute.
-    Accepts a single state or a stacked (..., N, N) array.
+    for a Hermitian ``rho``, with the real B = -i F_y (``ops.b_y``), and
+    2 Re(rho_kf) = Re(rho_kf + rho_fk) is read from column and row f, so
+    only those are read; F_y is tridiagonal, so only k = f-1, f+1
+    contribute. The same sum gives the gain of a state from its real form
+    P = Re rho + Im rho, which the stochastic loop steps (see
+    ``dynamics``): P_kf + P_fk = 2 Re(rho_kf). Accepts a single matrix or
+    a stacked (..., N, N) array.
     """
     m = np.asarray(rho)
-    g = 2.0 * (m[..., :, f - 1].real @ ops.b_y[f - 1])
+    g = (m[..., :, f - 1] + m[..., f - 1, :]).real @ ops.b_y[f - 1]
     return float(g) if np.ndim(g) == 0 else g
 
 

@@ -48,15 +48,19 @@ The stepping core is vectorized over a leading batch axis; the step and
 the drift/diffusion operations accept either a single (N, N) matrix or a
 stacked (M, N, N) array.
 
-Both integrators step the state in the dtype chosen once, at entry, by
-``_checked_rho0``: float64 when the initial state has a zero imaginary
-part, complex128 otherwise. F_z is diagonal and B = -i F_y is real, so the
-filter, the rotation, the drift and the feedback gain all map a real
-symmetric state to a real symmetric state; a real run does the same
-arithmetic on half the data, through the same kernels. A complex initial
-state runs those kernels in complex128. ``sme_drift`` and
-``sme_diffusion`` are the equation's two terms as rates: the averaged flow
-reads its generator off the first, and the stochastic loop calls neither.
+``_checked_rho0`` chooses a run's output dtype once, at entry: float64
+when the initial state has a zero imaginary part, complex128 otherwise.
+The averaged flow steps in that dtype. The stochastic loop steps every
+member, from either start, as one real N x N matrix P = Re rho + Im rho
+in float64. Every real P is exactly one Hermitian matrix,
+rho = (P + P^T)/2 + i (P - P^T)/2, and F_z is diagonal and B = -i F_y
+real, so each factor of the split step maps P to the P of its image:
+Hermiticity holds with nothing to repair. V is 1 - P_ff, the purity
+sum |rho_ij|^2 is sum P_ij^2 and the feedback gain reads row and column
+f of P; the recorded state sums are unpacked into the start's dtype.
+``sme_drift`` and ``sme_diffusion`` are the equation's two terms as rates:
+the averaged flow reads its generator off the first, and the stochastic
+loop calls neither.
 """
 
 import math
@@ -193,11 +197,15 @@ def _split_step(cfg: SdeStepConfig, ops: SpinOperators):
       run: real, orthogonal, and exactly I at u = 0.
 
     D rho D is positive, G is a Gaussian kernel and R orthogonal, so every
-    dt gives a state, exactly Hermitian, with nothing projected. ``step``
-    is where a failed step is detected: it raises NumericalFailureError
-    unless the filtered trace is > 0 and every new state is finite. Each
-    member is computed on its own, so a batch row equals the member
-    stepped alone, bit for bit.
+    dt gives a state, with nothing projected. D, G and R are real, so
+    ``step`` maps a state's real form P = Re rho + Im rho (see the module
+    docstring), as the loop passes it, to the real form of rho'; a
+    Hermitian ``rho`` of either dtype goes to rho' itself, Hermitian to
+    round-off. The diagonal, which sets dy and the trace, is Re rho_kk =
+    P_kk either way. ``step`` is where a failed step is detected: it
+    raises NumericalFailureError unless the filtered trace is > 0 and
+    every new state is finite. Each member is computed on its own, so a
+    batch row equals the member stepped alone, bit for bit.
     """
     n, lam, dt = ops.dim, ops.lambdas, cfg.dt
     sqrt_eta = math.sqrt(cfg.eta)
@@ -207,11 +215,13 @@ def _split_step(cfg: SdeStepConfig, ops: SpinOperators):
     mu, w = np.linalg.eigh(ops.f_y)
     # F_y's eigenvalues -J..J are simple and the projector of -mu is the
     # conjugate of that of mu, so R = I + 2 Re(sum over mu > 0 of
-    # expm1(-i u dt mu) w w*) = I + z @ modes for the float view z of those
-    # expm1: row 2k of modes is 2 Re(w_k w_k*), row 2k + 1 is -2 Im(w_k w_k*)
+    # expm1(-i u dt mu) w w*). Re(w w*) is symmetric and Im(w w*)
+    # antisymmetric, so R^T = I + z @ modes for z the real parts, then the
+    # imaginary parts, of those K expm1: row k of modes is 2 Re(w_k w_k*),
+    # row K + k is 2 Im(w_k w_k*)
     up = mu > 0
     outer = w.T[up, :, None] * w.T[up].conj()[:, None, :]
-    modes = 2 * np.stack([outer.real, -outer.imag], axis=1).reshape(-1, n * n)
+    modes = 2 * np.concatenate([outer.real, outer.imag]).reshape(-1, n * n)
     phase = -1j * dt * mu[up]
     eye = np.eye(n)
 
@@ -227,12 +237,11 @@ def _split_step(cfg: SdeStepConfig, ops: SpinOperators):
         if dephase is not None:
             x *= dephase
         z = np.expm1(np.multiply.outer(u, phase))
-        rot = (z.view(np.float64)[..., None, :] @ modes)[..., 0, :]
-        rot = eye + rot.reshape(*rot.shape[:-1], n, n)
-        # R x, then R (R x)* = R x R^T, each a real matmul on a float view
-        y = (rot @ x.view(np.float64)).view(x.dtype)
-        y = np.ascontiguousarray(_dag(y))
-        out = _hermitian_part((rot @ y.view(np.float64)).view(x.dtype))
+        z = np.concatenate([z.real, z.imag], axis=-1)[..., None, :]
+        rot_t = eye + (z @ modes).reshape(*np.shape(u), n, n)
+        # R x R^T with R^T the contiguous factor: numpy's matmul of small
+        # matrices is slower with a transposed right operand than left
+        out = rot_t.swapaxes(-1, -2) @ x @ rot_t
         if not np.all(trace > 0.0):
             raise NumericalFailureError(
                 f"filtered trace is {np.min(trace):.3e}, not > 0")
@@ -247,12 +256,13 @@ def _checked_rho0(rho0, ops: SpinOperators) -> np.ndarray:
     """``rho0`` as an array in the dtype the run steps in, or ValueError
     unless it is an N x N state (its shape checked first, naming N).
 
-    The one place the state's dtype is chosen: a contiguous float64 array
+    The one place a run's dtype is chosen: a contiguous float64 array
     when the validated state's imaginary part is all zero, complex128
-    otherwise. The dynamics keep a real state real, so the integrators step
-    it in float64 throughout. A state passes as Hermitian to round-off; the
-    array returned is its exact Hermitian part, as every later state is
-    exactly Hermitian.
+    otherwise. The dynamics keep a real state real, so the averaged flow
+    steps a real start in float64 throughout, and the stochastic loop
+    records its state sums in this dtype. A state passes as Hermitian to
+    round-off; the array returned is its exact Hermitian part, as every
+    later state is exactly Hermitian.
     """
     if np.shape(rho0) != (ops.dim, ops.dim):
         raise ValueError(f"initial state must be N x N with N = {ops.dim}, "
@@ -342,7 +352,9 @@ class _BatchResult:
     u: np.ndarray                # (R, M)
     purity: np.ndarray           # (R, M)
     modes: np.ndarray            # (R, M) uint8, 1 = feedback branch
-    state_sum: np.ndarray | None  # (R, C, N, N) sums of C member runs
+    # (R, C, N, N) sums of C member runs, exactly Hermitian, in the dtype
+    # _checked_rho0 picks for the start
+    state_sum: np.ndarray | None
     first_below: np.ndarray      # (M,) first time V <= level, NaN if never
 
 
@@ -376,8 +388,11 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
 
     Each member draws its noise in blocks of ``_NOISE_BLOCK`` steps and
     is stepped by ``_split_step``, which keeps every state a state at any
-    dt. The batch is stepped in the dtype that ``_checked_rho0`` picks for
-    ``rho0``. Raises ValueError for an input outside its range, including
+    dt. Every member is stepped as its real form P = Re rho + Im rho in
+    float64; each recorded state sum S is unpacked into the dtype that
+    ``_checked_rho0`` picks for ``rho0``, as (S + S^T)/2 for a real start
+    and (S + S^T)/2 + i (S - S^T)/2 for a complex one, both exactly
+    Hermitian. Raises ValueError for an input outside its range, including
     a ``record_stride`` that is not an integer >= 1, a ``base_seed`` or
     stream that is not an integer (a negative one is taken mod 2**64),
     a ``rho0`` that is not an N x N density matrix and records too large
@@ -397,7 +412,10 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
         raise ValueError("M must be >= 1: no trajectory streams given")
     rho0 = _checked_rho0(rho0, ops)
 
-    state = np.tile(rho0, (m_count, 1, 1))
+    state = np.tile(rho0.real + rho0.imag, (m_count, 1, 1))
+    # w P + conj(w) P^T is the Hermitian matrix of a real form P, w = 1/2
+    # in float64 and (1 + i)/2 in complex128: it unpacks each state sum
+    unpack = 0.5 + 0.5j if np.iscomplexobj(rho0) else 0.5
     modes = np.zeros(m_count, dtype=bool)
     # V != EPS_CONV (1 - rho_ff is exact and 1 - 0.01 no double), so <= is <.
     level = EPS_CONV if exit_threshold is None else exit_threshold
@@ -435,11 +453,12 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
             rec_t[rec_i] = t
             rec_V[rec_i] = v
             rec_u[rec_i] = u_vec
-            rec_purity[rec_i] = np.sum(np.abs(state) ** 2, axis=(-2, -1))
+            rec_purity[rec_i] = np.sum(state ** 2, axis=(-2, -1))
             rec_modes[rec_i] = modes
             if sum_chunk:
                 for c, lo in enumerate(range(0, m_count, sum_chunk)):
-                    rec_sum[rec_i, c] = state[lo:lo + sum_chunk].sum(axis=0)
+                    p = state[lo:lo + sum_chunk].sum(axis=0)
+                    rec_sum[rec_i, c] = unpack * p + np.conj(unpack) * p.T
             rec_i += 1
         if k == n_steps or (exiting and below.all()):
             break

@@ -123,10 +123,17 @@ def _task_members(dim: int) -> int:
     N = 5 and 64 from N = 7 on.
 
     A step pays a fixed per-call overhead plus work per entry, so a wider
-    batch is cheaper per member only while it is small. Closed loop, per
-    member-step on one CPU of a 2-vCPU Xeon VM: 2.9 us at W = 64 against
-    1.9 us at 256 for N = 3, 7.4 against 5.8 us at 128 for N = 5, and no
-    gain from 64 at N = 21, whose 64 members already hold 28,224 entries.
+    batch is cheaper per member while the overhead dominates. Closed loop
+    with the split step, per member-step, median of 3 runs on one CPU of a
+    2-vCPU Xeon VM with one BLAS thread: at N = 3, 1.30 us at W = 64, 0.86
+    at the rule's 256 and 0.55 at 1024; at N = 5, 1.20 at the rule's 128
+    and 0.80 at 512; at N = 7, 1.83 at the rule's 64 and 1.07 at 512; at
+    N = 11, 2.67 at 64 and 1.99 at 256; at N = 21, 7.3 to 8.0 from 64 to
+    256 and 9.3 at 1024. So the rule gives up speed below N = 21. It also
+    bounds a task's records, which grow with W: R (25 W + 8 N^2 W / 64)
+    bytes for R records from a real start, 334 MB at N = 3 and W = 256 for
+    the CLI's default horizon, step and stride (T = 50, dt = 1e-3, every
+    step recorded).
     """
     width = _CHUNK
     while 2 * width * dim * dim <= _TASK_ENTRIES:

@@ -9,9 +9,11 @@ freely across trajectory workers.
 
 ``QuantumState`` always holds complex128. The model's operators are real
 in the F_z eigenbasis (F_z is diagonal, -i F_y is real), so a state with a
-zero imaginary part stays real under the dynamics; the integrators step
-such a state as a real symmetric float64 array (see ``dynamics``). The
-array helpers here (``_dag``, ``_hermitian_part``, ``distance_V``,
+zero imaginary part stays real under the dynamics, and the averaged flow
+steps such a state as a real symmetric float64 array. The stochastic loop
+steps every state, real or complex, as one real float64 matrix
+Re rho + Im rho, whose diagonal is rho's (see ``dynamics``). The array
+helpers here (``_dag``, ``_hermitian_part``, ``distance_V``,
 ``lyapunov_Q``) take either dtype and keep it.
 
 No integrator projects a state: the stochastic step and the averaged flow

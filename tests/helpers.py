@@ -59,18 +59,31 @@ def dense_generator(u, ops) -> np.ndarray:
     return -1j * u * ad(ops.f_y) - 0.5 * ad(ops.f_z) @ ad(ops.f_z)
 
 
-def expm_states(rho0, u, dt: float, n_steps: int, ops) -> np.ndarray:
+def expm_states(rho0, u, dt: float, n_steps: int, ops, *,
+                unit_norm: bool = False) -> np.ndarray:
     """Oracle for the grid states of the averaged flow: rho0 and
     ``n_steps`` steps of scipy's dense exp(dt L) after it, complex. L's
     Kronecker form has an all-zero imaginary part, as -i F_y is real, so
     exp is taken of its real part alone, and each step applies it to the
     state's real and imaginary parts as the two columns of one real
-    matrix."""
+    matrix.
+
+    With ``unit_norm``, each step applies exp(dt L / m) m times instead,
+    m the smallest power of two with |dt L / m|_1 <= 1, at m times the
+    matrix-vector products. scipy squares its expm of a matrix of larger
+    norm, which costs digits: at N = 3, u = 37 and dt = 0.4296875 its
+    exp(dt L) is 1.0e-13 from a 40-digit one, the m = 64 steps 8.3e-16."""
     generator = dense_generator(u, ops)
     assert not generator.imag.any()
-    step = expm(dt * generator.real)
+    a = dt * generator.real
+    m = 1
+    while unit_norm and np.abs(a / m).sum(axis=0).max() > 1:
+        m *= 2
+    step = expm(a / m)
     states = [np.asarray(rho0, dtype=complex).ravel()]
     for _ in range(n_steps):
         parts = states[-1].view(float).reshape(-1, 2)
-        states.append((step @ parts).view(complex).ravel())
+        for _ in range(m):
+            parts = step @ parts
+        states.append(parts.view(complex).ravel())
     return np.reshape(states, (n_steps + 1, ops.dim, ops.dim))

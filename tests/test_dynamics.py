@@ -261,6 +261,33 @@ class TestEmStep:
                 np.testing.assert_allclose(states[k + 1, j], rho, rtol=0,
                                            atol=1e-13)
 
+    def test_complex_start_is_stepped_in_float64(self):
+        # the loop hands the step map each state's real form Re rho + Im
+        # rho, and unpacks the recorded state sums into complex128 states,
+        # exactly Hermitian
+        seen = []
+        kernel = dynamics._split_step
+
+        def recording_split_step(cfg, ops):
+            step = kernel(cfg, ops)
+
+            def recorded(rho, u, dw):
+                seen.append(rho.dtype)
+                return step(rho, u, dw)
+            return recorded
+
+        ops = make_spin_operators(2)
+        rho0 = random_density(ops.dim, np.random.default_rng(4))
+        with mock.patch.object(dynamics, "_split_step", recording_split_step):
+            res = dynamics._integrate_batch(
+                rho0, new_controller(0.1, 3, ops), 0.05,
+                SdeStepConfig(dt=0.01), 0, [0, 1], sum_chunk=1)
+        assert seen == [np.float64] * 5
+        states = res.state_sum
+        assert states.dtype == np.complex128 and states.shape == (6, 2, 5, 5)
+        assert (states == _dag(states)).all()
+        assert states[1:].imag.any()
+
     @pytest.mark.parametrize("eta", [1.0, 0.5])
     @pytest.mark.parametrize("start", ["eigenstate", "complex"])
     def test_every_state_is_a_state_at_a_large_step(self, eta, start):
@@ -299,9 +326,9 @@ class TestEmStep:
                 for dt in (0.2, 0.05)]
         assert gaps[1] < gaps[0]
 
-    def test_trace_preserved_exactly_before_projection(self):
-        # drift and diffusion are traceless, so the raw Euler step keeps
-        # trace 1 and the projection can never lose the whole spectrum
+    def test_drift_and_diffusion_terms_are_traceless(self):
+        # the equation's two terms, as rates, move no trace: a state plus
+        # any combination of them keeps trace 1
         rng = np.random.default_rng(29)
         for _ in range(50):
             m = np.asarray(random_density(3, rng))
