@@ -82,9 +82,9 @@ def feedback_gain(rho, f: int, ops: SpinOperators):
     2 Re(rho_kf) = Re(rho_kf + rho_fk) is read from column and row f, so
     only those are read; F_y is tridiagonal, so only k = f-1, f+1
     contribute. The same sum gives the gain of a state from its real form
-    P = Re rho + Im rho, which the stochastic loop steps (see
-    ``dynamics``): P_kf + P_fk = 2 Re(rho_kf). Accepts a single matrix or
-    a stacked (..., N, N) array.
+    P = Re rho + Im rho, which the stochastic loop reads at t = 0 and
+    steps at eta < 1 (see ``dynamics``): P_kf + P_fk = 2 Re(rho_kf).
+    Accepts a single matrix or a stacked (..., N, N) array.
     """
     m = np.asarray(rho)
     g = (m[..., :, f - 1] + m[..., f - 1, :]).real @ ops.b_y[f - 1]

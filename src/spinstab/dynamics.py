@@ -9,10 +9,12 @@ Two integrators live here:
               + sqrt(eta) (F_z rho + rho F_z - 2 Tr(F_z rho) rho) dW,
 
   which composes the exact linear filter of the F_z measurement over a
-  step with the exact rotation exp(u dt B), B = -i F_y, of the control
-  (``_split_step``). Each factor maps states to states, so every dt gives
-  a state with no projection and no step guard; the splitting's weak
-  error is O(dt);
+  step with the exact rotation exp(u dt B), B = -i F_y, of the control.
+  Each factor maps states to states, so every dt gives a state with no
+  projection and no step guard; the splitting's weak error is O(dt). At
+  eta = 1 both factors keep a state's rank, so an eta = 1 run steps a
+  real factor of rho, at O(N^2) per member and unit of rank
+  (``_factor_step``), and an eta < 1 run steps rho (``_split_step``);
 
 * the exact flow of the averaged (ensemble) dynamics under a constant
   input, which is the same drift with the noise term dropped. That flow is
@@ -44,20 +46,28 @@ increments come from a counter-based generator keyed by
 (base_seed, stream), so ensembles reproduce bit-for-bit regardless of
 how the trajectories are scheduled.
 
-The stepping core is vectorized over a leading batch axis; the step and
-the drift/diffusion operations accept either a single (N, N) matrix or a
-stacked (M, N, N) array.
+The stepping core is vectorized over a leading batch axis:
+``_split_step`` and the drift/diffusion operations accept a single (N, N)
+matrix or a stacked (M, N, N) array, ``_factor_step`` a stacked (M, N, c)
+array of factors.
 
 ``_checked_rho0`` chooses a run's output dtype once, at entry: float64
 when the initial state has a zero imaginary part, complex128 otherwise.
 The averaged flow steps in that dtype. The stochastic loop steps every
-member, from either start, as one real N x N matrix P = Re rho + Im rho
-in float64. Every real P is exactly one Hermitian matrix,
-rho = (P + P^T)/2 + i (P - P^T)/2, and F_z is diagonal and B = -i F_y
-real, so each factor of the split step maps P to the P of its image:
-Hermiticity holds with nothing to repair. V is 1 - P_ff, the purity
-sum |rho_ij|^2 is sum P_ij^2 and the feedback gain reads row and column
-f of P; the recorded state sums are unpacked into the start's dtype.
+member, from either start, in float64, and reads every start at t = 0 as
+one real N x N matrix P = Re rho + Im rho. Every real P is exactly one
+Hermitian matrix, rho = (P + P^T)/2 + i (P - P^T)/2, and F_z is diagonal
+and B = -i F_y real, so each factor of the split step maps P to the P of
+its image: Hermiticity holds with nothing to repair. An eta < 1 run steps
+P (``_real_form``). An eta = 1 run steps, from its first step on, a real
+N x c factor F with Re rho = F F^T, built once from rho0's eigenpairs
+(``_factor_form``): c is rho0's rank r for a real start, and 2r, F =
+[Re X, Im X] for rho0 = X X*, for a complex one. The filter and the
+rotation are real, so they step each column of F as a vector, and F
+keeps its rank: a pure state stays pure by construction. V is
+1 - Re rho_ff, and the purity Tr(rho^2) and the feedback gain are read
+from P or F; the recorded state sums, of P or of the P that F stands for,
+are unpacked into the start's dtype.
 ``sme_drift`` and ``sme_diffusion`` are the equation's two terms as rates:
 the averaged flow reads its generator off the first, and the stochastic
 loop calls neither.
@@ -65,6 +75,7 @@ loop calls neither.
 
 import math
 import sys
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -178,8 +189,28 @@ def sme_diffusion(rho, ops: SpinOperators, eta: float) -> np.ndarray:
     return np.sqrt(eta) * out
 
 
+def _rotation_planes(ops: SpinOperators):
+    """(mu, q): the planes in which the control's rotation exp(t B),
+    B = -i F_y, turns, from one ``eigh`` of F_y.
+
+    F_y's eigenvalues are -J..J in unit steps. mu holds its floor(N/2)
+    positive ones, and columns 2k and 2k + 1 of the real N x 2 floor(N/2)
+    matrix q are sqrt(2) times the real and the imaginary part of the
+    eigenvector of mu_k. They are orthonormal, with B q_2k = mu_k q_2k+1
+    and B q_2k+1 = -mu_k q_2k, so exp(t B) turns plane k by t mu_k and
+    fixes what is left, F_y's null vector when N is odd. Both stepping
+    kernels read their rotation from here.
+    """
+    mu, w = np.linalg.eigh(ops.f_y)
+    # the spectrum's unit spacing splits it at 1/4: at J = 2, 10 and 20
+    # eigh returns the zero eigenvalue as +1e-16, which mu > 0 would take
+    up = mu > 0.25
+    q = np.stack([w[:, up].real, w[:, up].imag], axis=-1).reshape(ops.dim, -1)
+    return mu[up], math.sqrt(2) * q
+
+
 def _split_step(cfg: SdeStepConfig, ops: SpinOperators):
-    """The stepping kernel of every stochastic run, formed once per run:
+    """The stepping kernel of every eta < 1 run, formed once per run:
     ``step(rho, u, dw)`` takes each state of ``rho``, an (N, N) matrix or a
     stacked (M, N, N) array, one step of ``cfg.dt`` under its input u and
     Wiener increment dw (scalars or one per member) to
@@ -193,8 +224,8 @@ def _split_step(cfg: SdeStepConfig, ops: SpinOperators):
     * G_ij = exp(-(1 - eta) (lam_i - lam_j)^2 dt / 2), applied when
       eta < 1, dephases what the detector misses;
     * R = exp(u dt B), B = -i F_y, the exact rotation of the control, is
-      I + Re(W diag(expm1(-i u dt mu)) W*) from one ``eigh`` of F_y per
-      run: real, orthogonal, and exactly I at u = 0.
+      formed per member from ``_rotation_planes``: real, orthogonal, and
+      exactly I at u = 0.
 
     D rho D is positive, G is a Gaussian kernel and R orthogonal, so every
     dt gives a state, with nothing projected. D, G and R are real, so
@@ -212,17 +243,17 @@ def _split_step(cfg: SdeStepConfig, ops: SpinOperators):
     gain, decay = sqrt_eta * lam, cfg.eta * lam ** 2 * dt
     dephase = (np.exp(-(1.0 - cfg.eta) * ops.gaps_sq * dt / 2)
                if cfg.eta < 1.0 else None)
-    mu, w = np.linalg.eigh(ops.f_y)
-    # F_y's eigenvalues -J..J are simple and the projector of -mu is the
-    # conjugate of that of mu, so R = I + 2 Re(sum over mu > 0 of
-    # expm1(-i u dt mu) w w*). Re(w w*) is symmetric and Im(w w*)
-    # antisymmetric, so R^T = I + z @ modes for z the real parts, then the
-    # imaginary parts, of those K expm1: row k of modes is 2 Re(w_k w_k*),
-    # row K + k is 2 Im(w_k w_k*)
-    up = mu > 0
-    outer = w.T[up, :, None] * w.T[up].conj()[:, None, :]
-    modes = 2 * np.concatenate([outer.real, outer.imag]).reshape(-1, n * n)
-    phase = -1j * dt * mu[up]
+    mu, q = _rotation_planes(ops)
+    # R = I + sum over the planes of (cos - 1) (a a^T + b b^T) +
+    # sin (b a^T - a b^T) at the angle u dt mu_k, and expm1(-i u dt mu_k)
+    # is (cos - 1) - i sin, so R^T = I + z @ modes for z the real parts,
+    # then the imaginary parts, of those K expm1: row k of modes is
+    # a_k a_k^T + b_k b_k^T, row K + k is b_k a_k^T - a_k b_k^T
+    a, b = q[:, 0::2].T[:, :, None], q[:, 1::2].T[:, :, None]
+    at, bt = a.swapaxes(1, 2), b.swapaxes(1, 2)
+    modes = np.concatenate([a * at + b * bt, b * at - a * bt]).reshape(-1,
+                                                                     n * n)
+    phase = -1j * dt * mu
     eye = np.eye(n)
 
     def step(rho, u, dw):
@@ -250,6 +281,144 @@ def _split_step(cfg: SdeStepConfig, ops: SpinOperators):
         return out
 
     return step
+
+
+def _factor_step(cfg: SdeStepConfig, ops: SpinOperators):
+    """The stepping kernel of every eta = 1 run, formed once per run:
+    ``step(F, u, dw)`` takes each real N x c factor of the stack F, an
+    (M, N, c) array, one step of ``cfg.dt`` under its input u and Wiener
+    increment dw (one per member) to
+
+        F' = R D F / |D F|,  so that F' F'^T = R (D F F^T D) R^T / Tr(.),
+
+    with D and R those of ``_split_step`` at eta = 1: each column of F
+    steps as a vector, and the state F F^T as ``_split_step`` steps it.
+    Re rho_kk, which sets dy and the trace, is the sum of F_k's squares.
+
+    R is applied without forming it. A vector's coordinates in the planes
+    of ``_rotation_planes`` are turned by u dt mu_k, and the turn is added
+    as a change: with cos - 1 written -2 sin^2(. / 2), it is exactly zero
+    at u = 0, where F' is D F / |D F|. Each member costs O(N^2 c).
+    ``step`` raises NumericalFailureError unless the filtered trace is > 0
+    and every new factor is finite. Each member is computed on its own, so
+    a batch row equals the member stepped alone, bit for bit: every sum
+    runs over a member's own C-ordered entries, while the exponents and
+    angles, which take no sum (a maximum is exact in any order), are laid
+    out with the members last, where numpy runs them fastest.
+    """
+    lam, dt = ops.lambdas, cfg.dt
+    gain, decay = 2.0 * dt * lam, lam[:, None] ** 2 * dt
+    mu, q = _rotation_planes(ops)
+    a, b = q[:, 0::2], q[:, 1::2]
+    # a vector's plane coordinates (x, y), then (y, x), and back
+    to_planes = np.concatenate([a, b, b, a], axis=1)
+    from_planes = np.concatenate([a, b, a, b], axis=1).T.copy()
+    # s = sin(angles u) is (sin(theta/2), sin(theta/2), sin theta, sin
+    # theta) for theta = u dt mu, and s (s scale + shift) the change of the
+    # coordinates' coefficients: (cos theta - 1, cos theta - 1, -sin theta,
+    # sin theta)
+    angles = dt * np.concatenate([mu / 2, mu / 2, mu, mu])
+    scale, shift = np.repeat([[-2.0, -2.0, 0.0, 0.0], [0.0, 0.0, -1.0, 1.0]],
+                             len(mu), axis=1)[..., None]
+
+    def step(f, u, dw):
+        diag = np.vecdot(f, f)
+        e = lam[:, None] * (np.vecdot(diag, gain) + dw) - decay
+        e -= e.max(axis=0)
+        x = f * np.exp(e.T, order="C")[..., None]
+        flat = x.reshape(len(x), -1)
+        trace = np.vecdot(flat, flat)
+        x /= np.sqrt(trace)[:, None, None]
+        s = np.sin(angles[:, None] * u)
+        turn = np.vecmat(x.swapaxes(1, 2), to_planes)
+        turn *= (s * (s * scale + shift)).T[:, None, :]
+        # C order, as the loop's start: a batch row's layout, and so its
+        # sums, must not depend on the batch's length
+        out = np.add(x, np.vecmat(turn, from_planes).swapaxes(1, 2),
+                     order="C")
+        if not trace.min() > 0.0:
+            raise NumericalFailureError(
+                f"filtered trace is {np.min(trace):.3e}, not > 0")
+        # every |entry| is at most 1 after a finite step, so the sum is
+        # finite exactly when every entry is
+        if not math.isfinite(out.sum()):
+            raise NumericalFailureError("state has non-finite entries")
+        return out
+
+    return step
+
+
+@dataclass(frozen=True)
+class _Form:
+    """How the stochastic loop holds a member's state: ``state`` at the
+    start, and four readers of a stack of states: ``distance`` is each
+    state's V, ``gain`` has ``feedback_gain``'s signature, ``purity`` is
+    each state's Tr(rho^2), and ``real_sum`` is the sum of the states' real
+    forms Re rho + Im rho."""
+
+    state: np.ndarray
+    distance: Callable
+    gain: Callable
+    purity: Callable
+    real_sum: Callable
+
+
+def _real_form(rho0, f: int) -> _Form:
+    """Each state as its real form P = Re rho + Im rho, which
+    ``_split_step`` steps: the form of an eta < 1 run, and of every run at
+    t = 0."""
+    return _Form(state=rho0.real + rho0.imag,
+                 distance=lambda p: distance_V(p, f), gain=feedback_gain,
+                 purity=lambda p: np.sum(p ** 2, axis=(-2, -1)),
+                 real_sum=lambda p: p.sum(axis=0))
+
+
+def _factor_gain(fac, f: int, ops: SpinOperators):
+    """``feedback_gain`` of each state F F^T of a stack of factors:
+    2 sum_k B_fk Re rho_kf = 2 F_f . (B F)_f."""
+    return 2.0 * np.vecdot(fac[..., f - 1, :], np.matmul(ops.b_y[f - 1], fac))
+
+
+def _factor_form(rho0, f: int) -> _Form:
+    """Each state as a real N x c factor F with Re rho = F F^T, which
+    ``_factor_step`` steps: the form of an eta = 1 run after t = 0.
+
+    F is built from rho0's eigenpairs (w, V) above N epsilon of the
+    largest, its numerical rank r: X = V sqrt(w), so X X* = rho0 to
+    round-off, and F = X, c = r, for a real rho0, F = [Re X, Im X],
+    c = 2r, for a complex one. An eigenvalue below that, negative ones
+    included (a state may carry them down to -1e-9), is left out. For a
+    complex start, F = [A, B] with X = A + iB, Im rho = B A^T - A B^T, so
+    the real form is F [A - B, A + B]^T, and Tr(rho^2) = |X* X|_F^2 is read
+    off the Gram matrix F^T F: Re X* X = A^T A + B^T B and Im X* X =
+    A^T B - B^T A.
+    """
+    w, v = np.linalg.eigh(rho0)
+    keep = w > len(w) * np.finfo(float).eps * w[-1]
+    x = v[:, keep] * np.sqrt(w[keep])
+    r = x.shape[1] if np.iscomplexobj(x) else None
+    # C order, as the step keeps it
+    fac = np.ascontiguousarray(x if r is None else np.hstack([x.real, x.imag]))
+
+    def distance(fac):
+        # as distance_V: 1 - Re rho_ff, which is at most 1, clipped at 0
+        row = fac[..., f - 1, :]
+        return np.maximum(1.0 - np.vecdot(row, row), 0.0)
+
+    def purity(fac):
+        g = np.matmul(fac.swapaxes(-1, -2), fac)
+        if r is not None:
+            g = np.concatenate([g[..., :r, :r] + g[..., r:, r:],
+                                g[..., :r, r:] - g[..., r:, :r]], axis=-1)
+        return np.sum(g * g, axis=(-2, -1))
+
+    def real_sum(fac):
+        other = fac if r is None else np.concatenate(
+            [fac[..., :r] - fac[..., r:], fac[..., :r] + fac[..., r:]], -1)
+        return np.tensordot(fac, other, axes=([0, 2], [0, 2]))
+
+    return _Form(state=fac, distance=distance, gain=_factor_gain,
+                 purity=purity, real_sum=real_sum)
 
 
 def _checked_rho0(rho0, ops: SpinOperators) -> np.ndarray:
@@ -327,18 +496,19 @@ def _philox_rng(base_seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _control_step(control, feedback, v, rho):
+def _control_step(control, feedback, v, rho, gain=feedback_gain):
     """(feedback, u) of ``control`` at states ``rho`` with distances ``v``:
     the loop's one evaluation of the control per step. Under a
-    ControllerState ``switch_modes`` updates the mode flags and u is
-    ``feedback_gain`` in feedback mode, 1 in constant mode; as the loop
-    starts every member in the constant mode, its first step, at t = 0,
-    selects feedback exactly when V(rho0) <= 1 - gamma. Under a
-    ConstantInput the flags come back unchanged and u is the fixed input."""
+    ControllerState ``switch_modes`` updates the mode flags and u is the
+    feedback gain, ``gain(rho, f, ops)``, in feedback mode, 1 in constant
+    mode; as the loop starts every member in the constant mode, its first
+    step, at t = 0, selects feedback exactly when V(rho0) <= 1 - gamma.
+    Under a ConstantInput the flags come back unchanged and u is the fixed
+    input."""
     if isinstance(control, ControllerState):
         feedback = switch_modes(feedback, v, control.gamma)
         return feedback, np.where(
-            feedback, feedback_gain(rho, control.f, control.ops), 1.0)
+            feedback, gain(rho, control.f, control.ops), 1.0)
     return feedback, np.full(np.shape(v), control.u)
 
 
@@ -387,9 +557,13 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
     dropped member changes no other member's numbers.
 
     Each member draws its noise in blocks of ``_NOISE_BLOCK`` steps and
-    is stepped by ``_split_step``, which keeps every state a state at any
-    dt. Every member is stepped as its real form P = Re rho + Im rho in
-    float64; each recorded state sum S is unpacked into the dtype that
+    is stepped in float64 by a kernel that keeps every state a state at
+    any dt. Step 0, at t = 0, reads every member as rho0's real form
+    P = Re rho + Im rho. From then on an eta = 1 run holds each member as
+    a real N x c factor F, c rho0's rank (twice it from a complex start),
+    stepped by ``_factor_step``, and an eta < 1 run as P, stepped by
+    ``_split_step`` (see the module docstring). Each recorded state sum S,
+    a sum of real forms P, is unpacked into the dtype that
     ``_checked_rho0`` picks for ``rho0``, as (S + S^T)/2 for a real start
     and (S + S^T)/2 + i (S - S^T)/2 for a complex one, both exactly
     Hermitian. Raises ValueError for an input outside its range, including
@@ -412,7 +586,15 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
         raise ValueError("M must be >= 1: no trajectory streams given")
     rho0 = _checked_rho0(rho0, ops)
 
-    state = np.tile(rho0.real + rho0.imag, (m_count, 1, 1))
+    # t = 0 is read off rho0's own real form, so that the first switch and
+    # the first record are rho0's to the bit; the first step swaps in the
+    # form that the run steps
+    reads = _real_form(rho0, f)
+    if cfg.eta == 1.0:
+        form, step = _factor_form(rho0, f), _factor_step(cfg, ops)
+    else:
+        form, step = reads, _split_step(cfg, ops)
+    state = np.tile(reads.state, (m_count, 1, 1))
     # w P + conj(w) P^T is the Hermitian matrix of a real form P, w = 1/2
     # in float64 and (1 + i)/2 in complex128: it unpacks each state sum
     unpack = 0.5 + 0.5j if np.iscomplexobj(rho0) else 0.5
@@ -434,7 +616,6 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
         rec_sum = (np.zeros((n_rec, -(-m_count // sum_chunk), *rho0.shape),
                             dtype=rho0.dtype) if sum_chunk else None)
 
-    step = _split_step(cfg, ops)
     gens = [_philox_rng(base_seed, s) for s in streams]
     sqrt_dt = np.sqrt(cfg.dt)
     noise = np.empty((m_count, min(_NOISE_BLOCK, n_steps)))
@@ -442,22 +623,22 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
     rec_i = 0
     for k in range(n_steps + 1):
         t = k * cfg.dt
-        v = distance_V(state, f)
+        v = reads.distance(state)
 
         below = np.isnan(first_below[live]) & (v <= level)
         first_below[live[below]] = t
 
-        modes, u_vec = _control_step(control, modes, v, state)
+        modes, u_vec = _control_step(control, modes, v, state, reads.gain)
 
         if not exiting and (k % record_stride == 0 or k == n_steps):
             rec_t[rec_i] = t
             rec_V[rec_i] = v
             rec_u[rec_i] = u_vec
-            rec_purity[rec_i] = np.sum(state ** 2, axis=(-2, -1))
+            rec_purity[rec_i] = reads.purity(state)
             rec_modes[rec_i] = modes
             if sum_chunk:
                 for c, lo in enumerate(range(0, m_count, sum_chunk)):
-                    p = state[lo:lo + sum_chunk].sum(axis=0)
+                    p = reads.real_sum(state[lo:lo + sum_chunk])
                     rec_sum[rec_i, c] = unpack * p + np.conj(unpack) * p.T
             rec_i += 1
         if k == n_steps or (exiting and below.all()):
@@ -468,6 +649,8 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
             stay = ~below
             live, state, modes, u_vec = (live[stay], state[stay], modes[stay],
                                          u_vec[stay])
+        if k == 0:
+            reads, state = form, np.tile(form.state, (len(live), 1, 1))
 
         if k % _NOISE_BLOCK == 0:
             fill = min(_NOISE_BLOCK, n_steps - k)

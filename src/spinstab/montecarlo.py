@@ -42,7 +42,8 @@ __all__ = [
 # statistic, is scheduling-free.
 _CHUNK = 64
 
-# State entries (members x N^2) that one task's batch holds at most; sets the
+# Members x N^2 that one task holds at most, N^2 counting a member's real
+# form at eta < 1 and its share of the records' state sums; sets the
 # stepping width, see _task_members.
 _TASK_ENTRIES = 4096
 
@@ -118,22 +119,25 @@ class ExitTimeReport:
 
 def _task_members(dim: int) -> int:
     """The stepping width W at dimension ``dim``: the widest batch of 64, 128,
-    256, ... members whose states hold at most ``_TASK_ENTRIES`` entries,
-    and one chunk when even that is wider. It is 256 at N = 3, 128 at
-    N = 5 and 64 from N = 7 on.
+    256, ... members of at most ``_TASK_ENTRIES`` entries at N^2 entries
+    a member, and one chunk when even that is wider. It is 256 at N = 3,
+    128 at N = 5 and 64 from N = 7 on.
 
-    A step pays a fixed per-call overhead plus work per entry, so a wider
-    batch is cheaper per member while the overhead dominates. Closed loop
-    with the split step, per member-step, median of 3 runs on one CPU of a
-    2-vCPU Xeon VM with one BLAS thread: at N = 3, 1.30 us at W = 64, 0.86
-    at the rule's 256 and 0.55 at 1024; at N = 5, 1.20 at the rule's 128
-    and 0.80 at 512; at N = 7, 1.83 at the rule's 64 and 1.07 at 512; at
-    N = 11, 2.67 at 64 and 1.99 at 256; at N = 21, 7.3 to 8.0 from 64 to
-    256 and 9.3 at 1024. So the rule gives up speed below N = 21. It also
-    bounds a task's records, which grow with W: R (25 W + 8 N^2 W / 64)
-    bytes for R records from a real start, 334 MB at N = 3 and W = 256 for
-    the CLI's default horizon, step and stride (T = 50, dt = 1e-3, every
-    step recorded).
+    A step pays a fixed per-call overhead plus work per member, so a wider
+    batch is cheaper per member while the overhead dominates; with every
+    eta = 1 run stepped as a factor, at O(N^2) per member, it does at
+    every N measured. Closed loop from eigenstate 1 with record stride 50,
+    per member-step, median of 5 interleaved runs on one CPU of a shared
+    2-vCPU Xeon VM with one BLAS thread: at N = 3, 1.82 us at W = 64, 0.86
+    at the rule's 256 and 0.81 at 512; at N = 5, 1.37 at the rule's 128
+    and 1.11 at 256; at N = 11, 2.52 at the rule's 64 and 1.82 at 256; at
+    N = 21, 3.47 at the rule's 64, 2.88 at 256 and 2.56 at 1024. The rule
+    is kept for the records, which grow with W: a factor holds N c
+    entries, but a task's records take R (25 W + 8 N^2 W / 64) bytes for R
+    records from a real start, 334 MB at N = 3 and W = 256 for the CLI's
+    default horizon, step and stride (T = 50, dt = 1e-3, every step
+    recorded), and 256 MB at N = 21 and W = 64, where W = 256 would hold
+    1 GB for a 1.2-fold faster step.
     """
     width = _CHUNK
     while 2 * width * dim * dim <= _TASK_ENTRIES:

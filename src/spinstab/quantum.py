@@ -11,8 +11,9 @@ freely across trajectory workers.
 in the F_z eigenbasis (F_z is diagonal, -i F_y is real), so a state with a
 zero imaginary part stays real under the dynamics, and the averaged flow
 steps such a state as a real symmetric float64 array. The stochastic loop
-steps every state, real or complex, as one real float64 matrix
-Re rho + Im rho, whose diagonal is rho's (see ``dynamics``). The array
+steps every state, real or complex, in float64: as a real factor F with
+Re rho = F F^T at eta = 1, and as the real matrix Re rho + Im rho, whose
+diagonal is rho's, at eta < 1 (see ``dynamics``). The array
 helpers here (``_dag``, ``_hermitian_part``, ``distance_V``,
 ``lyapunov_Q``) take either dtype and keep it.
 

@@ -262,9 +262,9 @@ class TestEmStep:
                                            atol=1e-13)
 
     def test_complex_start_is_stepped_in_float64(self):
-        # the loop hands the step map each state's real form Re rho + Im
-        # rho, and unpacks the recorded state sums into complex128 states,
-        # exactly Hermitian
+        # at eta < 1 the loop hands the step map each state's real form
+        # Re rho + Im rho, and unpacks the recorded state sums into
+        # complex128 states, exactly Hermitian
         seen = []
         kernel = dynamics._split_step
 
@@ -272,7 +272,7 @@ class TestEmStep:
             step = kernel(cfg, ops)
 
             def recorded(rho, u, dw):
-                seen.append(rho.dtype)
+                seen.append((rho.dtype, rho.shape))
                 return step(rho, u, dw)
             return recorded
 
@@ -281,12 +281,46 @@ class TestEmStep:
         with mock.patch.object(dynamics, "_split_step", recording_split_step):
             res = dynamics._integrate_batch(
                 rho0, new_controller(0.1, 3, ops), 0.05,
-                SdeStepConfig(dt=0.01), 0, [0, 1], sum_chunk=1)
-        assert seen == [np.float64] * 5
+                SdeStepConfig(dt=0.01, eta=0.5), 0, [0, 1], sum_chunk=1)
+        assert seen == [(np.float64, (2, 5, 5))] * 5
         states = res.state_sum
         assert states.dtype == np.complex128 and states.shape == (6, 2, 5, 5)
         assert (states == _dag(states)).all()
         assert states[1:].imag.any()
+
+    def test_complex_start_is_stepped_as_a_float64_factor(self):
+        # at eta = 1 the loop hands the factor step each state's real
+        # factor [Re X, Im X], rho = X X* with X of rank 2, as one (M, N,
+        # 2r) float64 array, and never calls the real-form step; the
+        # recorded state sums are complex128 states, exactly Hermitian
+        seen = []
+        kernel = dynamics._factor_step
+
+        def recording_factor_step(cfg, ops):
+            step = kernel(cfg, ops)
+
+            def recorded(fac, u, dw):
+                seen.append((fac.dtype, fac.shape))
+                return step(fac, u, dw)
+            return recorded
+
+        ops = make_spin_operators(2)
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
+        rho0 = x @ x.conj().T / np.linalg.norm(x) ** 2
+        with mock.patch.object(dynamics, "_factor_step",
+                               recording_factor_step), \
+                mock.patch.object(dynamics, "_split_step", None):
+            res = dynamics._integrate_batch(
+                rho0, new_controller(0.1, 3, ops), 0.05,
+                SdeStepConfig(dt=0.01), 0, [0, 1], sum_chunk=1)
+        assert seen == [(np.float64, (2, 5, 4))] * 5
+        states = res.state_sum
+        assert states.dtype == np.complex128 and states.shape == (6, 2, 5, 5)
+        assert (states == _dag(states)).all()
+        assert states[1:].imag.any()
+        np.testing.assert_allclose(np.linalg.eigvalsh(states[-1])[:, :3], 0,
+                                   atol=1e-15)
 
     @pytest.mark.parametrize("eta", [1.0, 0.5])
     @pytest.mark.parametrize("start", ["eigenstate", "complex"])
@@ -335,6 +369,104 @@ class TestEmStep:
             incr = (sme_drift(m, rng.uniform(-2, 2), self.ops) * self.cfg.dt
                     + sme_diffusion(m, self.ops, 1.0) * rng.normal(0, 1.0))
             assert abs(np.trace(m + incr) - 1.0) < 1e-12
+
+
+def _low_rank_start(n, rank, complex_, rng):
+    """A state of the given rank whose columns lean towards the last
+    eigenstate, so that the switching law changes mode within a second."""
+    g = rng.normal(size=(n, rank)) + (1j * rng.normal(size=(n, rank))
+                                      if complex_ else 0)
+    g[-1] += 2.0 * np.sqrt(n / 3)
+    g /= np.linalg.norm(g, axis=0)
+    m = (g * np.linspace(1.0, 0.5, rank)) @ g.conj().T
+    return m / np.trace(m).real
+
+
+class TestFactorStep:
+    """The eta = 1 kernel ``_factor_step``, on real factors of rho."""
+
+    @pytest.mark.parametrize("J", [0.5, 1, 1.5, 2, 10, 20])
+    def test_rotation_planes_are_floor_n_over_2_orthonormal_pairs(self, J):
+        # at J = 2, 10 and 20 eigh returns F_y's zero eigenvalue as +1e-16;
+        # it is not a plane
+        ops = make_spin_operators(J)
+        n = ops.dim
+        mu, q = dynamics._rotation_planes(ops)
+        assert mu.shape == (n // 2,) and q.shape == (n, 2 * (n // 2))
+        # J, J - 1, ... down to 1 or 1/2
+        np.testing.assert_allclose(np.sort(mu)[::-1], J - np.arange(n // 2),
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(q.T @ q, np.eye(2 * (n // 2)), rtol=0,
+                                   atol=1e-14)
+        # B turns each plane by mu_k and is zero on what is left, to
+        # round-off in entries up to J
+        a, b = q[:, 0::2], q[:, 1::2]
+        np.testing.assert_allclose((b * mu) @ a.T - (a * mu) @ b.T, ops.b_y,
+                                   rtol=0, atol=1e-15 * n)
+
+    @pytest.mark.parametrize("J", [1, 10])
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("control", ["switching", "constant"])
+    def test_factor_path_is_the_real_form_path(self, J, rank, complex_,
+                                               control):
+        # the same members on the same noise over T = 1, stepped as real
+        # factors and, with the loop handed the real form and _split_step,
+        # as P = Re rho + Im rho: every record agrees to 1e-12 and the
+        # switching law picks the same modes
+        ops = make_spin_operators(J)
+        n = ops.dim
+        rho0 = _low_rank_start(n, rank, complex_, np.random.default_rng(J))
+        ctrl = (new_controller(0.5 / n, n, ops) if control == "switching"
+                else ConstantInput(-17.0, n, ops))
+
+        def run():
+            return dynamics._integrate_batch(
+                rho0, ctrl, 1.0, SdeStepConfig(), 9, range(3),
+                record_stride=10, sum_chunk=1)
+
+        fac = run()
+        with mock.patch.object(dynamics, "_factor_form",
+                               dynamics._real_form), \
+                mock.patch.object(dynamics, "_factor_step",
+                                  dynamics._split_step):
+            ref = run()
+        np.testing.assert_array_equal(fac.modes, ref.modes)
+        for name in ("V", "u", "purity", "state_sum"):
+            np.testing.assert_allclose(getattr(fac, name), getattr(ref, name),
+                                       rtol=0, atol=1e-12)
+
+    def test_an_eta_below_one_run_steps_real_forms(self):
+        # eta < 1 is the one run left on _split_step, with (M, N, N) states
+        seen = []
+        kernel = dynamics._split_step
+
+        def recording_split_step(cfg, ops):
+            step = kernel(cfg, ops)
+
+            def recorded(rho, u, dw):
+                seen.append(rho.shape)
+                return step(rho, u, dw)
+            return recorded
+
+        ops = make_spin_operators(10)
+        with mock.patch.object(dynamics, "_split_step",
+                               recording_split_step), \
+                mock.patch.object(dynamics, "_factor_step", None):
+            dynamics._integrate_batch(eigenstate(ops, 1),
+                                      new_controller(0.04, 11, ops), 0.03,
+                                      SdeStepConfig(dt=0.01, eta=0.5), 0,
+                                      range(3))
+        assert seen == [(3, 21, 21)] * 3
+
+    def test_step_is_the_factor_at_zero_input(self):
+        # the turn is added as a change that is exactly zero at u = 0, so
+        # the target eigenstate is a fixed point to the bit
+        ops = make_spin_operators(10)
+        step = dynamics._factor_step(SdeStepConfig(dt=0.05), ops)
+        fac = np.eye(ops.dim)[None, :, 4:5]
+        out = step(fac, np.zeros(1), np.array([0.3]))
+        np.testing.assert_array_equal(out, fac)
 
 
 class TestSimulateTrajectory:
