@@ -14,7 +14,10 @@ Two integrators live here:
   projection and no step guard; the splitting's weak error is O(dt). At
   eta = 1 both factors keep a state's rank, so an eta = 1 run steps a
   real factor of rho, at O(N^2) per member and unit of rank
-  (``_factor_step``), and an eta < 1 run steps rho (``_split_step``);
+  (``_factor_step``), and an eta < 1 run steps rho (``_split_step``).
+  Both kernels take the filter from ``_filter`` and refuse a failed step
+  by ``_checked``, and read the rotation's planes off
+  ``_rotation_planes``;
 
 * the exact flow of the averaged (ensemble) dynamics under a constant
   input, which is the same drift with the noise term dropped. That flow is
@@ -157,17 +160,16 @@ def sme_drift(rho, u, ops: SpinOperators) -> np.ndarray:
 
     Precondition: ``rho`` is Hermitian, as every state is. Then, with the
     real matrix B = -i F_y (``ops.b_y``), the commutator term is
-    -i [F_y, rho] = X + X* for X = B rho, one real matmul on the float view
-    of ``rho``. The double commutator is evaluated entrywise as
-    (lam_i - lam_j)^2 rho_ij (``ops.gaps_sq``), which is exact because F_z
-    is diagonal. For exactly Hermitian input the result is exactly
-    Hermitian; it is traceless, and it vanishes at every measurement
-    eigenstate when u = 0. A real ``rho`` gives a real (symmetric) result,
-    a complex one a complex result; ``u`` is a scalar or one per member.
+    -i [F_y, rho] = X + X* for X = B rho, one matmul. The double
+    commutator is evaluated entrywise as (lam_i - lam_j)^2 rho_ij
+    (``ops.gaps_sq``), which is exact because F_z is diagonal. For exactly
+    Hermitian input the result is exactly Hermitian; it is traceless, and
+    it vanishes at every measurement eigenstate when u = 0. A real ``rho``
+    gives a real (symmetric) result, a complex one a complex result; ``u``
+    is a scalar or one per member.
     """
     m = np.asarray(rho)
-    m = np.ascontiguousarray(m, dtype=complex if np.iscomplexobj(m) else float)
-    x = (ops.b_y @ m.view(np.float64)).view(m.dtype)
+    x = ops.b_y @ m
     x += _dag(x)
     u = np.asarray(u, dtype=float)[..., None, None]
     return u * x - 0.5 * ops.gaps_sq * m
@@ -209,6 +211,52 @@ def _rotation_planes(ops: SpinOperators):
     return mu[up], math.sqrt(2) * q
 
 
+def _filter(cfg: SdeStepConfig, ops: SpinOperators):
+    """The exact linear filter of the F_z measurement, which both stepping
+    kernels apply, formed once per run: ``weights(diag, dw)`` is each
+    member's diagonal of D = diag(exp(sqrt(eta) lam dy - eta lam^2 dt)),
+    the measured increment dy = 2 sqrt(eta) Tr(F_z rho) dt + dw read off
+    the member's diagonal Re rho_kk (``diag``, one row per member) and its
+    Wiener increment (``dw``, one per member). The weights are C-ordered,
+    one row per member: (M, N), or (1, N) for one diagonal and a scalar dw.
+
+    sqrt(eta) is folded into the factors as (sqrt(eta) lam)(2 sqrt(eta) dt
+    <lam> + dw), so at eta = 1 every factor is 1.0 and the exponent has
+    the bits of lam (2 dt <lam> + dw) - lam^2 dt. It is shifted by its
+    maximum over each member, which the kernels' normalization cancels, so
+    it cannot overflow. The exponents, which take no sum (a maximum is
+    exact in any order), are laid out with the members last, where numpy
+    runs them fastest.
+    """
+    lam, dt = ops.lambdas, cfg.dt
+    sqrt_eta = math.sqrt(cfg.eta)
+    gain, mean = sqrt_eta * lam[:, None], 2.0 * sqrt_eta * dt * lam
+    decay = cfg.eta * lam[:, None] ** 2 * dt
+
+    def weights(diag, dw):
+        e = gain * (np.vecdot(diag, mean) + dw) - decay
+        e -= e.max(axis=0)
+        return np.exp(e.T, order="C")
+
+    return weights
+
+
+def _checked(out, trace):
+    """``out``, the new states of a step whose filtered traces are
+    ``trace``: where both stepping kernels detect a failed step. Raises
+    NumericalFailureError unless every trace is > 0 and every entry of
+    ``out`` is finite."""
+    if not trace.min() > 0.0:
+        raise NumericalFailureError(
+            f"filtered trace is {trace.min():.3e}, not > 0")
+    # every |entry| of a state, of its real form or of its factor is at
+    # most 2 after a finite step, so the sum is finite exactly when every
+    # entry is
+    if not math.isfinite(abs(out.sum())):
+        raise NumericalFailureError("state has non-finite entries")
+    return out
+
+
 def _split_step(cfg: SdeStepConfig, ops: SpinOperators):
     """The stepping kernel of every eta < 1 run, formed once per run:
     ``step(rho, u, dw)`` takes each state of ``rho``, an (N, N) matrix or a
@@ -217,12 +265,9 @@ def _split_step(cfg: SdeStepConfig, ops: SpinOperators):
 
         rho' = R (G o (D rho D)) R^T / Tr(D rho D),  in rho's dtype, where
 
-    * D = diag(exp(sqrt(eta) lam dy - eta lam^2 dt)), with the measured
-      increment dy = 2 sqrt(eta) Tr(F_z rho) dt + dw, is the exact linear
-      filter of the F_z measurement; its exponent is shifted by its row
-      maximum, which the normalization cancels, so it cannot overflow;
-    * G_ij = exp(-(1 - eta) (lam_i - lam_j)^2 dt / 2), applied when
-      eta < 1, dephases what the detector misses;
+    * D, the exact linear filter of the F_z measurement, is ``_filter``'s;
+    * G_ij = exp(-(1 - eta) (lam_i - lam_j)^2 dt / 2) dephases what the
+      detector misses; it is exactly 1 at eta = 1;
     * R = exp(u dt B), B = -i F_y, the exact rotation of the control, is
       formed per member from ``_rotation_planes``: real, orthogonal, and
       exactly I at u = 0.
@@ -233,16 +278,13 @@ def _split_step(cfg: SdeStepConfig, ops: SpinOperators):
     docstring), as the loop passes it, to the real form of rho'; a
     Hermitian ``rho`` of either dtype goes to rho' itself, Hermitian to
     round-off. The diagonal, which sets dy and the trace, is Re rho_kk =
-    P_kk either way. ``step`` is where a failed step is detected: it
-    raises NumericalFailureError unless the filtered trace is > 0 and
-    every new state is finite. Each member is computed on its own, so a
-    batch row equals the member stepped alone, bit for bit.
+    P_kk either way. ``step`` raises NumericalFailureError as ``_checked``
+    does. Each member is computed on its own, so a batch row equals the
+    member stepped alone, bit for bit.
     """
-    n, lam, dt = ops.dim, ops.lambdas, cfg.dt
-    sqrt_eta = math.sqrt(cfg.eta)
-    gain, decay = sqrt_eta * lam, cfg.eta * lam ** 2 * dt
-    dephase = (np.exp(-(1.0 - cfg.eta) * ops.gaps_sq * dt / 2)
-               if cfg.eta < 1.0 else None)
+    n, dt = ops.dim, cfg.dt
+    weights = _filter(cfg, ops)
+    dephase = np.exp(-(1.0 - cfg.eta) * ops.gaps_sq * dt / 2)
     mu, q = _rotation_planes(ops)
     # R = I + sum over the planes of (cos - 1) (a a^T + b b^T) +
     # sin (b a^T - a b^T) at the angle u dt mu_k, and expm1(-i u dt mu_k)
@@ -258,27 +300,17 @@ def _split_step(cfg: SdeStepConfig, ops: SpinOperators):
 
     def step(rho, u, dw):
         diag = rho.diagonal(0, -2, -1).real
-        dy = 2.0 * sqrt_eta * dt * np.einsum("...i,i->...", diag, lam) + dw
-        a = np.multiply.outer(dy, gain) - decay
-        a -= a.max(axis=-1, keepdims=True)
-        d = np.exp(a)
-        trace = np.einsum("...i,...i->...", d * d, diag)
+        d = weights(diag, dw).reshape(diag.shape)
+        trace = np.vecdot(d * d, diag)
         d /= np.sqrt(trace)[..., None]
         x = d[..., :, None] * rho * d[..., None, :]
-        if dephase is not None:
-            x *= dephase
+        x *= dephase
         z = np.expm1(np.multiply.outer(u, phase))
         z = np.concatenate([z.real, z.imag], axis=-1)[..., None, :]
         rot_t = eye + (z @ modes).reshape(*np.shape(u), n, n)
         # R x R^T with R^T the contiguous factor: numpy's matmul of small
         # matrices is slower with a transposed right operand than left
-        out = rot_t.swapaxes(-1, -2) @ x @ rot_t
-        if not np.all(trace > 0.0):
-            raise NumericalFailureError(
-                f"filtered trace is {np.min(trace):.3e}, not > 0")
-        if not np.isfinite(out).all():
-            raise NumericalFailureError("state has non-finite entries")
-        return out
+        return _checked(rot_t.swapaxes(-1, -2) @ x @ rot_t, trace)
 
     return step
 
@@ -299,15 +331,13 @@ def _factor_step(cfg: SdeStepConfig, ops: SpinOperators):
     of ``_rotation_planes`` are turned by u dt mu_k, and the turn is added
     as a change: with cos - 1 written -2 sin^2(. / 2), it is exactly zero
     at u = 0, where F' is D F / |D F|. Each member costs O(N^2 c).
-    ``step`` raises NumericalFailureError unless the filtered trace is > 0
-    and every new factor is finite. Each member is computed on its own, so
-    a batch row equals the member stepped alone, bit for bit: every sum
-    runs over a member's own C-ordered entries, while the exponents and
-    angles, which take no sum (a maximum is exact in any order), are laid
-    out with the members last, where numpy runs them fastest.
+    ``step`` raises NumericalFailureError as ``_checked`` does. Each member
+    is computed on its own, so a batch row equals the member stepped
+    alone, bit for bit: every sum runs over a member's own C-ordered
+    entries, while the angles, like ``_filter``'s exponents, are laid out
+    with the members last.
     """
-    lam, dt = ops.lambdas, cfg.dt
-    gain, decay = 2.0 * dt * lam, lam[:, None] ** 2 * dt
+    weights = _filter(cfg, ops)
     mu, q = _rotation_planes(ops)
     a, b = q[:, 0::2], q[:, 1::2]
     # a vector's plane coordinates (x, y), then (y, x), and back
@@ -317,15 +347,12 @@ def _factor_step(cfg: SdeStepConfig, ops: SpinOperators):
     # theta) for theta = u dt mu, and s (s scale + shift) the change of the
     # coordinates' coefficients: (cos theta - 1, cos theta - 1, -sin theta,
     # sin theta)
-    angles = dt * np.concatenate([mu / 2, mu / 2, mu, mu])
+    angles = cfg.dt * np.concatenate([mu / 2, mu / 2, mu, mu])
     scale, shift = np.repeat([[-2.0, -2.0, 0.0, 0.0], [0.0, 0.0, -1.0, 1.0]],
                              len(mu), axis=1)[..., None]
 
     def step(f, u, dw):
-        diag = np.vecdot(f, f)
-        e = lam[:, None] * (np.vecdot(diag, gain) + dw) - decay
-        e -= e.max(axis=0)
-        x = f * np.exp(e.T, order="C")[..., None]
+        x = f * weights(np.vecdot(f, f), dw)[..., None]
         flat = x.reshape(len(x), -1)
         trace = np.vecdot(flat, flat)
         x /= np.sqrt(trace)[:, None, None]
@@ -334,16 +361,8 @@ def _factor_step(cfg: SdeStepConfig, ops: SpinOperators):
         turn *= (s * (s * scale + shift)).T[:, None, :]
         # C order, as the loop's start: a batch row's layout, and so its
         # sums, must not depend on the batch's length
-        out = np.add(x, np.vecmat(turn, from_planes).swapaxes(1, 2),
-                     order="C")
-        if not trace.min() > 0.0:
-            raise NumericalFailureError(
-                f"filtered trace is {np.min(trace):.3e}, not > 0")
-        # every |entry| is at most 1 after a finite step, so the sum is
-        # finite exactly when every entry is
-        if not math.isfinite(out.sum()):
-            raise NumericalFailureError("state has non-finite entries")
-        return out
+        return _checked(np.add(x, np.vecmat(turn, from_planes).swapaxes(1, 2),
+                               order="C"), trace)
 
     return step
 
@@ -387,11 +406,12 @@ def _factor_form(rho0, f: int) -> _Form:
     largest, its numerical rank r: X = V sqrt(w), so X X* = rho0 to
     round-off, and F = X, c = r, for a real rho0, F = [Re X, Im X],
     c = 2r, for a complex one. An eigenvalue below that, negative ones
-    included (a state may carry them down to -1e-9), is left out. For a
-    complex start, F = [A, B] with X = A + iB, Im rho = B A^T - A B^T, so
-    the real form is F [A - B, A + B]^T, and Tr(rho^2) = |X* X|_F^2 is read
-    off the Gram matrix F^T F: Re X* X = A^T A + B^T B and Im X* X =
-    A^T B - B^T A.
+    included (a state may carry them down to -1e-9), is left out. The real
+    form is P = F G^T, with G = F for a real start and G = [A - B, A + B]
+    for a complex one, F = [A, B] with X = A + iB, as Im rho = B A^T -
+    A B^T. The state sums are sums of F G^T, and the purity Tr(rho^2), the
+    sum of P's squared entries, is read off the Gram matrices:
+    |F G^T|_F^2 = sum (F^T F) o (G^T G).
     """
     w, v = np.linalg.eigh(rho0)
     keep = w > len(w) * np.finfo(float).eps * w[-1]
@@ -400,22 +420,25 @@ def _factor_form(rho0, f: int) -> _Form:
     # C order, as the step keeps it
     fac = np.ascontiguousarray(x if r is None else np.hstack([x.real, x.imag]))
 
+    def other(fac):
+        # G of each factor of a stack
+        if r is None:
+            return fac
+        a, b = fac[..., :r], fac[..., r:]
+        return np.concatenate([a - b, a + b], axis=-1)
+
     def distance(fac):
         # as distance_V: 1 - Re rho_ff, which is at most 1, clipped at 0
         row = fac[..., f - 1, :]
         return np.maximum(1.0 - np.vecdot(row, row), 0.0)
 
     def purity(fac):
-        g = np.matmul(fac.swapaxes(-1, -2), fac)
-        if r is not None:
-            g = np.concatenate([g[..., :r, :r] + g[..., r:, r:],
-                                g[..., :r, r:] - g[..., r:, :r]], axis=-1)
-        return np.sum(g * g, axis=(-2, -1))
+        g = other(fac)
+        return np.sum(np.matmul(fac.swapaxes(-1, -2), fac)
+                      * np.matmul(g.swapaxes(-1, -2), g), axis=(-2, -1))
 
     def real_sum(fac):
-        other = fac if r is None else np.concatenate(
-            [fac[..., :r] - fac[..., r:], fac[..., :r] + fac[..., r:]], -1)
-        return np.tensordot(fac, other, axes=([0, 2], [0, 2]))
+        return np.tensordot(fac, other(fac), axes=([0, 2], [0, 2]))
 
     return _Form(state=fac, distance=distance, gain=_factor_gain,
                  purity=purity, real_sum=real_sum)

@@ -16,6 +16,7 @@ from spinstab.dynamics import (
     EPS_CONV,
     SdeStepConfig,
     _control_step,
+    _integrate_batch,
     _split_step,
     integrate_ensemble,
     simulate_batch,
@@ -192,7 +193,9 @@ def test_criterion_07_structure_preservation_bulk():
 
 
 def test_criterion_08_exact_equilibrium_at_target():
-    """1000 closed-loop steps at the target leave the state bit-stable."""
+    """1000 closed-loop steps at the target leave the state bit-stable:
+    under the split step to 1e-14, and in an eta = 1 run, which steps the
+    target's factor, exactly, with V and u exactly 0."""
     details = []
     ok = True
     for J, f in ((1, 3), (10, 11)):
@@ -211,8 +214,14 @@ def test_criterion_08_exact_equilibrium_at_target():
             assert feedback
             rho = step(rho, u, rng.normal(0, np.sqrt(CFG.dt)))
             worst = max(worst, float(np.abs(rho - target).max()))
-        ok = ok and worst <= 1e-14
-        details.append(f"J={J}: max drift {worst:.1e}")
+        res = _integrate_batch(target, ctrl, 1000 * CFG.dt, CFG, 5, [0],
+                               sum_chunk=1)
+        exact = (len(res.times) == 1001 and not res.V.any()
+                 and not res.u.any()
+                 and (res.state_sum[:, 0] == target).all())
+        ok = ok and worst <= 1e-14 and exact
+        details.append(f"J={J}: max drift {worst:.1e}, eta = 1 loop "
+                       f"{'exact' if exact else 'NOT exact'}")
     report("criterion 8 (equilibrium exactness)", ok, "; ".join(details))
 
 

@@ -125,7 +125,7 @@ class TestDriftDiffusionTerms:
                 assert abs(dv - (-u**2)) <= 1e-14
 
 
-class TestEmStep:
+class TestSplitStep:
     """The split step kernel ``_split_step``, on complex states."""
 
     def setup_method(self):
@@ -467,6 +467,27 @@ class TestFactorStep:
         fac = np.eye(ops.dim)[None, :, 4:5]
         out = step(fac, np.zeros(1), np.array([0.3]))
         np.testing.assert_array_equal(out, fac)
+
+
+@pytest.mark.parametrize("failure, message", [
+    ("nan-increment", "filtered trace is nan, not > 0"),
+    ("overflowing-angle", "state has non-finite entries")],
+    ids=["nan-increment", "overflowing-angle"])
+@pytest.mark.parametrize("kernel", ["_split_step", "_factor_step"])
+def test_both_kernels_refuse_a_failed_step_alike(kernel, failure, message):
+    # a NaN increment loses the filtered trace, and u = 1e308 at dt = 1
+    # overflows the rotation angle u dt mu at N = 21: each kernel refuses
+    # the step with the same message, eigenstate 1 stepped as its real form
+    # P by _split_step and as a factor by _factor_step
+    ops = make_spin_operators(10)
+    fac = np.eye(ops.dim)[None, :, :1]
+    state = fac if kernel == "_factor_step" else fac @ fac.swapaxes(1, 2)
+    u, dw = (0.0, np.nan) if failure == "nan-increment" else (1e308, 0.0)
+    step = getattr(dynamics, kernel)(SdeStepConfig(dt=1.0), ops)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalFailureError) as exc:
+        step(state, np.array([u]), np.array([dw]))
+    assert str(exc.value) == message
 
 
 class TestSimulateTrajectory:
