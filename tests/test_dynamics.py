@@ -125,7 +125,7 @@ class TestDriftDiffusionTerms:
                 assert abs(dv - (-u**2)) <= 1e-14
 
 
-class TestSplitStep:
+class TestEmStep:
     """The split step kernel ``_split_step``, on complex states."""
 
     def setup_method(self):
