@@ -3,64 +3,19 @@ continuous measurement: an Ito SDE simulator for the conditional state, the
 switching control law with a hysteresis band, the averaged-dynamics ODE
 integrator, and a Monte Carlo harness for convergence and exit-time
 statistics.
+
+The package exports each module's ``__all__`` (``controller``,
+``dynamics``, ``montecarlo`` and ``quantum``), so a public name is declared
+once, in its own module.
 """
 
-from .controller import (ConstantInput, ControllerState, feedback_gain,
-                         new_controller)
-from .dynamics import (
-    EPS_CONV,
-    OdeTrajectory,
-    SdeStepConfig,
-    TrajectoryRecord,
-    integrate_ensemble,
-    simulate_batch,
-    sme_diffusion,
-    sme_drift,
-)
-from .montecarlo import (
-    EnsembleStats,
-    ExitTimeReport,
-    compare_mean_vs_ode,
-    estimate_exit_time,
-    run_ensemble,
-)
-from .quantum import (
-    NumericalFailureError,
-    QuantumState,
-    SpinOperators,
-    distance_V,
-    eigenstate,
-    lyapunov_Q,
-    make_spin_operators,
-    maximally_mixed,
-)
+from . import controller, dynamics, montecarlo, quantum
+from .controller import *  # noqa: F401,F403
+from .dynamics import *  # noqa: F401,F403
+from .montecarlo import *  # noqa: F401,F403
+from .quantum import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConstantInput",
-    "ControllerState",
-    "EPS_CONV",
-    "EnsembleStats",
-    "ExitTimeReport",
-    "NumericalFailureError",
-    "OdeTrajectory",
-    "QuantumState",
-    "SdeStepConfig",
-    "SpinOperators",
-    "TrajectoryRecord",
-    "compare_mean_vs_ode",
-    "distance_V",
-    "eigenstate",
-    "estimate_exit_time",
-    "feedback_gain",
-    "integrate_ensemble",
-    "lyapunov_Q",
-    "make_spin_operators",
-    "maximally_mixed",
-    "new_controller",
-    "run_ensemble",
-    "simulate_batch",
-    "sme_diffusion",
-    "sme_drift",
-]
+__all__ = [*controller.__all__, *dynamics.__all__, *montecarlo.__all__,
+           *quantum.__all__]

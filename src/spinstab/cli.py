@@ -74,23 +74,25 @@ class SimConfig:
     u_ode: float = 1.0
 
 
-# Every SimConfig field: (its space-separated flags, type, help text).
+# Every SimConfig field: (its space-separated flags, help text). Its option
+# takes its type from the field's annotation: str where that admits str,
+# and its first type otherwise.
 _FLAGS = {
-    "J": ("--J", float, "Total angular momentum (N = 2J+1)."),
-    "gamma": ("--gamma", float, "Switching parameter of the control law."),
-    "f": ("--f", int, "Target eigenstate index (1-based)."),
-    "initial": ("--initial", str, "Initial eigenstate index or .npy file."),
-    "eta": ("--eta", float, "Detector efficiency in (0, 1]."),
-    "dt": ("--dt", float, "Step of the stochastic integrator."),
-    "T": ("--T", float, "Horizon."),
-    "M": ("--M", int, "Number of trajectories."),
-    "base_seed": ("--seed", int, "Base seed; member k uses stream (seed, k)."),
-    "output": ("--output -o", str, "Output directory."),
-    "record_stride": ("--stride", int, "Record every k-th integration step."),
-    "control": ("--control", str, "'mh' or 'constant:<value>'."),
-    "gamma_a": ("--gamma-a", float, "Exit when V <= 1 - gamma_a."),
-    "dt_ode": ("--dt-ode", float, "Output spacing of the averaged dynamics."),
-    "u_ode": ("--u", float, "Fixed input for the averaged dynamics."),
+    "J": ("--J", "Total angular momentum (N = 2J+1)."),
+    "gamma": ("--gamma", "Switching parameter of the control law."),
+    "f": ("--f", "Target eigenstate index (1-based)."),
+    "initial": ("--initial", "Initial eigenstate index or .npy file."),
+    "eta": ("--eta", "Detector efficiency in (0, 1]."),
+    "dt": ("--dt", "Step of the stochastic integrator."),
+    "T": ("--T", "Horizon."),
+    "M": ("--M", "Number of trajectories."),
+    "base_seed": ("--seed", "Base seed; member k uses stream (seed, k)."),
+    "output": ("--output -o", "Output directory."),
+    "record_stride": ("--stride", "Record every k-th integration step."),
+    "control": ("--control", "'mh' or 'constant:<value>'."),
+    "gamma_a": ("--gamma-a", "Exit when V <= 1 - gamma_a."),
+    "dt_ode": ("--dt-ode", "Output spacing of the averaged dynamics."),
+    "u_ode": ("--u", "Fixed input for the averaged dynamics."),
 }
 
 PRESETS: dict[str, dict] = {
@@ -270,8 +272,10 @@ def _command(name: str, reads: tuple[str, ...]):
     the flag values as ``overrides``, whose keys its config.json records."""
     def register(fn):
         for key in reversed(reads):
-            flags, kind, text = _FLAGS[key]
-            fn = click.option(*flags.split(), key, type=kind, help=text)(fn)
+            flags, text = _FLAGS[key]
+            kinds = _FIELD_TYPES[key]
+            fn = click.option(*flags.split(), key, help=text,
+                              type=str if str in kinds else kinds[0])(fn)
         fn = click.option("--config", "config_path", type=click.Path(),
                           help="JSON configuration file.")(fn)
         fn = click.option("--preset", type=click.Choice(sorted(PRESETS)),

@@ -73,7 +73,9 @@ from P or F; the recorded state sums, of P or of the P that F stands for,
 are unpacked into the start's dtype.
 ``sme_drift`` and ``sme_diffusion`` are the equation's two terms as rates:
 the averaged flow reads its generator off the first, and the stochastic
-loop calls neither.
+loop calls neither. So ``sme_diffusion`` is kept out of ``__all__``, and
+thus out of the package's names: it stays a module function only because
+bench/tracing.py wraps it by this name and the tests use it as an oracle.
 """
 
 import math
@@ -96,7 +98,6 @@ __all__ = [
     "OdeTrajectory",
     "EPS_CONV",
     "sme_drift",
-    "sme_diffusion",
     "simulate_batch",
     "integrate_ensemble",
 ]

@@ -18,7 +18,6 @@ worker count.
 
 import os
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,6 +175,9 @@ def _map_tasks(M: int, workers: int | None,
     if workers <= 1 or n_tasks <= 1:
         yield from map(_run_chunk, tasks)
         return
+    # imported here, its one use, so that importing the package does not
+    # load the process pool
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(workers, n_tasks)) as pool:
         yield from pool.map(_run_chunk, tasks)
 

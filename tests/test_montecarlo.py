@@ -1,5 +1,6 @@
 """Tests for the ensemble harness, exit-time estimation and mean-state checks."""
 
+import concurrent.futures
 import gc
 import weakref
 
@@ -238,7 +239,8 @@ class TestTasks:
     @pytest.fixture
     def tasks(self, monkeypatch):
         """The streams of each task run, in order; pools run in process."""
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            _InProcessPool)
         monkeypatch.setattr(_InProcessPool, "max_workers", [])
         seen = []
         run = montecarlo._run_chunk
