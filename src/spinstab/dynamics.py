@@ -46,13 +46,18 @@ Two integrators live here:
 
 Trajectories are deterministic functions of their inputs: the Wiener
 increments come from a counter-based generator keyed by
-(base_seed, stream), so ensembles reproduce bit-for-bit regardless of
-how the trajectories are scheduled.
+(base_seed, stream), drawn in blocks of steps and held step-major, so
+ensembles reproduce bit-for-bit regardless of how the trajectories are
+scheduled.
 
 The stepping core is vectorized over a leading batch axis:
 ``_split_step`` and the drift/diffusion operations accept a single (N, N)
 matrix or a stacked (M, N, N) array, ``_factor_step`` a stacked (M, N, c)
-array of factors.
+array of factors. Both kernels take the states' diagonals Re rho_kk, which
+the loop reads once per step and also reads V from, and an input u that is
+one float while every member shares it (a ConstantInput run, or a
+switching run with no member in feedback mode), stepped to the same bits
+as one u per member.
 
 ``_checked_rho0`` chooses a run's output dtype once, at entry: float64
 when the initial state has a zero imaginary part, complex128 otherwise.
@@ -83,12 +88,13 @@ import sys
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from .controller import ControllerState, feedback_gain, switch_modes
 from .quantum import (_TOL, NumericalFailureError, QuantumState,
-                      SpinOperators, _dag, _hermitian_part, distance_V)
+                      SpinOperators, _dag, _hermitian_part)
 # Unused here; bench/tracing.py wraps it by this name and reads 0 calls.
 from .quantum import _clip_psd  # noqa: F401
 
@@ -260,9 +266,11 @@ def _checked(out, trace):
 
 def _split_step(cfg: SdeStepConfig, ops: SpinOperators):
     """The stepping kernel of every eta < 1 run, formed once per run:
-    ``step(rho, u, dw)`` takes each state of ``rho``, an (N, N) matrix or a
-    stacked (M, N, N) array, one step of ``cfg.dt`` under its input u and
-    Wiener increment dw (scalars or one per member) to
+    ``step(rho, diag, u, dw)`` takes each state of ``rho``, an (N, N)
+    matrix or a stacked (M, N, N) array, with its diagonal Re rho_kk
+    (``diag``, one row per member, as the loop reads it), one step of
+    ``cfg.dt`` under its input u and Wiener increment dw (scalars or one
+    per member) to
 
         rho' = R (G o (D rho D)) R^T / Tr(D rho D),  in rho's dtype, where
 
@@ -270,7 +278,8 @@ def _split_step(cfg: SdeStepConfig, ops: SpinOperators):
     * G_ij = exp(-(1 - eta) (lam_i - lam_j)^2 dt / 2) dephases what the
       detector misses; it is exactly 1 at eta = 1;
     * R = exp(u dt B), B = -i F_y, the exact rotation of the control, is
-      formed per member from ``_rotation_planes``: real, orthogonal, and
+      formed from ``_rotation_planes``, once for a scalar u, which every
+      member shares, and per member otherwise: real, orthogonal, and
       exactly I at u = 0.
 
     D rho D is positive, G is a Gaussian kernel and R orthogonal, so every
@@ -281,7 +290,8 @@ def _split_step(cfg: SdeStepConfig, ops: SpinOperators):
     round-off. The diagonal, which sets dy and the trace, is Re rho_kk =
     P_kk either way. ``step`` raises NumericalFailureError as ``_checked``
     does. Each member is computed on its own, so a batch row equals the
-    member stepped alone, bit for bit.
+    member stepped alone, bit for bit, and a scalar u gives the bits of one
+    u per member: each member's R is the same matmul either way.
     """
     n, dt = ops.dim, cfg.dt
     weights = _filter(cfg, ops)
@@ -299,8 +309,7 @@ def _split_step(cfg: SdeStepConfig, ops: SpinOperators):
     phase = -1j * dt * mu
     eye = np.eye(n)
 
-    def step(rho, u, dw):
-        diag = rho.diagonal(0, -2, -1).real
+    def step(rho, diag, u, dw):
         d = weights(diag, dw).reshape(diag.shape)
         trace = np.vecdot(d * d, diag)
         d /= np.sqrt(trace)[..., None]
@@ -318,8 +327,10 @@ def _split_step(cfg: SdeStepConfig, ops: SpinOperators):
 
 def _factor_step(cfg: SdeStepConfig, ops: SpinOperators):
     """The stepping kernel of every eta = 1 run, formed once per run:
-    ``step(F, u, dw)`` takes each real N x c factor of the stack F, an
-    (M, N, c) array, one step of ``cfg.dt`` under its input u and Wiener
+    ``step(F, diag, u, dw)`` takes each real N x c factor of the stack F,
+    an (M, N, c) array, with its diagonal Re rho_kk (``diag``, one row per
+    member, as the loop reads it), one step of ``cfg.dt`` under its input u
+    (a float that every member shares, or one per member) and Wiener
     increment dw (one per member) to
 
         F' = R D F / |D F|,  so that F' F'^T = R (D F F^T D) R^T / Tr(.),
@@ -331,7 +342,12 @@ def _factor_step(cfg: SdeStepConfig, ops: SpinOperators):
     R is applied without forming it. A vector's coordinates in the planes
     of ``_rotation_planes`` are turned by u dt mu_k, and the turn is added
     as a change: with cos - 1 written -2 sin^2(. / 2), it is exactly zero
-    at u = 0, where F' is D F / |D F|. Each member costs O(N^2 c).
+    at u = 0, where F' is D F / |D F|. Each member costs O(N^2 c). The
+    turn's coefficients are taken entry by entry from u dt mu_k, so a float
+    u gives the bits of one u per member; they are formed for a float u
+    once and kept while the float's bits stay the same, as they do for the
+    whole of a ConstantInput run and for every step of a switching run in
+    which every member is in constant mode (u = 1).
     ``step`` raises NumericalFailureError as ``_checked`` does. Each member
     is computed on its own, so a batch row equals the member stepped
     alone, bit for bit: every sum runs over a member's own C-ordered
@@ -350,16 +366,29 @@ def _factor_step(cfg: SdeStepConfig, ops: SpinOperators):
     # sin theta)
     angles = cfg.dt * np.concatenate([mu / 2, mu / 2, mu, mu])
     scale, shift = np.repeat([[-2.0, -2.0, 0.0, 0.0], [0.0, 0.0, -1.0, 1.0]],
-                             len(mu), axis=1)[..., None]
+                             len(mu), axis=1)
+    # the last float u's coefficients, keyed by its bits: float.hex keeps
+    # -0.0 apart from 0.0
+    shared = {}
 
-    def step(f, u, dw):
-        x = f * weights(np.vecdot(f, f), dw)[..., None]
+    def coefficients(u):
+        if isinstance(u, np.ndarray):
+            s = np.sin(angles[:, None] * u)
+            return (s * (s * scale[:, None] + shift[:, None])).T[:, None, :]
+        key = float(u).hex()
+        if key not in shared:
+            s = np.sin(angles * u)
+            shared.clear()
+            shared[key] = s * (s * scale + shift)
+        return shared[key]
+
+    def step(f, diag, u, dw):
+        x = f * weights(diag, dw)[..., None]
         flat = x.reshape(len(x), -1)
         trace = np.vecdot(flat, flat)
         x /= np.sqrt(trace)[:, None, None]
-        s = np.sin(angles[:, None] * u)
         turn = np.vecmat(x.swapaxes(1, 2), to_planes)
-        turn *= (s * (s * scale + shift)).T[:, None, :]
+        turn *= coefficients(u)
         # C order, as the loop's start: a batch row's layout, and so its
         # sums, must not depend on the batch's length
         return _checked(np.add(x, np.vecmat(turn, from_planes).swapaxes(1, 2),
@@ -371,12 +400,14 @@ def _factor_step(cfg: SdeStepConfig, ops: SpinOperators):
 @dataclass(frozen=True)
 class _Form:
     """How the stochastic loop holds a member's state: ``state`` at the
-    start, and four readers of a stack of states: ``distance`` is each
-    state's V, ``gain`` has ``feedback_gain``'s signature, ``purity`` is
-    each state's Tr(rho^2), and ``real_sum`` is the sum of the states' real
-    forms Re rho + Im rho."""
+    start, four readers of a stack of states and one of their diagonals:
+    ``diagonal`` is each state's diagonal Re rho_kk, one row per member,
+    ``distance`` each state's V read from that row, ``gain`` has
+    ``feedback_gain``'s signature, ``purity`` is each state's Tr(rho^2), and
+    ``real_sum`` is the sum of the states' real forms Re rho + Im rho."""
 
     state: np.ndarray
+    diagonal: Callable
     distance: Callable
     gain: Callable
     purity: Callable
@@ -388,7 +419,10 @@ def _real_form(rho0, f: int) -> _Form:
     ``_split_step`` steps: the form of an eta < 1 run, and of every run at
     t = 0."""
     return _Form(state=rho0.real + rho0.imag,
-                 distance=lambda p: distance_V(p, f), gain=feedback_gain,
+                 diagonal=lambda p: p.diagonal(0, -2, -1),
+                 # as distance_V: 1 - P_ff, clipped to [0, 1]
+                 distance=lambda d: np.clip(1.0 - d[:, f - 1], 0.0, 1.0),
+                 gain=feedback_gain,
                  purity=lambda p: np.sum(p ** 2, axis=(-2, -1)),
                  real_sum=lambda p: p.sum(axis=0))
 
@@ -428,10 +462,9 @@ def _factor_form(rho0, f: int) -> _Form:
         a, b = fac[..., :r], fac[..., r:]
         return np.concatenate([a - b, a + b], axis=-1)
 
-    def distance(fac):
+    def distance(diag):
         # as distance_V: 1 - Re rho_ff, which is at most 1, clipped at 0
-        row = fac[..., f - 1, :]
-        return np.maximum(1.0 - np.vecdot(row, row), 0.0)
+        return np.maximum(1.0 - diag[:, f - 1], 0.0)
 
     def purity(fac):
         g = other(fac)
@@ -441,7 +474,8 @@ def _factor_form(rho0, f: int) -> _Form:
     def real_sum(fac):
         return np.tensordot(fac, other(fac), axes=([0, 2], [0, 2]))
 
-    return _Form(state=fac, distance=distance, gain=_factor_gain,
+    return _Form(state=fac, diagonal=lambda fac: np.vecdot(fac, fac),
+                 distance=distance, gain=_factor_gain,
                  purity=purity, real_sum=real_sum)
 
 
@@ -528,12 +562,16 @@ def _control_step(control, feedback, v, rho, gain=feedback_gain):
     mode; as the loop starts every member in the constant mode, its first
     step, at t = 0, selects feedback exactly when V(rho0) <= 1 - gamma.
     Under a ConstantInput the flags come back unchanged and u is the fixed
-    input."""
+    input. While every member shares one input, under a ConstantInput or
+    with no member in feedback mode, u is that input as one float and no
+    gain is formed; otherwise it is one u per member."""
     if isinstance(control, ControllerState):
         feedback = switch_modes(feedback, v, control.gamma)
+        if not np.count_nonzero(feedback):
+            return feedback, 1.0
         return feedback, np.where(
             feedback, gain(rho, control.f, control.ops), 1.0)
-    return feedback, np.full(np.shape(v), control.u)
+    return feedback, float(control.u)
 
 
 @dataclass
@@ -575,28 +613,34 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
     An exit-time run, one with an ``exit_threshold``, keeps each member's
     exit time and nothing else: it has no records and no state sums at any
     ``record_stride``, which is checked as on every run. A member has
-    exited once its clock is set; it leaves the batch at that step and
-    draws no more noise, and the loop stops once every member has exited.
-    A member's path does not depend on which members share its batch, so a
-    dropped member changes no other member's numbers.
+    exited once its clock is set; it leaves the batch at that step, with
+    its generator and its column of the noise block, and draws no more
+    noise, and the loop stops once every member has exited. A member's
+    path does not depend on which members share its batch, so a dropped
+    member changes no other member's numbers.
 
-    Each member draws its noise in blocks of ``_NOISE_BLOCK`` steps and
-    is stepped in float64 by a kernel that keeps every state a state at
-    any dt. Step 0, at t = 0, reads every member as rho0's real form
-    P = Re rho + Im rho. From then on an eta = 1 run holds each member as
-    a real N x c factor F, c rho0's rank (twice it from a complex start),
-    stepped by ``_factor_step``, and an eta < 1 run as P, stepped by
-    ``_split_step`` (see the module docstring). Each recorded state sum S,
-    a sum of real forms P, is unpacked into the dtype that
-    ``_checked_rho0`` picks for ``rho0``, as (S + S^T)/2 for a real start
-    and (S + S^T)/2 + i (S - S^T)/2 for a complex one, both exactly
-    Hermitian. Raises ValueError for an input outside its range, including
-    a ``record_stride`` that is not an integer >= 1, a ``base_seed`` or
-    stream that is not an integer (a negative one is taken mod 2**64),
-    a ``rho0`` that is not an N x N density matrix and records too large
-    for memory, and NumericalFailureError, with the time of the failed
-    step, if a member's state becomes non-finite or its filtered trace is
-    not positive, as when an input's rotation angle u dt mu overflows.
+    Each member draws its noise in blocks of ``_NOISE_BLOCK`` steps, held
+    step-major, so that a step's increments are one row, and is stepped in
+    float64 by a kernel that keeps every state a state at any dt. Step 0,
+    at t = 0, reads every member as rho0's real form P = Re rho + Im rho.
+    From then on an eta = 1 run holds each member as a real N x c factor F,
+    c rho0's rank (twice it from a complex start), stepped by
+    ``_factor_step``, and an eta < 1 run as P, stepped by ``_split_step``
+    (see the module docstring). Each step reads the members' diagonals Re
+    rho_kk once, through the form (|F_k|^2 or P_kk): V comes from them, and
+    the kernel takes them for its filter. The input u is one float while
+    every member shares it (``_control_step``), which both kernels step as
+    they step one u per member, bit for bit. Each recorded state sum S, a
+    sum of real forms P, is unpacked into the dtype that ``_checked_rho0``
+    picks for ``rho0``, as (S + S^T)/2 for a real start and (S + S^T)/2 + i
+    (S - S^T)/2 for a complex one, both exactly Hermitian. Raises
+    ValueError for an input outside its range, including a
+    ``record_stride`` that is not an integer >= 1, a ``base_seed`` or
+    stream that is not an integer (a negative one is taken mod 2**64), a
+    ``rho0`` that is not an N x N density matrix and records too large for
+    memory, and NumericalFailureError, with the time of the failed step, if
+    a member's state becomes non-finite or its filtered trace is not
+    positive, as when an input's rotation angle u dt mu overflows.
     """
     f, ops = control.f, control.ops
     exiting = exit_threshold is not None
@@ -642,22 +686,30 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
 
     gens = [_philox_rng(base_seed, s) for s in streams]
     sqrt_dt = np.sqrt(cfg.dt)
-    noise = np.empty((m_count, min(_NOISE_BLOCK, n_steps)))
+    # step-major: a step's draws, one per live member, are one row
+    noise = np.empty((min(_NOISE_BLOCK, n_steps), m_count))
 
     rec_i = 0
+    diag = reads.diagonal(state)
     for k in range(n_steps + 1):
         t = k * cfg.dt
-        v = reads.distance(state)
+        v = reads.distance(diag)
 
-        below = np.isnan(first_below[live]) & (v <= level)
-        first_below[live[below]] = t
+        below = v <= level
+        # count_nonzero is numpy's cheapest test of a bool array
+        n_below = np.count_nonzero(below)
+        if n_below:
+            # every clock an exit run still steps is open; elsewhere a set
+            # clock keeps its first time
+            first_below[live[below] if exiting
+                        else below & np.isnan(first_below)] = t
 
-        modes, u_vec = _control_step(control, modes, v, state, reads.gain)
+        modes, u = _control_step(control, modes, v, state, reads.gain)
 
         if not exiting and (k % record_stride == 0 or k == n_steps):
             rec_t[rec_i] = t
             rec_V[rec_i] = v
-            rec_u[rec_i] = u_vec
+            rec_u[rec_i] = u
             rec_purity[rec_i] = reads.purity(state)
             rec_modes[rec_i] = modes
             if sum_chunk:
@@ -665,27 +717,33 @@ def _integrate_batch(rho0, control, T: float, cfg: SdeStepConfig,
                     p = reads.real_sum(state[lo:lo + sum_chunk])
                     rec_sum[rec_i, c] = unpack * p + np.conj(unpack) * p.T
             rec_i += 1
-        if k == n_steps or (exiting and below.all()):
+        if k == n_steps or (exiting and n_below == len(below)):
             break
 
-        # Members whose clock is now set leave the batch.
-        if exiting and below.any():
+        # Members whose clock is now set leave the batch, with their
+        # generators and their columns of noise.
+        if exiting and n_below:
             stay = ~below
-            live, state, modes, u_vec = (live[stay], state[stay], modes[stay],
-                                         u_vec[stay])
+            live, state, diag, modes = (live[stay], state[stay], diag[stay],
+                                        modes[stay])
+            if np.ndim(u):
+                u = u[stay]
+            gens = list(compress(gens, stay))
+            noise = noise[:, stay]
         if k == 0:
             reads, state = form, np.tile(form.state, (len(live), 1, 1))
+            diag = reads.diagonal(state)
 
         if k % _NOISE_BLOCK == 0:
             fill = min(_NOISE_BLOCK, n_steps - k)
-            for j in live:
-                noise[j, :fill] = gens[j].normal(0.0, sqrt_dt, fill)
-        dw = noise[live, k % _NOISE_BLOCK]
+            for j, gen in enumerate(gens):
+                noise[:fill, j] = gen.normal(0.0, sqrt_dt, fill)
 
         try:
-            state = step(state, u_vec, dw)
+            state = step(state, diag, u, noise[k % _NOISE_BLOCK])
         except NumericalFailureError as e:
             raise _failed_at(e, t + cfg.dt) from e
+        diag = reads.diagonal(state)
 
     return _BatchResult(
         times=rec_t[:rec_i], V=rec_V[:rec_i], u=rec_u[:rec_i],

@@ -124,19 +124,21 @@ def _task_members(dim: int) -> int:
 
     A step pays a fixed per-call overhead plus work per member, so a wider
     batch is cheaper per member while the overhead dominates; with every
-    eta = 1 run stepped as a factor, at O(N^2) per member, it does at
-    every N measured. Closed loop from eigenstate 1 with record stride 50,
-    per member-step, median of 5 interleaved runs on one CPU of a shared
-    2-vCPU Xeon VM with one BLAS thread: at N = 3, 1.82 us at W = 64, 0.86
-    at the rule's 256 and 0.81 at 512; at N = 5, 1.37 at the rule's 128
-    and 1.11 at 256; at N = 11, 2.52 at the rule's 64 and 1.82 at 256; at
-    N = 21, 3.47 at the rule's 64, 2.88 at 256 and 2.56 at 1024. The rule
-    is kept for the records, which grow with W: a factor holds N c
-    entries, but a task's records take R (25 W + 8 N^2 W / 64) bytes for R
-    records from a real start, 334 MB at N = 3 and W = 256 for the CLI's
-    default horizon, step and stride (T = 50, dt = 1e-3, every step
-    recorded), and 256 MB at N = 21 and W = 64, where W = 256 would hold
-    1 GB for a 1.2-fold faster step.
+    eta = 1 run stepped as a factor, at O(N^2) per member, it does at every
+    N measured. Closed loop from eigenstate 1 to T = 1 with record stride
+    50 (gamma = 0.1, f = 3 at N = 3, gamma = 0.5 / N and the middle level
+    above; some member is in feedback mode at 1.5%, 9.4%, 1.3% and 0% of
+    the records at N = 3, 5, 11 and 21), per member-step, median of 5
+    interleaved runs on one CPU of a shared 2-vCPU Xeon VM with one BLAS
+    thread: at N = 3, 0.61 us at W = 64, 0.30 at the rule's 256 and 0.25 at
+    512; at N = 5, 0.49 at the rule's 128 and 0.37 at 256; at N = 11, 0.75
+    at the rule's 64 and 0.48 at 256; at N = 21, 0.98 at the rule's 64,
+    0.78 at 256 and 0.75 at 1024. The rule is kept for the records, which
+    grow with W: a factor holds N c entries, but a task's records take R
+    (25 W + 8 N^2 W / 64) bytes for R records from a real start, 334 MB at
+    N = 3 and W = 256 for the CLI's default horizon, step and stride (T =
+    50, dt = 1e-3, every step recorded), and 256 MB at N = 21 and W = 64,
+    where W = 256 would hold 1 GB for a 1.3-fold faster step.
     """
     width = _CHUNK
     while 2 * width * dim * dim <= _TASK_ENTRIES:

@@ -1,6 +1,7 @@
 """Helpers shared by the tests: random states, the projection by
-eigendecomposition alone, the stochastic split step from dense matrices,
-and the averaged flow's dense generator and its exact trajectory."""
+eigendecomposition alone, a state's diagonal as the step kernels take it,
+the stochastic split step from dense matrices, and the averaged flow's
+dense generator and its exact trajectory."""
 
 import numpy as np
 from scipy.linalg import expm
@@ -28,6 +29,13 @@ def clip_psd_eigh(mat: np.ndarray) -> np.ndarray:
     tr = np.sum(w, axis=-1)
     out = (v * (w / tr[..., None])[..., None, :]) @ _dag(v)
     return 0.5 * (out + _dag(out))
+
+
+def real_diagonal(rho) -> np.ndarray:
+    """Re rho_kk of a state or of a stack of states, complex or in real
+    form: the diagonal that ``dynamics._split_step``'s step takes with
+    each state, as the stepping loop reads it."""
+    return np.asarray(rho).diagonal(0, -2, -1).real
 
 
 def split_step_dense(rho, u, dw, dt: float, eta: float, ops) -> np.ndarray:

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import random_density
+from helpers import random_density, real_diagonal
 from spinstab.controller import ConstantInput, new_controller
 from spinstab.dynamics import (
     EPS_CONV,
@@ -176,7 +176,7 @@ def test_criterion_07_structure_preservation_bulk():
         tr_b = np.abs(np.trace(sme_diffusion(rho, ops, cfg.eta), axis1=-2,
                                axis2=-1))
         worst_trace = max(worst_trace, tr_d.max(), tr_b.max())
-        out = _split_step(cfg, ops)(rho, u, dw)
+        out = _split_step(cfg, ops)(rho, real_diagonal(rho), u, dw)
         herm_bad += np.sum(np.linalg.norm(out - out.conj().swapaxes(-1, -2),
                                           axis=(-2, -1)) > 1e-9)
         tr_bad += np.sum(np.abs(np.trace(out, axis1=-2, axis2=-1) - 1.0) > 1e-9)
@@ -212,7 +212,8 @@ def test_criterion_08_exact_equilibrium_at_target():
                                         rho)
             assert u == 0.0
             assert feedback
-            rho = step(rho, u, rng.normal(0, np.sqrt(CFG.dt)))
+            rho = step(rho, real_diagonal(rho), u,
+                       rng.normal(0, np.sqrt(CFG.dt)))
             worst = max(worst, float(np.abs(rho - target).max()))
         res = _integrate_batch(target, ctrl, 1000 * CFG.dt, CFG, 5, [0],
                                sum_chunk=1)

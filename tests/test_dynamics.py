@@ -6,11 +6,14 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from helpers import expm_states, random_density, split_step_dense
+from helpers import (expm_states, random_density, real_diagonal,
+                     split_step_dense)
 from spinstab import dynamics
-from spinstab.controller import ConstantInput, feedback_gain, new_controller
+from spinstab.controller import (ConstantInput, ControllerState,
+                                 feedback_gain, new_controller)
 from spinstab.dynamics import (
     SdeStepConfig,
+    _control_step,
     _split_step,
     integrate_ensemble,
     simulate_batch,
@@ -134,13 +137,15 @@ class TestSplitStep:
 
     def test_target_is_exact_fixed_point(self):
         rho = np.asarray(eigenstate(self.ops, 3))
-        out = _split_step(self.cfg, self.ops)(rho, 0.0, 0.03)
+        out = _split_step(self.cfg, self.ops)(rho, real_diagonal(rho), 0.0,
+                                              0.03)
         np.testing.assert_array_equal(out, rho)
 
     def test_non_finite_increment_raises(self):
+        rho = np.asarray(eigenstate(self.ops, 1))
         with pytest.raises(NumericalFailureError):
-            _split_step(self.cfg, self.ops)(
-                np.asarray(eigenstate(self.ops, 1)), 1.0, np.nan)
+            _split_step(self.cfg, self.ops)(rho, real_diagonal(rho), 1.0,
+                                            np.nan)
 
     def test_batched_loop_raises_with_failure_time(self):
         # A valid pure state and a drive so large that the first step's
@@ -159,7 +164,8 @@ class TestSplitStep:
             rho = random_density(3, rng)
             u = rng.uniform(-2, 2)
             dw = rng.normal(0, np.sqrt(self.cfg.dt))
-            mat = _split_step(self.cfg, self.ops)(rho, u, dw)
+            mat = _split_step(self.cfg, self.ops)(rho, real_diagonal(rho), u,
+                                                  dw)
             assert np.linalg.norm(mat - mat.conj().T) <= 1e-9
             assert abs(np.trace(mat) - 1) <= 1e-9
             assert np.linalg.eigvalsh(mat).min() >= -1e-9
@@ -184,8 +190,9 @@ class TestSplitStep:
                 u = rng.uniform(-2, 2)
                 dw1 = rng.normal(0, np.sqrt(dt / 2))
                 dw2 = rng.normal(0, np.sqrt(dt / 2))
-                full = full_step(rho, u, dw1 + dw2)
-                half = half_step(half_step(rho, u, dw1), u, dw2)
+                full = full_step(rho, real_diagonal(rho), u, dw1 + dw2)
+                half = half_step(rho, real_diagonal(rho), u, dw1)
+                half = half_step(half, real_diagonal(half), u, dw2)
                 gaps.append(np.linalg.norm(full - half))
             return np.mean(gaps)
 
@@ -211,7 +218,7 @@ class TestSplitStep:
             step = _split_step(SdeStepConfig(dt=dt, eta=1.0), self.ops)
             state = np.full((m_paths, 3, 3), 1.0 / 3, dtype=complex)
             for row in dw:
-                state = step(state, 1.0, row)
+                state = step(state, real_diagonal(state), 1.0, row)
             return state
 
         ref = endpoint(dw_ref, dt_ref)
@@ -235,9 +242,9 @@ class TestSplitStep:
         def recording_split_step(cfg, ops):
             step = kernel(cfg, ops)
 
-            def recorded(rho, u, dw):
+            def recorded(rho, diag, u, dw):
                 seen.append((rho.dtype, rho.shape))
-                return step(rho, u, dw)
+                return step(rho, diag, u, dw)
             return recorded
 
         ops = make_spin_operators(2)
@@ -263,9 +270,9 @@ class TestSplitStep:
         def recording_factor_step(cfg, ops):
             step = kernel(cfg, ops)
 
-            def recorded(fac, u, dw):
+            def recorded(fac, diag, u, dw):
                 seen.append((fac.dtype, fac.shape))
-                return step(fac, u, dw)
+                return step(fac, diag, u, dw)
             return recorded
 
         ops = make_spin_operators(2)
@@ -450,9 +457,9 @@ class TestFactorStep:
         def recording_split_step(cfg, ops):
             step = kernel(cfg, ops)
 
-            def recorded(rho, u, dw):
+            def recorded(rho, diag, u, dw):
                 seen.append(rho.shape)
-                return step(rho, u, dw)
+                return step(rho, diag, u, dw)
             return recorded
 
         ops = make_spin_operators(10)
@@ -471,8 +478,72 @@ class TestFactorStep:
         ops = make_spin_operators(10)
         step = dynamics._factor_step(SdeStepConfig(dt=0.05), ops)
         fac = np.eye(ops.dim)[None, :, 4:5]
-        out = step(fac, np.zeros(1), np.array([0.3]))
+        out = step(fac, np.vecdot(fac, fac), np.zeros(1), np.array([0.3]))
         np.testing.assert_array_equal(out, fac)
+
+
+class TestSharedInput:
+    """While every member takes one input, a ConstantInput's or the
+    constant mode's, ``_control_step`` returns it as one float and forms no
+    gain, and each kernel steps that float as it steps a copy per member."""
+
+    @staticmethod
+    def gain_calls(start: int) -> int:
+        # calls of either form's gain reader over a fig2 run of T = 0.5,
+        # from eigenstate ``start``
+        calls = []
+
+        def counted(gain):
+            def wrapped(*args):
+                calls.append(args)
+                return gain(*args)
+            return wrapped
+
+        ops = make_spin_operators(10)
+        with mock.patch.object(dynamics, "feedback_gain",
+                               counted(feedback_gain)), \
+                mock.patch.object(dynamics, "_factor_gain",
+                                  counted(dynamics._factor_gain)):
+            dynamics._integrate_batch(eigenstate(ops, start),
+                                      ControllerState(0.4, 11, ops), 0.5,
+                                      SdeStepConfig(), 6, range(10))
+        return len(calls)
+
+    def test_no_gain_while_every_member_is_in_constant_mode(self):
+        # from eigenstate 1, V stays above 1 - gamma = 0.6 to T = 0.5, so
+        # no member enters feedback; from the target every member does
+        assert self.gain_calls(1) == 0
+        assert self.gain_calls(11) > 0
+
+    def test_a_shared_input_is_one_float(self):
+        ops = make_spin_operators(1)
+        rho = np.tile(np.asarray(eigenstate(ops, 1)), (4, 1, 1))
+        v, modes = np.ones(4), np.zeros(4, dtype=bool)
+        for control, want in ((ControllerState(0.1, 3, ops), 1.0),
+                              (ConstantInput(-17, 3, ops), -17.0)):
+            feedback, u = _control_step(control, modes, v, rho)
+            assert not feedback.any()
+            assert type(u) is float and u == want
+
+    @pytest.mark.parametrize("kernel, eta", [("_factor_step", 1.0),
+                                             ("_split_step", 1.0),
+                                             ("_split_step", 0.5)])
+    @pytest.mark.parametrize("J", [1, 10])
+    def test_a_float_input_steps_as_one_per_member(self, kernel, eta, J):
+        # ten members of rank two, stepped under each float u in turn, u
+        # coming back after another, against u as one entry per member
+        ops = make_spin_operators(J)
+        rng = np.random.default_rng(J)
+        fac = rng.normal(size=(10, ops.dim, 2))
+        fac /= np.linalg.norm(fac, axis=(1, 2))[:, None, None]
+        state = fac if kernel == "_factor_step" else fac @ fac.swapaxes(1, 2)
+        diag = np.vecdot(fac, fac)
+        step = getattr(dynamics, kernel)(SdeStepConfig(dt=0.01, eta=eta), ops)
+        for u in (1.0, -17.0, 1.0, 0.25):
+            dw = rng.normal(0.0, 0.1, 10)
+            np.testing.assert_array_equal(
+                step(state, diag, u, dw),
+                step(state, diag, np.full(10, u), dw))
 
 
 @pytest.mark.parametrize("failure, message", [
@@ -484,7 +555,8 @@ def test_both_kernels_refuse_a_failed_step_alike(kernel, failure, message):
     # a NaN increment loses the filtered trace, and u = 1e308 at dt = 1
     # overflows the rotation angle u dt mu at N = 21: each kernel refuses
     # the step with the same message, eigenstate 1 stepped as its real form
-    # P by _split_step and as a factor by _factor_step
+    # P by _split_step and as a factor by _factor_step, each with its
+    # diagonal P_kk = |F_k|^2
     ops = make_spin_operators(10)
     fac = np.eye(ops.dim)[None, :, :1]
     state = fac if kernel == "_factor_step" else fac @ fac.swapaxes(1, 2)
@@ -492,7 +564,7 @@ def test_both_kernels_refuse_a_failed_step_alike(kernel, failure, message):
     step = getattr(dynamics, kernel)(SdeStepConfig(dt=1.0), ops)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericalFailureError) as exc:
-        step(state, np.array([u]), np.array([dw]))
+        step(state, np.vecdot(fac, fac), np.array([u]), np.array([dw]))
     assert str(exc.value) == message
 
 
@@ -1064,6 +1136,36 @@ class TestExitDrops:
         for name in ("V", "u", "purity", "modes"):
             assert getattr(batch, name).shape == (0, 64)
         assert batch.state_sum.size == 0
+
+    @pytest.mark.parametrize("block", [512, 100])
+    @pytest.mark.parametrize("switching", [False, True])
+    def test_members_leave_at_many_steps_across_refills(self, monkeypatch,
+                                                        singles, block,
+                                                        switching):
+        # 24 members leave one by one or a few at a time, at many steps of
+        # one noise block and past its refill, which draws only for the
+        # members left. Under the switching law (gamma = 0.1, feedback from
+        # V <= 0.9) the members' inputs differ before they exit at V <= 0.85
+        monkeypatch.setattr(dynamics, "_NOISE_BLOCK", block)
+        ops = make_spin_operators(1)
+        control, threshold = ((ControllerState(0.1, 2, ops), 0.85)
+                              if switching
+                              else (ConstantInput(1.0, 2, ops),
+                                    self.THRESHOLD))
+
+        def exits(streams):
+            return dynamics._integrate_batch(
+                eigenstate(ops, 1), control, 5.0, SdeStepConfig(), 41,
+                streams, exit_threshold=threshold).first_below
+
+        batch = exits(range(24))
+        want = (singles[:24] if not switching else
+                [exits([j])[0] for j in range(24)])
+        np.testing.assert_array_equal(batch, want)
+        steps = np.round(batch / SdeStepConfig().dt)
+        per_block = [np.unique(steps[steps // block == b]).size
+                     for b in np.unique(steps // block)]
+        assert len(per_block) > 1 and max(per_block) > 1
 
     @pytest.mark.parametrize("stride", [0, 2.5])
     def test_bad_record_stride_refused(self, stride):

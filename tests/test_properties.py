@@ -41,7 +41,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.sparse.csgraph import connected_components
 
 from helpers import (clip_psd_eigh, dense_generator, expm_states,
-                     random_density)
+                     random_density, real_diagonal)
 from spinstab import dynamics
 from spinstab.controller import (ConstantInput, ControllerState,
                                  feedback_gain, new_controller, switch_modes)
@@ -229,10 +229,11 @@ def test_real_state_steps_in_float64_like_the_complex_one(case, data):
         -0.2, 0.2, allow_subnormal=False)))
     cfg = SdeStepConfig(dt=1e-3, eta=data.draw(st.floats(0.05, 1.0)))
     step = _split_step(cfg, ops)
-    out = step(m, u, dw)
+    out = step(m, real_diagonal(m), u, dw)
     assert out.dtype == np.float64
-    np.testing.assert_allclose(out, step(m.astype(complex), u, dw), rtol=0,
-                               atol=1e-13)
+    np.testing.assert_allclose(
+        out, step(m.astype(complex), real_diagonal(m), u, dw), rtol=0,
+        atol=1e-13)
 
     # A traceless symmetric kick, so that the projection clips eigenvalues.
     p = data.draw(arrays(np.float64, m.shape, elements=st.floats(
@@ -323,9 +324,9 @@ def test_v_is_a_supermartingale_in_feedback_mode(case):
     lam = ops.lambdas
     # the step's dw is dy less its own drift 2 Tr(F_z rho) dt
     dw = (2 * (lam - p @ lam) * dt)[:, None] + np.sqrt(dt) * _GH_X
-    out = _split_step(_MART_CFG, ops)(
-        np.broadcast_to(rho, (dw.size, n, n)), np.full(dw.size, u),
-        dw.ravel())
+    states = np.broadcast_to(rho, (dw.size, n, n))
+    out = _split_step(_MART_CFG, ops)(states, real_diagonal(states),
+                                      np.full(dw.size, u), dw.ravel())
     mean_dv = np.outer(p, _GH_W).ravel() @ distance_V(out, ctrl.f) - v0
     assert mean_dv <= 1e-15
     rotation = 2 * ops.J**2 * np.exp(2 * ops.J * abs(u) * dt)
