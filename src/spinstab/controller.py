@@ -4,7 +4,7 @@ The controller switches between two modes, driven by the distance
 V(rho) = 1 - rho_ff to the target eigenstate:
 
 * V <= 1 - gamma        -> feedback mode, u = -(i [F_y, rho])_ff;
-* V >= 1 - gamma/2      -> constant mode, u = 1;
+* V >= 1 - gamma/2      -> constant mode, u = 1 (``DRIVE_U``);
 * inside the open band in between, the mode latches: it keeps whatever
   branch was active when the band was last entered.
 
@@ -36,6 +36,11 @@ __all__ = [
     "switch_modes",
     "new_controller",
 ]
+
+
+# The constant mode's input u, the drive outside the feedback region; also
+# the fixed input of an exit-time run.
+DRIVE_U = 1.0
 
 
 def _check_target(f: int, ops: SpinOperators) -> None:
@@ -84,10 +89,12 @@ def feedback_gain(rho, f: int, ops: SpinOperators):
     contribute. The same sum gives the gain of a state from its real form
     P = Re rho + Im rho, which the stochastic loop reads at t = 0 and
     steps at eta < 1 (see ``dynamics``): P_kf + P_fk = 2 Re(rho_kf).
-    Accepts a single matrix or a stacked (..., N, N) array.
+    Accepts a single matrix or a stacked (..., N, N) array. Each gain is
+    its own dot product, so a stack's row equals its matrix's lone gain,
+    bit for bit.
     """
     m = np.asarray(rho)
-    g = (m[..., :, f - 1] + m[..., f - 1, :]).real @ ops.b_y[f - 1]
+    g = np.vecdot((m[..., :, f - 1] + m[..., f - 1, :]).real, ops.b_y[f - 1])
     return float(g) if np.ndim(g) == 0 else g
 
 
@@ -96,9 +103,13 @@ def switch_modes(feedback_mode, v, gamma: float):
 
     Vectorized over trajectories: ``feedback_mode`` and ``v`` may be arrays.
     """
-    feed = np.asarray(v) <= 1.0 - gamma
-    const = np.asarray(v) >= 1.0 - 0.5 * gamma
-    return feed | (np.asarray(feedback_mode, dtype=bool) & ~const)
+    v = np.asarray(v)
+    feed = v <= 1.0 - gamma
+    latched = np.asarray(feedback_mode, dtype=bool)
+    # with no flag set there is nothing to latch
+    if np.count_nonzero(latched):
+        latched = latched & ~(v >= 1.0 - 0.5 * gamma)
+    return feed | latched
 
 
 def new_controller(gamma: float, f: int, ops: SpinOperators,

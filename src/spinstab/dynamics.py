@@ -17,7 +17,8 @@ Two integrators live here:
   (``_factor_step``), and an eta < 1 run steps rho (``_split_step``).
   Both kernels take the filter from ``_filter`` and refuse a failed step
   by ``_checked``, and read the rotation's planes off
-  ``_rotation_planes``;
+  ``_rotation_planes``; the eta = 1 kernel turns a member under the
+  constant mode's u = 1 by one N x N matrix formed from them once per run;
 
 * the exact flow of the averaged (ensemble) dynamics under a constant
   input, which is the same drift with the noise term dropped. That flow is
@@ -57,7 +58,9 @@ array of factors. Both kernels take the states' diagonals Re rho_kk, which
 the loop reads once per step and also reads V from, and an input u that is
 one float while every member shares it (a ConstantInput run, or a
 switching run with no member in feedback mode), stepped to the same bits
-as one u per member.
+as one u per member. Each member's u alone picks how ``_factor_step``
+rotates it, so a batch mixing the constant mode's u = 1 and feedback
+gains still steps each row to its lone bits.
 
 ``_checked_rho0`` chooses a run's output dtype once, at entry: float64
 when the initial state has a zero imaginary part, complex128 otherwise.
@@ -92,7 +95,7 @@ from itertools import compress
 
 import numpy as np
 
-from .controller import ControllerState, feedback_gain, switch_modes
+from .controller import DRIVE_U, ControllerState, feedback_gain, switch_modes
 from .quantum import (_TOL, NumericalFailureError, QuantumState,
                       SpinOperators, _dag, _hermitian_part)
 # Unused here; bench/tracing.py wraps it by this name and reads 0 calls.
@@ -339,15 +342,24 @@ def _factor_step(cfg: SdeStepConfig, ops: SpinOperators):
     steps as a vector, and the state F F^T as ``_split_step`` steps it.
     Re rho_kk, which sets dy and the trace, is the sum of F_k's squares.
 
-    R is applied without forming it. A vector's coordinates in the planes
-    of ``_rotation_planes`` are turned by u dt mu_k, and the turn is added
-    as a change: with cos - 1 written -2 sin^2(. / 2), it is exactly zero
-    at u = 0, where F' is D F / |D F|. Each member costs O(N^2 c). The
-    turn's coefficients are taken entry by entry from u dt mu_k, so a float
-    u gives the bits of one u per member; they are formed for a float u
-    once and kept while the float's bits stay the same, as they do for the
-    whole of a ConstantInput run and for every step of a switching run in
-    which every member is in constant mode (u = 1).
+    R is applied in one of two ways, chosen per member by its u alone:
+
+    * at u = ``DRIVE_U``, the constant mode's input, which most
+      member-steps of a switching run take, as one N x N matrix formed
+      once per run, ``drive_t`` = R^T, so F' = R x costs N^2 c per member;
+    * at any other u through the planes of ``_rotation_planes``: a
+      vector's coordinates in them are turned by u dt mu_k, and the turn
+      is added as a change: with cos - 1 written -2 sin^2(. / 2), it is
+      exactly zero at u = 0, where F' is D F / |D F|. This costs 4 N^2 c
+      per member. The turn's coefficients are taken entry by entry from
+      u dt mu_k, so a float u gives the bits of one u per member.
+
+    A float u steps the whole batch one way. An array u with members of
+    both kinds turns every row by the matrix, which costs less than
+    gathering the constant-mode rows, and then steps the other members'
+    rows, gathered, through the planes and scatters them back over it.
+    ``drive_t`` is I plus the planes' change at u = ``DRIVE_U``, so the
+    two ways agree to round-off there.
     ``step`` raises NumericalFailureError as ``_checked`` does. Each member
     is computed on its own, so a batch row equals the member stepped
     alone, bit for bit: every sum runs over a member's own C-ordered
@@ -367,32 +379,49 @@ def _factor_step(cfg: SdeStepConfig, ops: SpinOperators):
     angles = cfg.dt * np.concatenate([mu / 2, mu / 2, mu, mu])
     scale, shift = np.repeat([[-2.0, -2.0, 0.0, 0.0], [0.0, 0.0, -1.0, 1.0]],
                              len(mu), axis=1)
-    # the last float u's coefficients, keyed by its bits: float.hex keeps
-    # -0.0 apart from 0.0
-    shared = {}
 
     def coefficients(u):
-        if isinstance(u, np.ndarray):
+        if np.ndim(u):
             s = np.sin(angles[:, None] * u)
             return (s * (s * scale[:, None] + shift[:, None])).T[:, None, :]
-        key = float(u).hex()
-        if key not in shared:
-            s = np.sin(angles * u)
-            shared.clear()
-            shared[key] = s * (s * scale + shift)
-        return shared[key]
+        s = np.sin(angles * u)
+        return s * (s * scale + shift)
+
+    # x @ drive_t is the planes' turn of a row vector x at u = DRIVE_U
+    drive_t = np.eye(ops.dim) + ((to_planes * coefficients(DRIVE_U))
+                                 @ from_planes)
+
+    # Each returns R x of every member of x in C order, as the loop's
+    # start: a batch row's layout, and so its sums, must not depend on the
+    # batch's length.
+    def driven(x):
+        y = np.empty_like(x)
+        np.vecmat(x.swapaxes(1, 2), drive_t, out=y.swapaxes(1, 2))
+        return y
+
+    def turned(x, u):
+        turn = np.vecmat(x.swapaxes(1, 2), to_planes)
+        turn *= coefficients(u)
+        return np.add(x, np.vecmat(turn, from_planes).swapaxes(1, 2),
+                      order="C")
 
     def step(f, diag, u, dw):
         x = f * weights(diag, dw)[..., None]
         flat = x.reshape(len(x), -1)
         trace = np.vecdot(flat, flat)
         x /= np.sqrt(trace)[:, None, None]
-        turn = np.vecmat(x.swapaxes(1, 2), to_planes)
-        turn *= coefficients(u)
-        # C order, as the loop's start: a batch row's layout, and so its
-        # sums, must not depend on the batch's length
-        return _checked(np.add(x, np.vecmat(turn, from_planes).swapaxes(1, 2),
-                               order="C"), trace)
+        if isinstance(u, float):
+            return _checked(driven(x) if u == DRIVE_U else turned(x, u),
+                            trace)
+        drive = u == DRIVE_U
+        n_drive = np.count_nonzero(drive)
+        if not n_drive:
+            return _checked(turned(x, u), trace)
+        y = driven(x)
+        if n_drive < drive.size:
+            off = np.flatnonzero(~drive)
+            y[off] = turned(x[off], u[off])
+        return _checked(y, trace)
 
     return step
 
@@ -429,7 +458,11 @@ def _real_form(rho0, f: int) -> _Form:
 
 def _factor_gain(fac, f: int, ops: SpinOperators):
     """``feedback_gain`` of each state F F^T of a stack of factors:
-    2 sum_k B_fk Re rho_kf = 2 F_f . (B F)_f."""
+    2 sum_k B_fk Re rho_kf = 2 F_f . (B F)_f, read as 2 F_f (B_f . F) for
+    one column, to the same bits."""
+    if fac.shape[-1] == 1:
+        return (2.0 * fac[..., f - 1, 0]
+                * np.vecdot(fac[..., 0], ops.b_y[f - 1]))
     return 2.0 * np.vecdot(fac[..., f - 1, :], np.matmul(ops.b_y[f - 1], fac))
 
 
@@ -474,7 +507,13 @@ def _factor_form(rho0, f: int) -> _Form:
     def real_sum(fac):
         return np.tensordot(fac, other(fac), axes=([0, 2], [0, 2]))
 
-    return _Form(state=fac, diagonal=lambda fac: np.vecdot(fac, fac),
+    def diagonal(fac):
+        # |F_k|^2; one column's is its square, to the same bits
+        if fac.shape[-1] == 1:
+            return np.square(fac[..., 0])
+        return np.vecdot(fac, fac)
+
+    return _Form(state=fac, diagonal=diagonal,
                  distance=distance, gain=_factor_gain,
                  purity=purity, real_sum=real_sum)
 
@@ -564,13 +603,14 @@ def _control_step(control, feedback, v, rho, gain=feedback_gain):
     Under a ConstantInput the flags come back unchanged and u is the fixed
     input. While every member shares one input, under a ConstantInput or
     with no member in feedback mode, u is that input as one float and no
-    gain is formed; otherwise it is one u per member."""
+    gain is formed; otherwise it is one u per member. The constant mode's
+    u is ``DRIVE_U``, which ``_factor_step`` applies as one matrix."""
     if isinstance(control, ControllerState):
         feedback = switch_modes(feedback, v, control.gamma)
         if not np.count_nonzero(feedback):
-            return feedback, 1.0
+            return feedback, DRIVE_U
         return feedback, np.where(
-            feedback, gain(rho, control.f, control.ops), 1.0)
+            feedback, gain(rho, control.f, control.ops), DRIVE_U)
     return feedback, float(control.u)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controller import ConstantInput
+from .controller import DRIVE_U, ConstantInput
 from .dynamics import (EPS_CONV, SdeStepConfig, _BatchResult, _checked_rho0,
                        _integer, _integrate_batch, integrate_ensemble)
 from .quantum import SpinOperators, distance_V
@@ -241,7 +241,7 @@ def estimate_exit_time(gamma_a: float, rho0, f: int, ops: SpinOperators,
     ValueError for an input outside its range and NumericalFailureError if
     any member's state becomes non-finite.
     """
-    control = ConstantInput(1.0, f, ops)
+    control = ConstantInput(DRIVE_U, f, ops)
     if not 0.0 < gamma_a < 1.0:
         raise ValueError(f"gamma_a must be in (0, 1), got {gamma_a}")
     threshold = 1.0 - gamma_a

@@ -76,6 +76,16 @@ class TestFeedbackGain:
                 feedback_gain(batch[j], 2, ops), abs=1e-15)
 
 
+    def test_a_stack_row_is_the_lone_gain_to_the_bit(self):
+        # each row's gain is its own dot product, whatever the stack's size
+        rng = np.random.default_rng(2)
+        ops = make_spin_operators(2)
+        batch = np.stack([np.asarray(random_density(5, rng))
+                          for _ in range(64)])
+        for rho in (batch, batch.real + batch.imag):
+            gains = feedback_gain(rho, 3, ops)
+            assert list(gains) == [feedback_gain(m, 3, ops) for m in rho]
+
 class TestSwitchLaw:
     def setup_method(self):
         self.ops = make_spin_operators(1)

@@ -9,7 +9,7 @@ import pytest
 from helpers import (expm_states, random_density, real_diagonal,
                      split_step_dense)
 from spinstab import dynamics
-from spinstab.controller import (ConstantInput, ControllerState,
+from spinstab.controller import (DRIVE_U, ConstantInput, ControllerState,
                                  feedback_gain, new_controller)
 from spinstab.dynamics import (
     SdeStepConfig,
@@ -546,6 +546,62 @@ class TestSharedInput:
                 step(state, diag, np.full(10, u), dw))
 
 
+class TestDriveMatrix:
+    """``_factor_step`` turns a member whose u is the constant mode's
+    DRIVE_U by one N x N matrix formed per run, and any other member
+    through the rotation's planes, chosen per member."""
+
+    @pytest.mark.parametrize("J", [0.5, 1, 10, 20, 40])
+    def test_drive_matrix_is_orthogonal_and_the_planes_turn(self, J):
+        # Stepping the identity factor I (c = N), member j's filtered
+        # column x_j e_j turns to x_j R e_j, one product per entry, and at
+        # u = 0 it is x_j e_j exactly: dividing the one by the other reads
+        # R to an ulp. The float after 1 takes the planes, whose turn
+        # differs from u = 1's by far less than round-off. At the presets'
+        # dt; at dt = 0.05 and N = 81 the planes themselves are orthogonal
+        # only to 2.5e-15, and the matrix to 2.7e-15.
+        ops = make_spin_operators(J)
+        n = ops.dim
+        step = dynamics._factor_step(SdeStepConfig(), ops)
+        eye, diag, dw = np.eye(n)[None], np.full((1, n), 1.0 / n), [0.1]
+        x = step(eye, diag, 0.0, dw)[0]
+        np.testing.assert_array_equal(x, np.diag(np.diagonal(x)))
+        drive = step(eye, diag, DRIVE_U, dw)[0] / np.diagonal(x)
+        planes = (step(eye, diag, np.nextafter(DRIVE_U, 2.0), dw)[0]
+                  / np.diagonal(x))
+        np.testing.assert_allclose(drive.T @ drive, np.eye(n), rtol=0,
+                                   atol=1e-15)
+        np.testing.assert_allclose(drive, planes, rtol=0, atol=1e-15)
+        assert not np.array_equal(drive, np.eye(n))
+
+    @pytest.mark.parametrize("M", [1, 2, 7, 64, 65])
+    @pytest.mark.parametrize("J", [1, 10, 20, 40])
+    @pytest.mark.parametrize("c", [1, 2])
+    def test_mixed_inputs_step_each_member_as_alone(self, M, J, c):
+        # constant-mode members (u = 1.0) among feedback gains, one of which
+        # is exactly 1.0 as well: each row is its member's one-member step,
+        # under its u as a float and as an array of one
+        ops = make_spin_operators(J)
+        rng = np.random.default_rng([M, ops.dim, c])
+        fac = rng.normal(size=(M, ops.dim, c))
+        fac /= np.linalg.norm(fac, axis=(1, 2))[:, None, None]
+        diag = np.vecdot(fac, fac)
+        u = rng.normal(0.0, 3.0, M)
+        u[::3] = DRIVE_U
+        u[1::5] = 1.0
+        if M == 2:
+            u[1] = 0.5
+        dw = rng.normal(0.0, 0.03, M)
+        step = dynamics._factor_step(SdeStepConfig(), ops)
+        out = step(fac, diag, u, dw)
+        for j in range(M):
+            one = slice(j, j + 1)
+            np.testing.assert_array_equal(
+                out[one], step(fac[one], diag[one], u[one], dw[one]))
+            np.testing.assert_array_equal(
+                out[one], step(fac[one], diag[one], float(u[j]), dw[one]))
+
+
 @pytest.mark.parametrize("failure, message", [
     ("nan-increment", "filtered trace is nan, not > 0"),
     ("overflowing-angle", "state has non-finite entries")],
@@ -625,6 +681,23 @@ class TestSimulateTrajectory:
                                       [stream])[0]
                 np.testing.assert_array_equal(batch[stream].V, solo.V)
                 np.testing.assert_array_equal(batch[stream].u, solo.u)
+
+    def test_eta_below_one_feedback_batch_equals_singles(self):
+        # at eta < 1 the loop reads feedback gains off real forms: from
+        # near the target, each of nine members runs in feedback, and each
+        # one's record is the same as its one-member run's, bit for bit
+        ops = make_spin_operators(2)
+        psi = np.zeros(ops.dim)
+        psi[2], psi[3] = 1.0, 0.05
+        rho0 = np.outer(psi, psi) / (psi @ psi)
+        ctrl = new_controller(0.1, 3, ops)
+        cfg = SdeStepConfig(dt=1e-3, eta=0.5)
+        batch = simulate_batch(rho0, ctrl, 0.2, cfg, 4, range(9))
+        assert all((rec.modes == "feedback").any() for rec in batch)
+        for stream, rec in enumerate(batch):
+            solo, = simulate_batch(rho0, ctrl, 0.2, cfg, 4, [stream])
+            np.testing.assert_array_equal(rec.V, solo.V)
+            np.testing.assert_array_equal(rec.u, solo.u)
 
     def test_fixed_input_run_records_constant_mode(self):
         rec = simulate_batch(eigenstate(self.ops, 1), self.drive, 0.5,

@@ -53,6 +53,22 @@ class TestRunEnsemble:
             np.testing.assert_array_equal(a.mean_state, other.mean_state)
             np.testing.assert_array_equal(a.final_V, other.final_V)
 
+    def test_eta_below_one_feedback_is_worker_independent(self):
+        # from near the target at eta = 0.5 the members read feedback gains
+        # off real forms; M = 65 gives a second worker a one-member task
+        ops = make_spin_operators(2)
+        psi = np.zeros(ops.dim)
+        psi[2], psi[3] = 1.0, 0.05
+        rho0 = np.outer(psi, psi) / (psi @ psi)
+        ctrl = new_controller(0.1, 3, ops)
+        cfg = SdeStepConfig(dt=1e-3, eta=0.5)
+        kw = dict(M=65, base_seed=0, record_stride=100)
+        a = run_ensemble(rho0, ctrl, 1.0, cfg, **kw, workers=1)
+        b = run_ensemble(rho0, ctrl, 1.0, cfg, **kw, workers=2)
+        np.testing.assert_array_equal(a.mean_V, b.mean_V)
+        np.testing.assert_array_equal(a.mean_state, b.mean_state)
+        np.testing.assert_array_equal(a.final_V, b.final_V)
+
     def test_fixed_input_mean_v_approaches_mixed_level(self):
         # the ensemble-average oracle: V of the averaged flow tends to 1 - 1/N
         stats = run_ensemble(RHO1, DRIVE3, 10.0, CFG, M=400, base_seed=11,
